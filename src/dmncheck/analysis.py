@@ -1,5 +1,13 @@
 """Overlap and missing-rule detection over rule hyper-rectangles.
 
+Every analysis reads one ``TableGeometry`` per table: the codec, the
+universe, every rule box with its owning rule, and the input cells
+that admit no legal value.  ``table_rects`` builds it and
+``DecisionTable.geometry`` caches it, so the sweeps, witness and region
+rendering, the masked-rule check, the structure check and the grid
+oracles share a single build.  Each distinct ``entry ∩ facet`` is
+lowered once per column.
+
 Both analyses are N-dimensional line sweeps in table column order.
 Endpoint events sort by value and, at equal values, by the tie rank
 from :mod:`dmncheck.intervals`, so closed-touching boxes count as
@@ -30,10 +38,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from typing import TYPE_CHECKING, Iterable, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Optional, Sequence
 
 from .errors import CapacityError
-from .geometry import CategoryCodec, HyperRect, build_codec, build_universe, rule_to_rects
+from .geometry import (CategoryCodec, HyperRect, build_codec, build_universe,
+                       lower_condition)
 from .intervals import (LOWER_CLOSED, LOWER_OPEN, NEG_INF, POS_INF,
                         UPPER_CLOSED, UPPER_OPEN, Interval1D, IntervalSet,
                         interval)
@@ -92,20 +101,55 @@ def _iv_intersect(a: Iv, b: Iv, discrete: bool) -> Optional[Iv]:
     return None if got is None else _iv_tuple(got)
 
 
-def table_rects(table: "DecisionTable", codec: Optional[CategoryCodec] = None):
-    """Internal geometry of a table: boxes, owning rule ids, per-column
-    discreteness flags, universe sets, and the codec used."""
-    if codec is None:
-        codec = build_codec(table)
+class TableGeometry(NamedTuple):
+    """The geometric view of one table, built once by ``table_rects``."""
+
+    boxes: tuple[Box, ...]
+    # Owning rule id of each box, parallel to ``boxes``.
+    box_rule: tuple[str, ...]
+    # Every rule id, in table order, to its boxes; empty for a rule
+    # with an empty cell.
+    boxes_of: dict[str, tuple[Box, ...]]
+    discrete: tuple[bool, ...]
+    universe: tuple[IntervalSet, ...]
+    codec: CategoryCodec
+    # (rule id, input column index) of every cell whose entry ∩ facet
+    # is empty.
+    empty_cells: frozenset[tuple[str, int]]
+
+
+def table_rects(table: "DecisionTable") -> TableGeometry:
+    """Build the table's geometry.  Callers read the cached
+    ``table.geometry`` instead of calling this again."""
+    codec = build_codec(table)
     universe = build_universe(table, codec)
     discrete = tuple(attr.kind is Kind.INTEGER for attr in table.inputs)
-    rects: list[Box] = []
-    rect_rule: list[str] = []
+    # Literals in one column share its kind (load_table folds real
+    # literals to floats), so equal conditions lower alike there.
+    lowered: dict[tuple, tuple[Iv, ...]] = {}
+    boxes: list[Box] = []
+    box_rule: list[str] = []
+    boxes_of: dict[str, tuple[Box, ...]] = {}
+    empty_cells: set[tuple[str, int]] = set()
     for rule in table.rules:
-        for rect in rule_to_rects(rule, table, codec):
-            rects.append(tuple(_iv_tuple(iv) for iv in rect.intervals))
-            rect_rule.append(rule.id)
-    return rects, rect_rule, discrete, universe, codec
+        per_column = []
+        for d, (attr, cond) in enumerate(zip(table.inputs,
+                                             rule.input_entries)):
+            members = lowered.get((d, cond))
+            if members is None:
+                cell = lower_condition(cond, attr, codec)
+                members = tuple(_iv_tuple(iv) for iv in
+                                cell.intersect(universe[d]).members)
+                lowered[d, cond] = members
+            if not members:
+                empty_cells.add((rule.id, d))
+            per_column.append(members)
+        own = tuple(product(*per_column))
+        boxes.extend(own)
+        box_rule.extend([rule.id] * len(own))
+        boxes_of[rule.id] = own
+    return TableGeometry(tuple(boxes), tuple(box_rule), boxes_of, discrete,
+                         universe, codec, frozenset(empty_cells))
 
 
 # ---------------------------------------------------------------------------
@@ -134,7 +178,9 @@ def find_overlapping_rules(table: "DecisionTable") -> list[OverlapGroup]:
     Each group carries a witness: the joint intersection of the
     overlapping boxes, one per rule of the group.
     """
-    rects, rect_rule, discrete, _, _ = table_rects(table)
+    geometry = table.geometry
+    rects, rect_rule = geometry.boxes, geometry.box_rule
+    discrete = geometry.discrete
     n_dims = len(table.inputs)
     if not rects:
         return []
@@ -230,9 +276,7 @@ def find_overlapping_rules(table: "DecisionTable") -> list[OverlapGroup]:
         ids = [rid for rid in rule_order if mask & rule_bit_by_id[rid]]
         witness: Optional[Box] = None
         for rid in ids:
-            for rect, owner in zip(rects, rect_rule):
-                if owner != rid:
-                    continue
+            for rect in geometry.boxes_of[rid]:
                 if all(_iv_covers(rect[d], cell[d])
                        for d in range(n_dims)):
                     if witness is None:
@@ -319,7 +363,9 @@ def find_missing_rules(table: "DecisionTable") -> list[MissingRegion]:
     The reported boxes are pairwise disjoint, intersect no rule box,
     and jointly cover exactly the uncovered part of the Universe.
     """
-    rects, _, discrete, universe, codec = table_rects(table)
+    geometry = table.geometry
+    rects, discrete = geometry.boxes, geometry.discrete
+    universe, codec = geometry.universe, geometry.codec
     n_dims = len(table.inputs)
 
     # Hash-cons box suffixes: two boxes identical from column d onward
@@ -422,10 +468,10 @@ def find_missing_rules(table: "DecisionTable") -> list[MissingRegion]:
 
 def render_box(table: "DecisionTable", box: HyperRect) -> tuple[str, ...]:
     """Condition-style texts describing a box, one per input column."""
-    _, _, discrete, universe, codec = table_rects(table)
+    geometry = table.geometry
     return tuple(
-        _render_region_condition(_iv_tuple(iv), attr, codec, universe[d],
-                                 discrete[d])
+        _render_region_condition(_iv_tuple(iv), attr, geometry.codec,
+                                 geometry.universe[d], geometry.discrete[d])
         for d, (iv, attr) in enumerate(zip(box.intervals, table.inputs)))
 
 
@@ -513,7 +559,9 @@ def _dimension_pieces(values: list, discrete: bool) -> tuple[list[Iv], list]:
 def build_grid(table: "DecisionTable", cell_cap: int = 10 ** 6) -> CellGrid:
     """Compressed endpoint grid for the table; CapacityError when the
     cell product exceeds ``cell_cap``."""
-    rects, _, discrete, universe, _ = table_rects(table)
+    geometry = table.geometry
+    rects, discrete, universe = (geometry.boxes, geometry.discrete,
+                                 geometry.universe)
     n_dims = len(table.inputs)
     pieces: list[tuple[Iv, ...]] = []
     reps: list[tuple] = []
@@ -544,7 +592,7 @@ def build_grid(table: "DecisionTable", cell_cap: int = 10 ** 6) -> CellGrid:
 
 
 def _rect_piece_masks(table: "DecisionTable", grid: CellGrid):
-    rects, rect_rule, _, _, _ = table_rects(table)
+    rects, rect_rule = table.geometry.boxes, table.geometry.box_rule
     n_dims = len(grid.pieces)
     masks: list[list[int]] = []
     for d in range(n_dims):

@@ -36,10 +36,13 @@ from .synth import (GenSpec, bench_columns, benchmark_grid, generate_table,
 
 
 def _read_document(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
-    with open(path, "r", encoding="utf-8") as handle:
-        return handle.read()
+    try:
+        if path == "-":
+            return sys.stdin.read()
+        with open(path, "r", encoding="utf-8") as handle:
+            return handle.read()
+    except UnicodeDecodeError as exc:
+        raise DecisionTableError(f"{path}: not UTF-8 text: {exc}") from exc
 
 
 def _write_output(text: str, path: Optional[str]) -> None:

@@ -141,7 +141,10 @@ def build_codec(table: "DecisionTable") -> CategoryCodec:
     return CategoryCodec(columns)
 
 
-def _column_set(cond: Condition, attr, codec: CategoryCodec) -> IntervalSet:
+def lower_condition(cond: Condition, attr,
+                    codec: CategoryCodec) -> IntervalSet:
+    """Interval image of a condition over the column ``attr``, with
+    categories coded by ``codec``."""
     categories = codec.categories(attr.name) if attr.kind.is_categorical \
         else None
     return lower_to_intervals(cond, attr.kind, categories)
@@ -150,7 +153,7 @@ def _column_set(cond: Condition, attr, codec: CategoryCodec) -> IntervalSet:
 def build_universe(table: "DecisionTable",
                    codec: CategoryCodec) -> tuple[IntervalSet, ...]:
     """Legal-value interval set per input column (the facet image)."""
-    return tuple(_column_set(attr.facet, attr, codec)
+    return tuple(lower_condition(attr.facet, attr, codec)
                  for attr in table.inputs)
 
 
@@ -164,8 +167,8 @@ def rule_to_rects(rule: "Rule", table: "DecisionTable",
     """
     per_column: list[tuple[Interval1D, ...]] = []
     for attr, cond in zip(table.inputs, rule.input_entries):
-        entry = _column_set(cond, attr, codec)
-        facet = _column_set(attr.facet, attr, codec)
+        entry = lower_condition(cond, attr, codec)
+        facet = lower_condition(attr.facet, attr, codec)
         members = entry.intersect(facet).members
         if not members:
             return []

@@ -27,11 +27,16 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from functools import cached_property
+from typing import TYPE_CHECKING, Optional, Union
 
 from .errors import SchemaError, SFeelSyntaxError, SFeelTypeError
+from .geometry import lower_condition
 from .sfeel import (ANY, AnyValue, Condition, Kind, Match, format_literal,
                     lower_to_intervals, parse_condition, render_condition)
+
+if TYPE_CHECKING:  # pragma: no cover
+    from .analysis import TableGeometry
 
 Literal = Union[bool, int, float, str]
 
@@ -92,6 +97,14 @@ class DecisionTable:
 
     def input_names(self) -> tuple[str, ...]:
         return tuple(a.name for a in self.inputs)
+
+    @cached_property
+    def geometry(self) -> "TableGeometry":
+        """The table's geometry, built on first use.
+        The table is frozen, so the cached value cannot go stale."""
+        from .analysis import table_rects
+
+        return table_rects(self)
 
 
 _HIT_POLICIES = {"U": "u", "A": "a", "P": "p", "F": "f"}
@@ -287,16 +300,18 @@ def validate_structure(table: DecisionTable) -> list[Diagnostic]:
 
     A cell is incompatible when no value satisfies both its condition
     and the column facet, decided by intersecting their interval
-    images.  An output cell is treated as the condition equating the
-    output literal.
+    images; input cells are read from the table's geometry.  An output
+    cell is treated as the condition equating the output literal.
     """
-    from .geometry import build_codec
-
-    codec = build_codec(table)
+    geometry = table.geometry
+    codec = geometry.codec
+    output_facets = [lower_condition(attr.facet, attr, codec)
+                     for attr in table.outputs]
     diagnostics: list[Diagnostic] = []
     for rule in table.rules:
-        for attr, cond in zip(table.inputs, rule.input_entries):
-            if _incompatible(cond, attr, codec):
+        for d, (attr, cond) in enumerate(zip(table.inputs,
+                                             rule.input_entries)):
+            if (rule.id, d) in geometry.empty_cells:
                 diagnostics.append(Diagnostic(
                     severity="error",
                     code=FACET_INCOMPAT,
@@ -306,8 +321,10 @@ def validate_structure(table: DecisionTable) -> list[Diagnostic]:
                            f"under facet "
                            f"{render_condition(attr.facet)!r}",
                 ))
-        for attr, value in zip(table.outputs, rule.output_entries):
-            if _incompatible(Match(value), attr, codec):
+        for attr, facet, value in zip(table.outputs, output_facets,
+                                      rule.output_entries):
+            if lower_condition(Match(value), attr,
+                               codec).intersect(facet).is_empty:
                 diagnostics.append(Diagnostic(
                     severity="error",
                     code=FACET_INCOMPAT,
@@ -327,11 +344,3 @@ def validate_structure(table: DecisionTable) -> list[Diagnostic]:
                    f"1..{len(table.rules)}, got {ranks}",
         ))
     return diagnostics
-
-
-def _incompatible(cond: Condition, attr: Attribute, codec) -> bool:
-    categories = codec.categories(attr.name) if attr.kind.is_categorical \
-        else None
-    entry = lower_to_intervals(cond, attr.kind, categories)
-    facet = lower_to_intervals(attr.facet, attr.kind, categories)
-    return entry.intersect(facet).is_empty

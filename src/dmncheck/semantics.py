@@ -19,6 +19,7 @@ a higher-priority rule covers its whole region.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional
@@ -26,7 +27,7 @@ from typing import Optional
 from .errors import SchemaError, SFeelTypeError
 from .model import Attribute, DecisionTable, Rule
 from .sfeel import Condition, Kind, kind_of, satisfies
-from .analysis import region_contained, table_rects
+from .analysis import region_contained
 
 
 class Outcome(Enum):
@@ -56,11 +57,22 @@ def _check_config(table: DecisionTable, config: dict) -> dict:
         if got is not attr.kind:
             # Integral literals are legal real values.
             if attr.kind is Kind.REAL and got is Kind.INTEGER:
-                value = float(value)
+                try:
+                    value = float(value)
+                except OverflowError:
+                    raise SFeelTypeError(
+                        f"input '{attr.name}' is too large for a real "
+                        f"value") from None
             else:
                 raise SFeelTypeError(
                     f"input '{attr.name}' expects {attr.kind.value}, "
                     f"got {got.value}")
+        # No rule box holds NaN or an infinity, so the evaluator must
+        # not match them either.
+        if attr.kind is Kind.REAL and not math.isfinite(value):
+            raise SFeelTypeError(
+                f"input '{attr.name}' must be a finite number, "
+                f"got {value!r}")
         clean[attr.name] = value
     extra = set(config) - {attr.name for attr in table.inputs}
     if extra:
@@ -137,7 +149,6 @@ def masked_by(r1: Rule, r2: Rule, table: DecisionTable) -> bool:
     ``r2`` outranks it and covers its whole region."""
     if table.priority[r2.id] <= table.priority[r1.id]:
         return False
-    rects, rect_rule, discrete, _, _ = table_rects(table)
-    rects_a = [rect for rect, rid in zip(rects, rect_rule) if rid == r1.id]
-    rects_b = [rect for rect, rid in zip(rects, rect_rule) if rid == r2.id]
-    return region_contained(rects_a, rects_b, discrete)
+    geometry = table.geometry
+    return region_contained(geometry.boxes_of[r1.id],
+                            geometry.boxes_of[r2.id], geometry.discrete)

@@ -30,7 +30,7 @@ from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 from .analysis import (_iv_intersect, find_missing_rules,
-                       find_overlapping_rules, table_rects)
+                       find_overlapping_rules)
 from .errors import SpecError
 from .intervals import contiguous, Interval1D
 from .model import DecisionTable, dump_table, load_table
@@ -320,17 +320,15 @@ def _component_count(pieces: list, discrete) -> int:
 def pairwise_overlap_fragments(table: DecisionTable) -> int:
     """Total fragments a pair-at-a-time analysis would report: for each
     rule pair, the connected components of their intersection."""
-    rects, rect_rule, discrete, _, _ = table_rects(table)
-    by_rule: dict[str, list] = {}
-    for rect, rid in zip(rects, rect_rule):
-        by_rule.setdefault(rid, []).append(rect)
+    by_rule = table.geometry.boxes_of
+    discrete = table.geometry.discrete
     rule_ids = [rule.id for rule in table.rules]
 
     # Candidate pairs come from a first-column sweep over slightly
     # padded intervals, so contiguity in column 0 still pairs up.
     padded = []
     for rid in rule_ids:
-        for rect in by_rule.get(rid, ()):
+        for rect in by_rule[rid]:
             lo, lo_closed, hi, hi_closed = rect[0]
             if discrete[0]:
                 padded.append((lo, hi + 1, rid, rect))
@@ -358,8 +356,8 @@ def pairwise_overlap_fragments(table: DecisionTable) -> int:
     total = 0
     for id_a, id_b in sorted(candidates):
         pieces = []
-        for ra in by_rule.get(id_a, ()):
-            for rb in by_rule.get(id_b, ()):
+        for ra in by_rule[id_a]:
+            for rb in by_rule[id_b]:
                 got = []
                 for d, disc in enumerate(discrete):
                     piece = _iv_intersect(ra[d], rb[d], disc)

@@ -5,9 +5,11 @@ import random
 
 import pytest
 
-from dmncheck import (CapacityError, HyperRect, Interval1D, find_missing_rules,
-                      find_overlapping_rules, load_table, oracle_missing,
-                      oracle_overlaps)
+from dmncheck import (FACET_INCOMPAT, CapacityError, HyperRect, Interval1D,
+                      build_codec, find_missing_rules,
+                      find_overlapping_rules, load_table,
+                      lower_to_intervals, oracle_missing, oracle_overlaps,
+                      rule_to_rects, validate_structure)
 from dmncheck.analysis import (build_grid, grid_cells_of_boxes,
                                region_contained, table_rects)
 
@@ -249,14 +251,15 @@ def test_witnesses_covered_by_all_members():
         if not groups:
             continue
         seen += 1
-        rects, rect_rule, discrete, _, _ = table_rects(table)
+        geometry = table_rects(table)
         for group in groups:
             for rid in group.rule_ids:
-                own = [r for r, owner in zip(rects, rect_rule)
+                own = [r for r, owner in zip(geometry.boxes,
+                                             geometry.box_rule)
                        if owner == rid]
                 assert region_contained(
                     [tuple(i.as_tuple() for i in group.witness.intervals)],
-                    own, discrete)
+                    own, geometry.discrete)
 
 
 def test_missing_regions_disjoint_from_rules():
@@ -268,3 +271,48 @@ def test_missing_regions_disjoint_from_rules():
         covered = grid_cells_of_boxes(
             grid, [r.box for r in regions])
         assert covered == oracle_missing(table)
+
+
+def _incompatible(cond, attr, codec) -> bool:
+    # Per-cell lowering of entry and facet: the reference for the empty
+    # cells recorded in the table geometry.
+    categories = codec.categories(attr.name) if attr.kind.is_categorical \
+        else None
+    entry = lower_to_intervals(cond, attr.kind, categories)
+    facet = lower_to_intervals(attr.facet, attr.kind, categories)
+    return entry.intersect(facet).is_empty
+
+
+def test_cached_geometry_matches_per_rule_lowering():
+    rng = random.Random(737373)
+    empty_seen = 0
+    for _ in range(200):
+        table = random_table(rng)
+        geometry = table.geometry
+        assert table.geometry is geometry
+        codec = build_codec(table)
+        assert geometry.codec == codec
+
+        expected = {
+            rule.id: tuple(tuple(i.as_tuple() for i in rect.intervals)
+                           for rect in rule_to_rects(rule, table, codec))
+            for rule in table.rules}
+        assert geometry.boxes_of == expected
+        assert geometry.boxes == tuple(
+            box for rule in table.rules for box in expected[rule.id])
+        assert geometry.box_rule == tuple(
+            rule.id for rule in table.rules for _ in expected[rule.id])
+
+        cells = {(rule.id, d) for rule in table.rules
+                 for d, (attr, cond) in enumerate(zip(table.inputs,
+                                                      rule.input_entries))
+                 if _incompatible(cond, attr, codec)}
+        assert geometry.empty_cells == cells
+        input_names = table.input_names()
+        flagged = {(diag.rule_ids[0], input_names.index(diag.columns[0]))
+                   for diag in validate_structure(table)
+                   if diag.code == FACET_INCOMPAT
+                   and diag.columns[0] in input_names}
+        assert flagged == cells
+        empty_seen += len(cells)
+    assert empty_seen > 0

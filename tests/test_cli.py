@@ -89,6 +89,33 @@ class TestCheck:
     def test_missing_file_exits_two(self, capsys):
         assert main(["check", "/nonexistent/nowhere.json"]) == 2
 
+    def test_undecodable_file_exits_two(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b"\xff\xfe{}")
+        assert main(["check", str(bad)]) == 2
+        assert "not UTF-8" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("policy", ["U", "F"])
+    @pytest.mark.parametrize("fmt", ["text", "structured"])
+    def test_geometry_built_once_per_document(self, policy, fmt, tmp_path,
+                                              capsys, monkeypatch):
+        from dmncheck import analysis
+
+        built = []
+        table_rects = analysis.table_rects
+
+        def counting(table):
+            built.append(table.name)
+            return table_rects(table)
+
+        monkeypatch.setattr(analysis, "table_rects", counting)
+        doc = loan_doc()
+        doc["hitPolicy"] = policy
+        path = tmp_path / "table.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["check", "--format", fmt, str(path), str(path)]) == 1
+        assert built == ["loan-grading", "loan-grading"]
+
 
 class TestEval:
     def test_match_text(self, table1_path, capsys):
@@ -137,6 +164,23 @@ class TestEval:
 
     def test_bad_pair_exits_two(self, table1_path, capsys):
         assert main(["eval", table1_path, "--input", "no equals"]) == 2
+
+    @pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity",
+                                       "1" + "0" * 400],
+                             ids=["nan", "inf", "-inf", "huge"])
+    def test_non_finite_input_exits_two(self, value, tmp_path, capsys):
+        doc = {
+            "name": "open", "hitPolicy": "U", "completeness": "I",
+            "inputs": [{"name": "a", "type": "real"}],
+            "outputs": [{"name": "o", "type": "string"}],
+            "rules": [{"id": "r", "in": ["[0..10]"], "out": ["x"]}],
+        }
+        path = tmp_path / "open.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["eval", str(path), "--input", f"a={value}"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error:" in captured.err
 
 
 class TestGenerate:

@@ -4,8 +4,9 @@ import random
 
 import pytest
 
-from dmncheck import (Outcome, SchemaError, evaluate, load_table, masked_by,
-                      matches_value, parse_condition, triggered_by)
+from dmncheck import (Outcome, SchemaError, SFeelTypeError, evaluate,
+                      load_table, masked_by, matches_value, parse_condition,
+                      triggered_by)
 from dmncheck.model import Attribute
 from dmncheck.sfeel import Kind
 
@@ -52,6 +53,20 @@ class TestTriggeredBy:
         with pytest.raises(SFeelTypeError):
             triggered_by(table1.rules[0], table1,
                          {"Annual Income": "lots", "Loan Size": 10})
+
+
+class TestNonFiniteInputs:
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"),
+                                       float("-inf"), 10 ** 400],
+                             ids=["nan", "inf", "-inf", "huge"])
+    def test_rejected(self, table1, value):
+        with pytest.raises(SFeelTypeError):
+            evaluate(table1, {"Annual Income": value, "Loan Size": 10})
+
+    def test_large_finite_integer_accepted(self, table1):
+        result = evaluate(table1, {"Annual Income": 10 ** 300,
+                                   "Loan Size": 10})
+        assert result.outcome is Outcome.NO_MATCH
 
 
 class TestEvaluate:
