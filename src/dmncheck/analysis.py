@@ -1,8 +1,9 @@
 """Overlap and missing-rule detection over rule hyper-rectangles.
 
 Every analysis reads one ``TableGeometry`` per table: the codec, the
-universe, every rule box with its owning rule, and the input cells
-that admit no legal value.  ``table_rects`` builds it and
+universe, each rule's canonical set per column and the boxes of their
+product with the owning rule, and the input cells that admit no legal
+value.  ``table_rects`` builds it and
 ``DecisionTable.geometry`` caches it, so the sweeps, witness and region
 rendering, the masked-rule check, the structure check and the grid
 oracles share a single build.  Each distinct ``entry ∩ facet`` is
@@ -101,6 +102,12 @@ def _iv_intersect(a: Iv, b: Iv, discrete: bool) -> Optional[Iv]:
     return None if got is None else _iv_tuple(got)
 
 
+def _iv_covers(outer: Iv, inner: Iv) -> bool:
+    if (inner[0], not inner[1]) < (outer[0], not outer[1]):
+        return False
+    return (inner[2], inner[3]) <= (outer[2], outer[3])
+
+
 class TableGeometry(NamedTuple):
     """The geometric view of one table, built once by ``table_rects``."""
 
@@ -110,6 +117,9 @@ class TableGeometry(NamedTuple):
     # Every rule id, in table order, to its boxes; empty for a rule
     # with an empty cell.
     boxes_of: dict[str, tuple[Box, ...]]
+    # Every rule id to its canonical entry ∩ facet set per input column;
+    # the rule's boxes are their product.
+    columns_of: dict[str, tuple[tuple[Iv, ...], ...]]
     discrete: tuple[bool, ...]
     universe: tuple[IntervalSet, ...]
     codec: CategoryCodec
@@ -130,6 +140,7 @@ def table_rects(table: "DecisionTable") -> TableGeometry:
     boxes: list[Box] = []
     box_rule: list[str] = []
     boxes_of: dict[str, tuple[Box, ...]] = {}
+    columns_of: dict[str, tuple[tuple[Iv, ...], ...]] = {}
     empty_cells: set[tuple[str, int]] = set()
     for rule in table.rules:
         per_column = []
@@ -148,18 +159,29 @@ def table_rects(table: "DecisionTable") -> TableGeometry:
         boxes.extend(own)
         box_rule.extend([rule.id] * len(own))
         boxes_of[rule.id] = own
-    return TableGeometry(tuple(boxes), tuple(box_rule), boxes_of, discrete,
-                         universe, codec, frozenset(empty_cells))
+        columns_of[rule.id] = tuple(per_column)
+    return TableGeometry(tuple(boxes), tuple(box_rule), boxes_of, columns_of,
+                         discrete, universe, codec, frozenset(empty_cells))
+
+
+def columns_contained(inner: Sequence[tuple[Iv, ...]],
+                      outer: Sequence[tuple[Iv, ...]]) -> bool:
+    """True when the product of the column sets ``inner`` lies inside
+    the product of ``outer``; both hold one canonical set per column.
+
+    An empty product lies inside anything.  A non-empty one lies inside
+    exactly when each of its column sets does, and since canonical sets
+    are sorted, disjoint and non-contiguous, a set lies inside another
+    when each of its members lies inside a single member of the other.
+    """
+    if not all(inner):
+        return True
+    return all(any(_iv_covers(big, small) for big in bigs)
+               for smalls, bigs in zip(inner, outer) for small in smalls)
 
 
 # ---------------------------------------------------------------------------
 # Overlap sweep
-
-
-def _iv_covers(outer: Iv, inner: Iv) -> bool:
-    if (inner[0], not inner[1]) < (outer[0], not outer[1]):
-        return False
-    return (inner[2], inner[3]) <= (outer[2], outer[3])
 
 
 def _insert_antichain(chain: list, mask: int, box: Box) -> None:
@@ -689,34 +711,3 @@ def grid_cells_of_boxes(grid: CellGrid,
                             if iv.contains(rep)])
         out.update(product(*per_dim))
     return out
-
-
-def region_contained(rects_a: Sequence[Box], rects_b: Sequence[Box],
-                     discrete: Sequence[bool]) -> bool:
-    """True when the union of ``rects_a`` lies inside that of
-    ``rects_b``, decided exactly on their combined endpoint grid."""
-    if not rects_a:
-        return True
-    n_dims = len(discrete)
-    pieces_reps = []
-    for d in range(n_dims):
-        values = []
-        for rect in list(rects_a) + list(rects_b):
-            lo, _, hi, _ = rect[d]
-            if lo != NEG_INF:
-                values.append(lo)
-            if hi != POS_INF:
-                values.append(hi)
-        pieces_reps.append(_dimension_pieces(values, discrete[d])[1])
-    for rect in rects_a:
-        per_dim = []
-        for d in range(n_dims):
-            per_dim.append([rep for rep in pieces_reps[d]
-                            if _iv_contains(rect[d], rep)])
-        for point in product(*per_dim):
-            covered = any(
-                all(_iv_contains(other[d], point[d]) for d in range(n_dims))
-                for other in rects_b)
-            if not covered:
-                return False
-    return True

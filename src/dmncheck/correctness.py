@@ -10,7 +10,9 @@ A table is correct when three independent checks all come back clean:
 * hit policy: no input can trigger a violation.  Unique forbids any
   overlap, any forbids overlaps that disagree on outputs, and priority
   or first tolerate overlaps but reject rules that can never win
-  because a higher-priority rule covers them entirely.
+  because a higher-priority rule covers them entirely.  That masking
+  check reuses the overlap groups: it tests only pairs of rules that
+  share a group, plus every pair whose lower rule admits no input.
 
 Each diagnostic names the rules or columns involved and carries the
 offending region rendered as condition texts, so a missing-rule finding
@@ -20,6 +22,7 @@ can be pasted back into the table as a new row.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import permutations
 
 from .analysis import (MissingRegion, OverlapGroup, find_missing_rules,
                        find_overlapping_rules, render_box)
@@ -99,18 +102,35 @@ def _overlap_diagnostics(table: DecisionTable,
     return out
 
 
-def _masked_diagnostics(table: DecisionTable) -> list[Diagnostic]:
-    """One violation per ordered pair (shadowed, shadowing)."""
+def _masked_diagnostics(table: DecisionTable,
+                        groups: list[OverlapGroup]) -> list[Diagnostic]:
+    """One violation per ordered pair (shadowed, shadowing), ordered by
+    the shadowed rule and then the shadowing one, both in table order.
+
+    A non-empty rule inside another overlaps it, so the two share some
+    maximal overlap group; a rule with an empty cell lies inside every
+    rule.  Only those pairs need the containment test.
+    """
+    rules = table.rules
+    index = {rule.id: i for i, rule in enumerate(rules)}
+    pairs: set[tuple[int, int]] = set()
+    for group in groups:
+        pairs.update(permutations([index[rid] for rid in group.rule_ids],
+                                  2))
+    for rid in {rid for rid, _ in table.geometry.empty_cells}:
+        low = index[rid]
+        pairs.update((low, high) for high in range(len(rules))
+                     if high != low)
     out = []
-    for low in table.rules:
-        for high in table.rules:
-            if table.priority[high.id] <= table.priority[low.id]:
-                continue
-            if masked_by(low, high, table):
-                out.append(Diagnostic(
-                    "error", MASKED_RULE, rule_ids=(low.id, high.id),
-                    detail=f"rule {low.id} can never win: rule {high.id} "
-                           "has higher priority and covers it"))
+    for i, j in sorted(pairs):
+        low, high = rules[i], rules[j]
+        if table.priority[high.id] <= table.priority[low.id]:
+            continue
+        if masked_by(low, high, table):
+            out.append(Diagnostic(
+                "error", MASKED_RULE, rule_ids=(low.id, high.id),
+                detail=f"rule {low.id} can never win: rule {high.id} "
+                       "has higher priority and covers it"))
     return out
 
 
@@ -160,7 +180,7 @@ def check_correct(table: DecisionTable,
     if only != "missing":
         policy.extend(_overlap_diagnostics(table, groups))
         if table.hit_policy in ("p", "f"):
-            policy.extend(_masked_diagnostics(table))
+            policy.extend(_masked_diagnostics(table, groups))
 
     correct = (not facet
                and (verdict is None or verdict.consistent())

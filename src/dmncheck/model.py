@@ -33,7 +33,8 @@ from typing import TYPE_CHECKING, Optional, Union
 from .errors import SchemaError, SFeelSyntaxError, SFeelTypeError
 from .geometry import lower_condition
 from .sfeel import (ANY, AnyValue, Condition, Kind, Match, format_literal,
-                    lower_to_intervals, parse_condition, render_condition)
+                    is_finite_number, lower_to_intervals, parse_condition,
+                    render_condition)
 
 if TYPE_CHECKING:  # pragma: no cover
     from .analysis import TableGeometry
@@ -144,6 +145,9 @@ def _parse_output_literal(text, attr: Attribute, rule_id: str) -> Literal:
     if isinstance(text, bool):
         value: Literal = text
     elif isinstance(text, (int, float)):
+        if not is_finite_number(text):
+            raise SFeelTypeError(f"{where}: output literal is not a "
+                                 f"finite number")
         value = text
     elif isinstance(text, str):
         try:
@@ -174,7 +178,8 @@ def load_table(document) -> DecisionTable:
     if isinstance(document, (str, bytes)):
         try:
             document = json.loads(document)
-        except json.JSONDecodeError as exc:
+        # JSONDecodeError, or ValueError for more digits than int() takes.
+        except ValueError as exc:
             raise SchemaError(f"document is not valid JSON: {exc}") from exc
     if not isinstance(document, dict):
         raise SchemaError("document root must be an object")

@@ -14,20 +14,20 @@ then determines the verdict:
 Evaluation reports faults instead of picking an arbitrary winner: a
 unique-policy table with two triggered rules yields a violation, not a
 result.  ``masked_by`` decides whether one rule can never win because
-a higher-priority rule covers its whole region.
+a higher-priority rule covers its whole region, by testing containment
+column by column on the rules' canonical column sets.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional
 
 from .errors import SchemaError, SFeelTypeError
 from .model import Attribute, DecisionTable, Rule
-from .sfeel import Condition, Kind, kind_of, satisfies
-from .analysis import region_contained
+from .sfeel import Condition, Kind, is_finite_number, kind_of, satisfies
+from .analysis import columns_contained
 
 
 class Outcome(Enum):
@@ -54,25 +54,20 @@ def _check_config(table: DecisionTable, config: dict) -> dict:
             raise SchemaError(f"missing input value for '{attr.name}'")
         value = config[attr.name]
         got = kind_of(value)
-        if got is not attr.kind:
-            # Integral literals are legal real values.
-            if attr.kind is Kind.REAL and got is Kind.INTEGER:
-                try:
-                    value = float(value)
-                except OverflowError:
-                    raise SFeelTypeError(
-                        f"input '{attr.name}' is too large for a real "
-                        f"value") from None
-            else:
-                raise SFeelTypeError(
-                    f"input '{attr.name}' expects {attr.kind.value}, "
-                    f"got {got.value}")
-        # No rule box holds NaN or an infinity, so the evaluator must
-        # not match them either.
-        if attr.kind is Kind.REAL and not math.isfinite(value):
+        # Integral literals are legal real values.
+        if got is not attr.kind and not (attr.kind is Kind.REAL
+                                         and got is Kind.INTEGER):
             raise SFeelTypeError(
-                f"input '{attr.name}' must be a finite number, "
-                f"got {value!r}")
+                f"input '{attr.name}' expects {attr.kind.value}, "
+                f"got {got.value}")
+        if attr.kind is Kind.REAL:
+            # No rule box holds NaN, an infinity or a number beyond
+            # float range, so the evaluator must not match them either.
+            if not is_finite_number(value):
+                raise SFeelTypeError(
+                    f"input '{attr.name}' must be a finite number within "
+                    f"float range")
+            value = float(value)
         clean[attr.name] = value
     extra = set(config) - {attr.name for attr in table.inputs}
     if extra:
@@ -146,9 +141,14 @@ def evaluate(table: DecisionTable, config: dict) -> EvalResult:
 
 def masked_by(r1: Rule, r2: Rule, table: DecisionTable) -> bool:
     """True when ``r1`` can never win under the priority policy because
-    ``r2`` outranks it and covers its whole region."""
+    ``r2`` outranks it and covers its whole region.
+
+    A rule's region is the product of its ``entry ∩ facet`` sets, one
+    per input column, so containment is decided column by column.  A
+    rule with an empty cell admits no input and is covered by every
+    rule that outranks it.
+    """
     if table.priority[r2.id] <= table.priority[r1.id]:
         return False
-    geometry = table.geometry
-    return region_contained(geometry.boxes_of[r1.id],
-                            geometry.boxes_of[r2.id], geometry.discrete)
+    columns_of = table.geometry.columns_of
+    return columns_contained(columns_of[r1.id], columns_of[r2.id])

@@ -24,7 +24,9 @@ string, and ``[0..18]`` under a string column is a type error.
 
 from __future__ import annotations
 
+import math
 import re
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Sequence, Union
@@ -63,6 +65,19 @@ def kind_of(value) -> Kind:
     raise SFeelTypeError(f"unsupported literal type {type(value).__name__}")
 
 
+_FLOAT_MAX = sys.float_info.max
+
+
+def is_finite_number(value) -> bool:
+    """True for an int or float within the range of a finite float.
+
+    Rule boxes hold only such values, so literals and folded results
+    outside it (NaN, the infinities, integers too large for a float)
+    are rejected where they enter.
+    """
+    return -_FLOAT_MAX <= value <= _FLOAT_MAX
+
+
 # ---------------------------------------------------------------------------
 # Terms
 
@@ -83,7 +98,8 @@ def fold_term(term: Term):
     """Reduce a ground term to its literal value.
 
     Arithmetic requires both operands to share a numeric kind.  Integer
-    division truncates toward zero; division by zero raises EvalError.
+    division truncates toward zero; division by zero raises EvalError,
+    and a result outside the range of a finite float SFeelTypeError.
     """
     if not isinstance(term, BinOp):
         kind_of(term)  # reject exotic literal types
@@ -99,19 +115,24 @@ def fold_term(term: Term):
                              f"({lk.value} {term.op} {rk.value})")
     op = term.op
     if op == "+":
-        return left + right
-    if op == "-":
-        return left - right
-    if op == "*":
-        return left * right
-    if op == "/":
+        result = left + right
+    elif op == "-":
+        result = left - right
+    elif op == "*":
+        result = left * right
+    elif op == "/":
         if right == 0:
             raise EvalError("division by zero")
         if lk is Kind.INTEGER:
             q = abs(left) // abs(right)
             return -q if (left < 0) != (right < 0) else q
-        return left / right
-    raise SFeelTypeError(f"unknown operator {op!r}")
+        result = left / right
+    else:
+        raise SFeelTypeError(f"unknown operator {op!r}")
+    if not is_finite_number(result):
+        raise SFeelTypeError(f"arithmetic result of {op!r} is not a finite "
+                             f"number")
+    return result
 
 
 # ---------------------------------------------------------------------------
@@ -181,6 +202,13 @@ _TOKEN_RE = re.compile(
     re.X,
 )
 
+# Bounds on one numeric condition element, which keep parsing and
+# folding within the interpreter's recursion limit.  Nesting counts
+# open parentheses and unary signs; operators count every arithmetic
+# operation, unary minus included.
+_MAX_NESTING = 32
+_MAX_OPERATORS = 100
+
 _QUOTED_RE = re.compile(r'"([^"]*)"')
 _BARE_STRING_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_ .\-]*")
 
@@ -200,8 +228,14 @@ def _lex_numeric(text: str) -> list[tuple[str, object]]:
         kind = m.lastgroup
         value = m.group(kind)
         if kind == "num":
-            lexical_int = value.isdigit()
-            tokens.append(("num", int(value) if lexical_int else float(value)))
+            try:
+                number = int(value) if value.isdigit() else float(value)
+            except ValueError:  # more digits than int() converts
+                number = math.inf
+            if not is_finite_number(number):
+                raise SFeelTypeError(f"numeric literal out of range "
+                                     f"in {text!r}")
+            tokens.append(("num", number))
         else:
             tokens.append((kind, value))
     return tokens
@@ -215,6 +249,8 @@ class _NumericParser:
         self.kind = kind
         self.tokens = _lex_numeric(text)
         self.pos = 0
+        self.depth = 0
+        self.operators = 0
 
     def peek(self) -> Optional[tuple[str, object]]:
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -233,6 +269,18 @@ class _NumericParser:
                                    f"in {self.text!r}")
         return tok
 
+    def nest(self) -> None:
+        self.depth += 1
+        if self.depth > _MAX_NESTING:
+            raise SFeelSyntaxError(f"more than {_MAX_NESTING} nested "
+                                   f"parentheses or signs in {self.text!r}")
+
+    def operator(self) -> None:
+        self.operators += 1
+        if self.operators > _MAX_OPERATORS:
+            raise SFeelSyntaxError(f"more than {_MAX_OPERATORS} arithmetic "
+                                   f"operators in {self.text!r}")
+
     def at_end(self) -> bool:
         return self.pos >= len(self.tokens)
 
@@ -250,6 +298,7 @@ class _NumericParser:
         node = self.muldiv()
         while (tok := self.peek()) and tok[0] == "op" and tok[1] in "+-":
             self.take()
+            self.operator()
             node = BinOp(str(tok[1]), node, self.muldiv())
         return node
 
@@ -257,6 +306,7 @@ class _NumericParser:
         node = self.unary()
         while (tok := self.peek()) and tok[0] == "op" and tok[1] in "*/":
             self.take()
+            self.operator()
             node = BinOp(str(tok[1]), node, self.unary())
         return node
 
@@ -264,9 +314,12 @@ class _NumericParser:
         tok = self.peek()
         if tok and tok[0] == "op" and tok[1] in "+-":
             self.take()
+            self.nest()
             operand = self.unary()
+            self.depth -= 1
             if tok[1] == "+":
                 return operand
+            self.operator()
             zero = 0 if self.kind is Kind.INTEGER else 0.0
             return BinOp("-", zero, operand)
         return self.atom()
@@ -276,8 +329,10 @@ class _NumericParser:
         if tok[0] == "num":
             return self._literal(tok[1])
         if tok[0] == "lpar":
+            self.nest()
             node = self.addsub()
             self.expect("rpar")
+            self.depth -= 1
             return node
         if tok[0] == "word":
             raise SFeelTypeError(f"{tok[1]!r} is not a {self.kind.value} "
@@ -322,7 +377,7 @@ class _NumericParser:
         return Match(value)
 
     def _interval_or_term(self, bracketed: bool) -> Condition:
-        mark = self.pos
+        mark = self.pos, self.depth, self.operators
         self.take()  # opening bracket or paren
         try:
             lo = self.term()
@@ -335,7 +390,8 @@ class _NumericParser:
             if bracketed:
                 raise SFeelSyntaxError(f"expected '..' inside interval "
                                        f"in {self.text!r}")
-            self.pos = mark  # plain parenthesised arithmetic
+            # plain parenthesised arithmetic
+            self.pos, self.depth, self.operators = mark
             return Match(self.fold(self.term()))
         self.take()  # '..'
         hi = self.term()
@@ -447,10 +503,13 @@ def satisfies(cond: Condition, value, kind: Optional[Kind] = None) -> bool:
 
     When ``kind`` is given, the value's kind is checked against it
     first; mismatches raise SFeelTypeError rather than returning False.
+    So does a NaN or infinite real value, which no rule box holds.
     """
     if kind is not None and kind_of(value) != kind:
         raise SFeelTypeError(f"expected a {kind.value} value, got "
                              f"{kind_of(value).value}")
+    if isinstance(value, float) and not math.isfinite(value):
+        raise SFeelTypeError(f"expected a finite number, got {value!r}")
     if isinstance(cond, AnyValue):
         return True
     if isinstance(cond, Match):

@@ -1,10 +1,12 @@
-"""Shared fixtures: the loan-grading reference table and a small
-random-table generator used for oracle cross-checks."""
+"""Shared fixtures: the loan-grading reference table, a small
+random-table generator used for oracle cross-checks, and the grid
+oracle for region containment."""
 
 from __future__ import annotations
 
 import copy
 import random
+from itertools import product
 
 import pytest
 
@@ -160,3 +162,31 @@ def permuted_doc(doc: dict, rng: random.Random) -> dict:
         rule.setdefault("priority", count - i)
     rng.shuffle(out["rules"])
     return out
+
+
+def region_contained(rects_a, rects_b, discrete) -> bool:
+    """True when the union of the boxes ``rects_a`` lies inside that of
+    ``rects_b``, decided exactly on their combined endpoint grid: every
+    representative point of ``rects_a`` must lie in some box of
+    ``rects_b``.  Boxes are tuples of (lo, lo_closed, hi, hi_closed)."""
+    from dmncheck.analysis import _dimension_pieces, _iv_contains
+
+    if not rects_a:
+        return True
+    n_dims = len(discrete)
+    reps = []
+    for d in range(n_dims):
+        values = []
+        for rect in list(rects_a) + list(rects_b):
+            lo, _, hi, _ = rect[d]
+            values.extend(v for v in (lo, hi) if abs(v) != float("inf"))
+        reps.append(_dimension_pieces(values, discrete[d])[1])
+    for rect in rects_a:
+        per_dim = [[rep for rep in reps[d] if _iv_contains(rect[d], rep)]
+                   for d in range(n_dims)]
+        for point in product(*per_dim):
+            if not any(all(_iv_contains(other[d], point[d])
+                           for d in range(n_dims))
+                       for other in rects_b):
+                return False
+    return True

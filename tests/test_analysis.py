@@ -10,10 +10,9 @@ from dmncheck import (FACET_INCOMPAT, CapacityError, HyperRect, Interval1D,
                       find_overlapping_rules, load_table,
                       lower_to_intervals, oracle_missing, oracle_overlaps,
                       rule_to_rects, validate_structure)
-from dmncheck.analysis import (build_grid, grid_cells_of_boxes,
-                               region_contained, table_rects)
+from dmncheck.analysis import build_grid, grid_cells_of_boxes, table_rects
 
-from conftest import loan_doc, random_table
+from conftest import loan_doc, random_table, region_contained
 
 INF = float("inf")
 

@@ -89,6 +89,45 @@ class TestCheck:
     def test_missing_file_exits_two(self, capsys):
         assert main(["check", "/nonexistent/nowhere.json"]) == 2
 
+    @pytest.mark.parametrize("column,entry", [
+        ("a", ">=1e400"),
+        ("a", "[0..1e400]"),
+        ("a", "1e200*1e200"),
+        ("a", "1" * 400),
+        ("n", "-" * 5000 + "1"),
+        ("n", "(" * 3000 + "1" + ")" * 3000),
+        ("n", "+".join(["1"] * 5000)),
+    ], ids=["ge-1e400", "interval-1e400", "product-overflow",
+            "400-digits-real", "unary-minus", "parentheses", "long-sum"])
+    def test_hostile_entry_exits_two(self, column, entry, tmp_path, capsys):
+        doc = {
+            "name": "hostile", "hitPolicy": "U", "completeness": "I",
+            "inputs": [{"name": "a", "type": "real"},
+                       {"name": "n", "type": "integer"}],
+            "outputs": [{"name": "o", "type": "string"}],
+            "rules": [{"id": "r", "in": ["-", "-"], "out": ["x"]}],
+        }
+        doc["rules"][0]["in"][0 if column == "a" else 1] = entry
+        path = tmp_path / "hostile.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["check", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: rule 'r'" in captured.err
+
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_output_literal_exits_two(self, literal, tmp_path,
+                                                 capsys):
+        path = tmp_path / "nan.json"
+        path.write_text(
+            '{"name": "t", "hitPolicy": "U", "completeness": "I", '
+            '"inputs": [{"name": "a", "type": "real"}], '
+            '"outputs": [{"name": "o", "type": "real"}], '
+            '"rules": [{"id": "r", "in": ["-"], "out": [' + literal + ']}]}',
+            encoding="utf-8")
+        assert main(["check", str(path)]) == 2
+        assert "not a finite number" in capsys.readouterr().err
+
     def test_undecodable_file_exits_two(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_bytes(b"\xff\xfe{}")

@@ -7,10 +7,11 @@ import pytest
 
 from dmncheck import (COMPLETENESS_MISMATCH, MASKED_RULE, MISSING_RULE,
                       OUTPUT_DISAGREEMENT, OVERLAP, Outcome, check_correct,
-                      evaluate, load_table)
+                      evaluate, load_table, masked_by)
 from dmncheck.analysis import build_grid
 
-from conftest import loan_doc
+from conftest import (loan_doc, permuted_doc, random_table_doc,
+                      region_contained)
 
 
 def one_column(rules, hit_policy="U", completeness="I", facet="[0..10]"):
@@ -213,3 +214,36 @@ def test_report_pure_and_deterministic(table1):
     assert first.all_diagnostics() == second.all_diagnostics()
     assert first.overlap_groups == second.overlap_groups
     assert first.completeness == second.completeness
+
+
+def _all_pairs_masked(table):
+    """The masked-rule check over every ordered rule pair, decided on
+    the endpoint grid."""
+    geometry = table.geometry
+    return [(low.id, high.id)
+            for low in table.rules for high in table.rules
+            if table.priority[high.id] > table.priority[low.id]
+            and region_contained(geometry.boxes_of[low.id],
+                                 geometry.boxes_of[high.id],
+                                 geometry.discrete)]
+
+
+def test_masked_check_matches_all_pairs_oracle():
+    rng = random.Random(828282)
+    with_empty = 0
+    for _ in range(300):
+        doc = random_table_doc(rng, max_rules=10,
+                               hit_policy=rng.choice("PF"))
+        if doc["hitPolicy"] == "P" and rng.random() < 0.5:
+            doc = permuted_doc(doc, rng)
+        table = load_table(doc)
+        with_empty += bool(table.geometry.empty_cells)
+        expected = _all_pairs_masked(table)
+        for low in table.rules:
+            for high in table.rules:
+                assert masked_by(low, high, table) \
+                    == ((low.id, high.id) in expected)
+        report = check_correct(table)
+        assert [d.rule_ids for d in report.hit_policy_diagnostics
+                if d.code == MASKED_RULE] == expected
+    assert with_empty >= 30

@@ -2,6 +2,7 @@
 validation."""
 
 import copy
+import json
 
 import pytest
 
@@ -69,6 +70,24 @@ class TestLoad:
         import json
         table = load_table(json.dumps(table1_doc))
         assert table.name == "loan-grading"
+
+
+    @pytest.mark.parametrize("literal", [float("nan"), float("inf"),
+                                         float("-inf")],
+                             ids=["nan", "inf", "-inf"])
+    def test_non_finite_output_literal(self, table1_doc, literal):
+        table1_doc["outputs"] = [{"name": "Rate", "type": "real"}]
+        for rule in table1_doc["rules"]:
+            rule["out"] = [1.5]
+        table1_doc["rules"][2]["out"] = [literal]
+        with pytest.raises(SFeelTypeError, match="rule 'C'"):
+            load_table(table1_doc)
+
+    def test_number_beyond_int_conversion(self, table1_doc):
+        text = json.dumps(table1_doc).replace('"out": ["VG"]',
+                            '"out": ["VG"], "priority": ' + "1" * 5000, 1)
+        with pytest.raises(SchemaError, match="not valid JSON"):
+            load_table(text)
 
 
 class TestRoundTrip:

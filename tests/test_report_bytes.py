@@ -1,9 +1,11 @@
 """Structured ``check`` reports stay byte-identical.
 
-The digests below were recorded from the implementation that rebuilt
-the table geometry on every call, before each table got one cached
-geometry.  Any change to rendering, ordering or diagnostics shows up
-here as a different sha256.
+The first three digests were recorded from the implementation that
+rebuilt the table geometry on every call, before each table got one
+cached geometry; the empty-rule digest from the one that tested every
+ordered rule pair for masking on the endpoint grid.  Any change to
+rendering, ordering or diagnostics shows up here as a different
+sha256.
 """
 
 import copy
@@ -36,10 +38,28 @@ def _first_hit_with_copies() -> dict:
     return doc
 
 
+def _first_hit_with_empty_rule() -> dict:
+    # A rule whose cell lies outside its column facet admits no input,
+    # so every rule above it masks it; the appended copy is masked too.
+    doc = _noised(4, 20, 21, "overlap")
+    doc["hitPolicy"] = "F"
+    for rule in doc["rules"]:
+        del rule["priority"]
+    empty = copy.deepcopy(doc["rules"][5])
+    empty["id"] = "empty"
+    empty["in"][2] = ">60"
+    doc["rules"].insert(8, empty)
+    twin = copy.deepcopy(doc["rules"][3])
+    twin["id"] += "c"
+    doc["rules"].append(twin)
+    return doc
+
+
 DOCS = {
     "unique-overlap": lambda: _noised(3, 40, 5, "overlap"),
     "unique-missing": lambda: _noised(3, 40, 9, "missing"),
     "first-hit-copies": _first_hit_with_copies,
+    "first-hit-empty-rule": _first_hit_with_empty_rule,
 }
 
 DIGESTS = {
@@ -49,6 +69,8 @@ DIGESTS = {
         "dac7fdb1bd46a3be2fcf0ee3e3fd4eee236d4ee9a996e9bf9c328e52e3653c56",
     "first-hit-copies":
         "b07ab2decb4a1ff0710ce7c5e9b4975041c610e7b851b8959d6f3e2c73cb4806",
+    "first-hit-empty-rule":
+        "42584151ba7baeb86b685f38b12971d4cff6617fe628d92b6e0661c533652dc9",
 }
 
 

@@ -63,6 +63,12 @@ class TestNonFiniteInputs:
         with pytest.raises(SFeelTypeError):
             evaluate(table1, {"Annual Income": value, "Loan Size": 10})
 
+    def test_matches_value_rejects_nan(self):
+        attr = Attribute("a", Kind.REAL)
+        with pytest.raises(SFeelTypeError):
+            matches_value(attr, parse_condition("[0..10]", Kind.REAL),
+                          float("nan"))
+
     def test_large_finite_integer_accepted(self, table1):
         result = evaluate(table1, {"Annual Income": 10 ** 300,
                                    "Loan Size": 10})

@@ -99,6 +99,51 @@ class TestFold:
             == Interval(True, 200, 750, True)
 
 
+class TestHostileLiterals:
+    @pytest.mark.parametrize("text,kind", [
+        (">=1e400", Kind.REAL),
+        ("[0..1e400]", Kind.REAL),
+        ("1e200*1e200", Kind.REAL),
+        ("1e308/1e-10", Kind.REAL),
+        ("1" * 400, Kind.REAL),
+        ("1" * 400, Kind.INTEGER),
+        ("1" * 5000, Kind.INTEGER),
+        ("*".join(["1" + "0" * 100] * 4), Kind.INTEGER),
+    ], ids=["ge-1e400", "interval-1e400", "product-overflow",
+            "quotient-overflow", "400-digits-real", "400-digits-integer",
+            "5000-digits", "integer-product-overflow"])
+    def test_out_of_range_rejected(self, text, kind):
+        with pytest.raises(SFeelTypeError):
+            parse_condition(text, kind)
+
+    def test_largest_finite_literal_accepted(self):
+        top = "1.7976931348623157e308"
+        assert parse_condition(f"<={top}", Kind.REAL) \
+            == Comparison("<=", 1.7976931348623157e308)
+
+    @pytest.mark.parametrize("text", [
+        "-" * 5000 + "1",
+        "+" * 5000 + "1",
+        "(" * 3000 + "1" + ")" * 3000,
+        "[" + "(" * 3000 + "1" + ")" * 3000 + "..2]",
+        "+".join(["1"] * 5000),
+    ], ids=["unary-minus", "unary-plus", "parentheses",
+            "interval-parentheses", "long-sum"])
+    def test_deep_or_long_terms_rejected(self, text):
+        with pytest.raises(SFeelSyntaxError):
+            parse_condition(text, Kind.INTEGER)
+
+    def test_caps_admit_their_bound(self):
+        assert parse_condition("(" * 32 + "7" + ")" * 32, Kind.INTEGER) \
+            == Match(7)
+        with pytest.raises(SFeelSyntaxError):
+            parse_condition("(" * 33 + "7" + ")" * 33, Kind.INTEGER)
+        assert parse_condition("+".join(["1"] * 101), Kind.INTEGER) \
+            == Match(101)
+        with pytest.raises(SFeelSyntaxError):
+            parse_condition("+".join(["1"] * 102), Kind.INTEGER)
+
+
 class TestSatisfies:
     @pytest.mark.parametrize("value,expected", [
         (17, True), (70, True), (45, False), (0, True), (18, True),
@@ -125,6 +170,17 @@ class TestSatisfies:
         cond = parse_condition("[0..5]", Kind.INTEGER)
         with pytest.raises(SFeelTypeError):
             satisfies(cond, "red", kind=Kind.INTEGER)
+
+    @pytest.mark.parametrize("text", ["[0..10]", "not(5)", "-", "<3,>=4"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"),
+                                       float("-inf")],
+                             ids=["nan", "inf", "-inf"])
+    def test_non_finite_value_rejected(self, text, value):
+        cond = parse_condition(text, Kind.REAL)
+        with pytest.raises(SFeelTypeError):
+            satisfies(cond, value)
+        with pytest.raises(SFeelTypeError):
+            satisfies(cond, value, kind=Kind.REAL)
 
 
 class TestLower:
