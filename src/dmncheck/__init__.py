@@ -17,8 +17,7 @@ from .model import (COMPLETENESS_MISMATCH, FACET_INCOMPAT, MASKED_RULE,
                     PRIORITY_ERROR, Attribute, DecisionTable, Diagnostic,
                     Rule, dump_table, load_table, validate_structure)
 from .geometry import (CategoryCodec, HyperRect, build_codec,
-                       build_universe, encode_point, intersect_rects,
-                       rule_to_rects)
+                       build_universe, encode_point, rule_to_rects)
 from .analysis import (MissingRegion, OverlapGroup, find_missing_rules,
                        find_overlapping_rules, oracle_missing,
                        oracle_overlaps, render_box)
@@ -47,7 +46,7 @@ __all__ = [
     "SFeelTypeError", "SpecError", "bench_columns", "benchmark_grid",
     "build_codec", "build_universe", "check_correct", "dump_table", "encode_point", "evaluate",
     "find_missing_rules", "find_overlapping_rules", "format_literal",
-    "generate_table", "inject_noise", "intersect_rects", "interval",
+    "generate_table", "inject_noise", "interval",
     "load_table",
     "lower_to_intervals", "main", "masked_by", "matches_value",
     "oracle_missing",

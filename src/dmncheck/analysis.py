@@ -3,16 +3,25 @@
 Every analysis reads one ``TableGeometry`` per table: the codec, the
 universe, each rule's canonical set per column and the boxes of their
 product with the owning rule, and the input cells that admit no legal
-value.  ``table_rects`` builds it and
-``DecisionTable.geometry`` caches it, so the sweeps, witness and region
-rendering, the masked-rule check, the structure check and the grid
-oracles share a single build.  Each distinct ``entry ∩ facet`` is
-lowered once per column.
+value.  A box is a tuple of ``Interval1D``, one per input column, and
+all interval semantics come from :mod:`dmncheck.intervals`.
+``table_rects`` builds the geometry and ``DecisionTable.geometry``
+caches it, so the sweeps, witness and region rendering, the masked-rule
+check, the structure check and the grid oracles share a single build.
+Each distinct ``entry ∩ facet`` is lowered once per column.
 
-Both analyses are N-dimensional line sweeps in table column order.
-Endpoint events sort by value and, at equal values, by the tie rank
-from :mod:`dmncheck.intervals`, so closed-touching boxes count as
-overlapping while open-touching ones do not.
+Both analyses are N-dimensional line sweeps in table column order over
+one skeleton.  ``_suffix_forest`` hash-conses the box suffixes: boxes
+that agree from column d onward, and carry the same tag, share one
+suffix id there, so each sub-sweep over a set of suffix ids runs once
+and is memoised.  The overlap sweep tags each box with its rule's bit;
+the missing sweep tags them all alike.  ``_events`` lists one column's
+bound events as ``(value, tie rank, suffix id)`` tuples, sorted by
+value and, at equal values, by the tie rank from
+:mod:`dmncheck.intervals`, so closed-touching boxes count as
+overlapping while open-touching ones do not.  ``_span`` gives the
+stretch between two consecutive events.  Each sweep keeps its own
+per-event loop.
 
 Overlaps: sweeping one dimension, every span between consecutive
 events recurses into the next dimension over the boxes active there;
@@ -26,9 +35,9 @@ Missing values: sweeping one dimension, spans where no box is active
 are uncovered for every legal deeper value; spans with active boxes
 recurse over them.  Discovered gap boxes merge when exactly one
 column's intervals are contiguous and all other columns agree, repeated
-to a fixpoint, so the output does not depend on sweep order.  Identical
-box suffixes are shared and sub-sweeps memoised, which keeps the
-recursion tractable on partition-like tables.
+to a fixpoint, so no two reported boxes could still merge.  The merge
+orders each column's intervals canonically, so a closed point such as
+``[1..1]`` meets the open stretch ``(1..2]`` that follows it.
 
 The module also carries deliberately naive oracles that enumerate the
 compressed endpoint grid cell by cell.  They exist to cross-check the
@@ -38,7 +47,7 @@ sweeps and refuse to run past a configurable cell cap.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
+from itertools import product, repeat
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Optional, Sequence
 
 from .errors import CapacityError
@@ -46,16 +55,11 @@ from .geometry import (CategoryCodec, HyperRect, build_codec, build_universe,
                        lower_condition)
 from .intervals import (LOWER_CLOSED, LOWER_OPEN, NEG_INF, POS_INF,
                         UPPER_CLOSED, UPPER_OPEN, Interval1D, IntervalSet,
-                        interval)
+                        canonical_key, contiguous, interval)
 from .sfeel import Kind, format_literal
 
 if TYPE_CHECKING:  # pragma: no cover
     from .model import DecisionTable
-
-# Boxes are handled internally as tuples of (lo, lo_closed, hi, hi_closed)
-# tuples: hashing and sorting plain tuples is much cheaper than dataclasses.
-Iv = tuple
-Box = tuple
 
 
 @dataclass(frozen=True)
@@ -78,48 +82,19 @@ class MissingRegion:
     conditions: tuple[str, ...]
 
 
-def _iv_tuple(iv: Interval1D) -> Iv:
-    return (iv.lo, iv.lo_closed, iv.hi, iv.hi_closed)
-
-
-def _iv_contains(iv: Iv, x) -> bool:
-    lo, lo_closed, hi, hi_closed = iv
-    if x < lo or (x == lo and not lo_closed):
-        return False
-    if x > hi or (x == hi and not hi_closed):
-        return False
-    return True
-
-
-def _iv_intersect(a: Iv, b: Iv, discrete: bool) -> Optional[Iv]:
-    lo, lo_closed = a[0], a[1]
-    if (b[0], not b[1]) > (lo, not lo_closed):
-        lo, lo_closed = b[0], b[1]
-    hi, hi_closed = a[2], a[3]
-    if (b[2], b[3]) < (hi, hi_closed):
-        hi, hi_closed = b[2], b[3]
-    got = interval(lo, lo_closed, hi, hi_closed, discrete)
-    return None if got is None else _iv_tuple(got)
-
-
-def _iv_covers(outer: Iv, inner: Iv) -> bool:
-    if (inner[0], not inner[1]) < (outer[0], not outer[1]):
-        return False
-    return (inner[2], inner[3]) <= (outer[2], outer[3])
-
-
 class TableGeometry(NamedTuple):
-    """The geometric view of one table, built once by ``table_rects``."""
+    """The geometric view of one table, built once by ``table_rects``.
+    A box is a tuple of ``Interval1D``, one per input column."""
 
-    boxes: tuple[Box, ...]
+    boxes: tuple[tuple[Interval1D, ...], ...]
     # Owning rule id of each box, parallel to ``boxes``.
     box_rule: tuple[str, ...]
     # Every rule id, in table order, to its boxes; empty for a rule
     # with an empty cell.
-    boxes_of: dict[str, tuple[Box, ...]]
+    boxes_of: dict[str, tuple[tuple[Interval1D, ...], ...]]
     # Every rule id to its canonical entry ∩ facet set per input column;
     # the rule's boxes are their product.
-    columns_of: dict[str, tuple[tuple[Iv, ...], ...]]
+    columns_of: dict[str, tuple[tuple[Interval1D, ...], ...]]
     discrete: tuple[bool, ...]
     universe: tuple[IntervalSet, ...]
     codec: CategoryCodec
@@ -136,11 +111,11 @@ def table_rects(table: "DecisionTable") -> TableGeometry:
     discrete = tuple(attr.kind is Kind.INTEGER for attr in table.inputs)
     # Literals in one column share its kind (load_table folds real
     # literals to floats), so equal conditions lower alike there.
-    lowered: dict[tuple, tuple[Iv, ...]] = {}
-    boxes: list[Box] = []
+    lowered: dict[tuple, tuple[Interval1D, ...]] = {}
+    boxes: list[tuple[Interval1D, ...]] = []
     box_rule: list[str] = []
-    boxes_of: dict[str, tuple[Box, ...]] = {}
-    columns_of: dict[str, tuple[tuple[Iv, ...], ...]] = {}
+    boxes_of: dict[str, tuple[tuple[Interval1D, ...], ...]] = {}
+    columns_of: dict[str, tuple[tuple[Interval1D, ...], ...]] = {}
     empty_cells: set[tuple[str, int]] = set()
     for rule in table.rules:
         per_column = []
@@ -149,8 +124,7 @@ def table_rects(table: "DecisionTable") -> TableGeometry:
             members = lowered.get((d, cond))
             if members is None:
                 cell = lower_condition(cond, attr, codec)
-                members = tuple(_iv_tuple(iv) for iv in
-                                cell.intersect(universe[d]).members)
+                members = cell.intersect(universe[d]).members
                 lowered[d, cond] = members
             if not members:
                 empty_cells.add((rule.id, d))
@@ -164,8 +138,8 @@ def table_rects(table: "DecisionTable") -> TableGeometry:
                          discrete, universe, codec, frozenset(empty_cells))
 
 
-def columns_contained(inner: Sequence[tuple[Iv, ...]],
-                      outer: Sequence[tuple[Iv, ...]]) -> bool:
+def columns_contained(inner: Sequence[tuple[Interval1D, ...]],
+                      outer: Sequence[tuple[Interval1D, ...]]) -> bool:
     """True when the product of the column sets ``inner`` lies inside
     the product of ``outer``; both hold one canonical set per column.
 
@@ -176,15 +150,77 @@ def columns_contained(inner: Sequence[tuple[Iv, ...]],
     """
     if not all(inner):
         return True
-    return all(any(_iv_covers(big, small) for big in bigs)
+    return all(any(big.covers(small) for big in bigs)
                for smalls, bigs in zip(inner, outer) for small in smalls)
+
+
+# ---------------------------------------------------------------------------
+# Sweep skeleton shared by both analyses
+
+
+def _suffix_forest(boxes: Iterable[tuple], tags: Iterable[int],
+                   n_dims: int) -> tuple[list, list, list, frozenset[int]]:
+    """Hash-cons the tagged box suffixes column by column.
+
+    Two boxes with equal tags that agree from column d onward share one
+    suffix id at d, so sub-sweeps over equal suffix sets are computed
+    once.  Returns, per column, the interval (head), the suffix id at
+    the next column (tail; 0 past the last column) and the tag of each
+    suffix id, and the suffix ids at column 0.
+    """
+    heads: list[list[Interval1D]] = [[] for _ in range(n_dims)]
+    tails: list[list[int]] = [[] for _ in range(n_dims)]
+    tags_at: list[list[int]] = [[] for _ in range(n_dims)]
+    intern: list[dict] = [{} for _ in range(n_dims)]
+    top_ids: set[int] = set()
+    for box, tag in zip(boxes, tags):
+        tid = 0
+        for d in range(n_dims - 1, -1, -1):
+            key = (box[d], tag, tid)
+            got = intern[d].get(key)
+            if got is None:
+                got = len(heads[d])
+                heads[d].append(box[d])
+                tails[d].append(tid)
+                tags_at[d].append(tag)
+                intern[d][key] = got
+            tid = got
+        top_ids.add(tid)
+    return heads, tails, tags_at, frozenset(top_ids)
+
+
+def _events(suffix_ids: Iterable[int], head: list[Interval1D]) -> list:
+    """The bound events ``(value, tie rank, suffix id)`` of the given
+    suffixes' intervals at one column, in sweep order."""
+    events = []
+    for sid in suffix_ids:
+        lo, lo_closed, hi, hi_closed = head[sid]
+        events.append((lo, LOWER_CLOSED if lo_closed else LOWER_OPEN, sid))
+        events.append((hi, UPPER_CLOSED if hi_closed else UPPER_OPEN, sid))
+    events.sort()
+    return events
+
+
+def _span(last: Optional[tuple], current: Optional[tuple],
+          discrete: bool) -> Optional[Interval1D]:
+    # The stretch strictly between two consecutive events; None stands
+    # for the virtual bound at either infinity.
+    if last is None:
+        lo, lo_closed = NEG_INF, False
+    else:
+        lo, lo_closed = last[0], last[1] <= LOWER_CLOSED
+    if current is None:
+        hi, hi_closed = POS_INF, False
+    else:
+        hi, hi_closed = current[0], current[1] >= UPPER_CLOSED
+    return interval(lo, lo_closed, hi, hi_closed, discrete)
 
 
 # ---------------------------------------------------------------------------
 # Overlap sweep
 
 
-def _insert_antichain(chain: list, mask: int, box: Box) -> None:
+def _insert_antichain(chain: list, mask: int, box: tuple) -> None:
     # Keep only set-maximal masks; first witness for a mask wins.
     for other, _ in chain:
         if mask & other == mask:
@@ -214,28 +250,10 @@ def find_overlapping_rules(table: "DecisionTable") -> list[OverlapGroup]:
             rule_bit_by_id[rid] = 1 << len(rule_order)
             rule_order.append(rid)
 
-    # Hash-cons box suffixes tagged with the owning rule's bit, so
-    # sub-sweeps over equal suffix sets are computed once.
-    heads: list[list[Iv]] = [[] for _ in range(n_dims)]
-    tails: list[list[int]] = [[] for _ in range(n_dims)]
-    bits: list[list[int]] = [[] for _ in range(n_dims)]
-    intern: list[dict] = [{} for _ in range(n_dims)]
-    top_ids: set[int] = set()
-    for rect, rid in zip(rects, rect_rule):
-        bit = rule_bit_by_id[rid]
-        tid = 0
-        for d in range(n_dims - 1, -1, -1):
-            key = (rect[d], bit, tid)
-            got = intern[d].get(key)
-            if got is None:
-                got = len(heads[d])
-                heads[d].append(rect[d])
-                tails[d].append(tid)
-                bits[d].append(bit)
-                intern[d][key] = got
-            tid = got
-        top_ids.add(tid)
-
+    # Tagging suffixes with their rule's bit keeps boxes of different
+    # rules apart, so the sweep can count the active boxes per rule.
+    heads, tails, bits, top_ids = _suffix_forest(
+        rects, (rule_bit_by_id[rid] for rid in rect_rule), n_dims)
     memo: dict[tuple, tuple] = {}
 
     def sweep(suffix_ids: frozenset[int], dim: int) -> tuple:
@@ -244,23 +262,14 @@ def find_overlapping_rules(table: "DecisionTable") -> list[OverlapGroup]:
         cached = memo.get(key)
         if cached is not None:
             return cached
-        head, tail, bit_of = heads[dim], tails[dim], bits[dim]
+        tail, bit_of = tails[dim], bits[dim]
         disc = discrete[dim]
-        events = []
-        for sid in suffix_ids:
-            lo, lo_closed, hi, hi_closed = head[sid]
-            events.append(
-                (lo, LOWER_CLOSED if lo_closed else LOWER_OPEN, sid))
-            events.append(
-                (hi, UPPER_CLOSED if hi_closed else UPPER_OPEN, sid))
-        events.sort()
-
-        chain: list[tuple[int, Box]] = []
+        chain: list[tuple[int, tuple]] = []
         active: set[int] = set()
         counts: dict[int, int] = {}
         rule_mask = 0
         last: Optional[tuple] = None
-        for event in events:
+        for event in _events(suffix_ids, heads[dim]):
             if active and rule_mask.bit_count() >= 2:
                 stretch = _span(last, event, disc)
                 if stretch is not None:
@@ -291,31 +300,28 @@ def find_overlapping_rules(table: "DecisionTable") -> list[OverlapGroup]:
         memo[key] = result
         return result
 
-    found = sweep(frozenset(top_ids), 0)
+    found = sweep(top_ids, 0)
+    # sweep refers to itself through its closure; dropping the name
+    # frees the memo now rather than at the next cyclic collection.
+    del sweep
 
     groups = []
     for mask, cell in found:
         ids = [rid for rid in rule_order if mask & rule_bit_by_id[rid]]
-        witness: Optional[Box] = None
+        witness: Optional[tuple] = None
         for rid in ids:
             for rect in geometry.boxes_of[rid]:
-                if all(_iv_covers(rect[d], cell[d])
-                       for d in range(n_dims)):
+                if all(iv.covers(part) for iv, part in zip(rect, cell)):
                     if witness is None:
                         witness = rect
                     else:
-                        pieces = []
-                        for d in range(n_dims):
-                            piece = _iv_intersect(witness[d], rect[d],
-                                                  discrete[d])
-                            assert piece is not None, \
-                                "witness cell inside both boxes"
-                            pieces.append(piece)
-                        witness = tuple(pieces)
+                        witness = tuple(a.intersect(b)
+                                        for a, b in zip(witness, rect))
+                        assert None not in witness, \
+                            "witness cell inside both boxes"
                     break
         assert witness is not None
-        rect = HyperRect(tuple(Interval1D(*iv) for iv in witness))
-        groups.append(OverlapGroup(frozenset(ids), rect))
+        groups.append(OverlapGroup(frozenset(ids), HyperRect(witness)))
     groups.sort(key=lambda g: g.sorted_ids())
     return groups
 
@@ -324,31 +330,7 @@ def find_overlapping_rules(table: "DecisionTable") -> list[OverlapGroup]:
 # Missing-rule sweep
 
 
-def _span(last: Optional[tuple], current: Optional[tuple],
-          discrete: bool) -> Optional[Iv]:
-    # The uncovered stretch strictly between two consecutive events;
-    # None stands for the virtual bound at either infinity.
-    if last is None:
-        lo, lo_closed = NEG_INF, False
-    else:
-        lo, lo_closed = last[0], last[1] <= LOWER_CLOSED
-    if current is None:
-        hi, hi_closed = POS_INF, False
-    else:
-        hi, hi_closed = current[0], current[1] >= UPPER_CLOSED
-    got = interval(lo, lo_closed, hi, hi_closed, discrete)
-    return None if got is None else _iv_tuple(got)
-
-
-def _contiguous_tuples(a: Iv, b: Iv, discrete: bool) -> bool:
-    # a sorted before b; True when the union is a single interval and
-    # the two do not share a point.
-    if discrete:
-        return a[2] + 1 == b[0]
-    return a[2] == b[0] and (a[3] != b[1])
-
-
-def _merge_boxes(boxes: list[Box], discrete: Sequence[bool]) -> list[Box]:
+def _merge_boxes(boxes: list[tuple], discrete: Sequence[bool]) -> list[tuple]:
     """Fixpoint merge: two boxes fuse when exactly one column is
     contiguous and every other column is identical."""
     if len(boxes) < 2:
@@ -359,17 +341,18 @@ def _merge_boxes(boxes: list[Box], discrete: Sequence[bool]) -> list[Box]:
     while changed:
         changed = False
         for d in range(n_dims):
-            groups: dict[tuple, list[Iv]] = {}
+            groups: dict[tuple, list[Interval1D]] = {}
             for box in boxes:
                 groups.setdefault((box[:d], box[d + 1:]), []).append(box[d])
-            rebuilt: list[Box] = []
+            rebuilt: list[tuple] = []
             for (prefix, suffix), ivs in groups.items():
-                ivs.sort()
+                ivs.sort(key=canonical_key)
                 merged = [ivs[0]]
                 for iv in ivs[1:]:
                     tail = merged[-1]
-                    if _contiguous_tuples(tail, iv, discrete[d]):
-                        merged[-1] = (tail[0], tail[1], iv[2], iv[3])
+                    if contiguous(tail, iv, discrete[d]):
+                        merged[-1] = Interval1D(tail.lo, tail.lo_closed,
+                                                iv.hi, iv.hi_closed)
                         changed = True
                     else:
                         merged.append(iv)
@@ -386,61 +369,35 @@ def find_missing_rules(table: "DecisionTable") -> list[MissingRegion]:
     and jointly cover exactly the uncovered part of the Universe.
     """
     geometry = table.geometry
-    rects, discrete = geometry.boxes, geometry.discrete
+    discrete = geometry.discrete
     universe, codec = geometry.universe, geometry.codec
     n_dims = len(table.inputs)
 
-    # Hash-cons box suffixes: two boxes identical from column d onward
-    # share one suffix id, which deduplicates sweeps and makes
-    # memoisation effective.
-    heads: list[list[Iv]] = [[] for _ in range(n_dims)]
-    tails: list[list[int]] = [[] for _ in range(n_dims)]
-    intern: list[dict] = [{} for _ in range(n_dims)]
-    top_ids: set[int] = set()
-    for rect in rects:
-        tid = 0  # the empty suffix beyond the last column
-        for d in range(n_dims - 1, -1, -1):
-            key = (rect[d], tid)
-            got = intern[d].get(key)
-            if got is None:
-                got = len(heads[d])
-                heads[d].append(rect[d])
-                tails[d].append(tid)
-                intern[d][key] = got
-            tid = got
-        top_ids.add(tid)
+    # Every suffix carries the same tag: only the boxes' union matters.
+    heads, tails, _, top_ids = _suffix_forest(geometry.boxes, repeat(0),
+                                              n_dims)
 
     # Per-column products of universe member intervals: the tail of a
     # gap box when no rule is active at some column.
-    universe_tails: list[list[Box]] = [[] for _ in range(n_dims + 1)]
+    universe_tails: list[list[tuple]] = [[] for _ in range(n_dims + 1)]
     universe_tails[n_dims] = [()]
     for d in range(n_dims - 1, -1, -1):
-        members = [_iv_tuple(iv) for iv in universe[d].members]
-        universe_tails[d] = [(m,) + tail for m in members
+        universe_tails[d] = [(m,) + tail for m in universe[d].members
                              for tail in universe_tails[d + 1]]
 
-    memo: dict[tuple, tuple[Box, ...]] = {}
+    memo: dict[tuple, tuple[tuple, ...]] = {}
 
-    def gaps(suffix_ids: frozenset[int], dim: int) -> tuple[Box, ...]:
+    def gaps(suffix_ids: frozenset[int], dim: int) -> tuple[tuple, ...]:
         if dim == n_dims:
             return ()
         key = (suffix_ids, dim)
         cached = memo.get(key)
         if cached is not None:
             return cached
-        head, tail = heads[dim], tails[dim]
+        tail = tails[dim]
         disc = discrete[dim]
         uni = universe[dim]
-        events = []
-        for sid in suffix_ids:
-            lo, lo_closed, hi, hi_closed = head[sid]
-            events.append(
-                (lo, LOWER_CLOSED if lo_closed else LOWER_OPEN, sid))
-            events.append(
-                (hi, UPPER_CLOSED if hi_closed else UPPER_OPEN, sid))
-        events.sort()
-
-        out: list[Box] = []
+        out: list[tuple] = []
         active: set[int] = set()
         last: Optional[tuple] = None
 
@@ -455,13 +412,12 @@ def find_missing_rules(table: "DecisionTable") -> list[MissingRegion]:
                     for box in sub:
                         out.append((stretch,) + box)
             else:
-                piece = IntervalSet.build([Interval1D(*stretch)], disc)
-                for frag in uni.intersect(piece).members:
-                    frag_t = _iv_tuple(frag)
+                for frag in uni.intersect(IntervalSet((stretch,),
+                                                      disc)).members:
                     for ubox in universe_tails[dim + 1]:
-                        out.append((frag_t,) + ubox)
+                        out.append((frag,) + ubox)
 
-        for event in events:
+        for event in _events(suffix_ids, heads[dim]):
             flush(event)
             _value, rank, sid = event
             if rank & 1:
@@ -475,16 +431,16 @@ def find_missing_rules(table: "DecisionTable") -> list[MissingRegion]:
         memo[key] = result
         return result
 
-    boxes = list(gaps(frozenset(top_ids), 0))
+    boxes = list(gaps(top_ids, 0))
+    del gaps  # frees the memo now, as in find_overlapping_rules
     boxes.sort()
     regions = []
     for box in boxes:
-        rect = HyperRect(tuple(Interval1D(*iv) for iv in box))
         conditions = tuple(
             _render_region_condition(iv, attr, codec, universe[d],
                                      discrete[d])
             for d, (iv, attr) in enumerate(zip(box, table.inputs)))
-        regions.append(MissingRegion(rect, conditions))
+        regions.append(MissingRegion(HyperRect(box), conditions))
     return regions
 
 
@@ -492,19 +448,19 @@ def render_box(table: "DecisionTable", box: HyperRect) -> tuple[str, ...]:
     """Condition-style texts describing a box, one per input column."""
     geometry = table.geometry
     return tuple(
-        _render_region_condition(_iv_tuple(iv), attr, geometry.codec,
+        _render_region_condition(iv, attr, geometry.codec,
                                  geometry.universe[d], geometry.discrete[d])
         for d, (iv, attr) in enumerate(zip(box.intervals, table.inputs)))
 
 
-def _render_region_condition(iv: Iv, attr, codec: CategoryCodec,
+def _render_region_condition(iv: Interval1D, attr, codec: CategoryCodec,
                              universe_set: IntervalSet,
                              discrete: bool) -> str:
-    as_set = IntervalSet.build([Interval1D(*iv)], discrete)
+    as_set = IntervalSet.build([iv], discrete)
     if as_set == universe_set:
         return "-"
     if attr.kind.is_categorical:
-        cats = codec.decode(attr.name, Interval1D(*iv))
+        cats = codec.decode(attr.name, iv)
         if len(cats) == len(codec.categories(attr.name)):
             return "-"
         return ",".join(format_literal(c) for c in cats)
@@ -530,7 +486,7 @@ def _render_region_condition(iv: Iv, attr, codec: CategoryCodec,
 class CellGrid:
     """Elementary cells induced by all box and universe endpoints."""
 
-    pieces: tuple[tuple[Iv, ...], ...]
+    pieces: tuple[tuple[Interval1D, ...], ...]
     reps: tuple[tuple, ...]
     in_universe: tuple[tuple[bool, ...], ...]
 
@@ -541,39 +497,40 @@ class CellGrid:
         return total
 
     def cell_box(self, cell: tuple[int, ...]) -> HyperRect:
-        return HyperRect(tuple(Interval1D(*self.pieces[d][p])
+        return HyperRect(tuple(self.pieces[d][p]
                                for d, p in enumerate(cell)))
 
 
-def _dimension_pieces(values: list, discrete: bool) -> tuple[list[Iv], list]:
-    pieces: list[Iv] = []
+def _dimension_pieces(values: list,
+                      discrete: bool) -> tuple[list[Interval1D], list]:
+    pieces: list[Interval1D] = []
     reps: list = []
     if not values:
-        pieces.append((NEG_INF, False, POS_INF, False))
+        pieces.append(Interval1D(NEG_INF, False, POS_INF, False))
         reps.append(0)
         return pieces, reps
     values = sorted(set(values))
     if discrete:
-        pieces.append((NEG_INF, False, values[0] - 1, True))
+        pieces.append(Interval1D(NEG_INF, False, values[0] - 1, True))
         reps.append(values[0] - 1)
         for i, v in enumerate(values):
-            pieces.append((v, True, v, True))
+            pieces.append(Interval1D(v, True, v, True))
             reps.append(v)
             if i + 1 < len(values) and values[i + 1] > v + 1:
-                pieces.append((v + 1, True, values[i + 1] - 1, True))
+                pieces.append(Interval1D(v + 1, True, values[i + 1] - 1, True))
                 reps.append(v + 1)
-        pieces.append((values[-1] + 1, True, POS_INF, False))
+        pieces.append(Interval1D(values[-1] + 1, True, POS_INF, False))
         reps.append(values[-1] + 1)
     else:
-        pieces.append((NEG_INF, False, values[0], False))
+        pieces.append(Interval1D(NEG_INF, False, values[0], False))
         reps.append(values[0] - 1)
         for i, v in enumerate(values):
-            pieces.append((v, True, v, True))
+            pieces.append(Interval1D(v, True, v, True))
             reps.append(v)
             if i + 1 < len(values):
-                pieces.append((v, False, values[i + 1], False))
+                pieces.append(Interval1D(v, False, values[i + 1], False))
                 reps.append((v + values[i + 1]) / 2)
-        pieces.append((values[-1], False, POS_INF, False))
+        pieces.append(Interval1D(values[-1], False, POS_INF, False))
         reps.append(values[-1] + 1)
     return pieces, reps
 
@@ -585,7 +542,7 @@ def build_grid(table: "DecisionTable", cell_cap: int = 10 ** 6) -> CellGrid:
     rects, discrete, universe = (geometry.boxes, geometry.discrete,
                                  geometry.universe)
     n_dims = len(table.inputs)
-    pieces: list[tuple[Iv, ...]] = []
+    pieces: list[tuple[Interval1D, ...]] = []
     reps: list[tuple] = []
     inside: list[tuple[bool, ...]] = []
     total = 1
@@ -622,7 +579,7 @@ def _rect_piece_masks(table: "DecisionTable", grid: CellGrid):
         for rep in grid.reps[d]:
             mask = 0
             for i, rect in enumerate(rects):
-                if _iv_contains(rect[d], rep):
+                if rect[d].contains(rep):
                     mask |= 1 << i
             dim_masks.append(mask)
         masks.append(dim_masks)

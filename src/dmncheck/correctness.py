@@ -63,11 +63,6 @@ class CorrectnessReport:
                 + self.hit_policy_diagnostics)
 
 
-def _outputs_of(table: DecisionTable, rule_id: str) -> tuple:
-    rule = table.rule_by_id(rule_id)
-    return tuple(rule.output_entries)
-
-
 def _witness_text(table: DecisionTable, group: OverlapGroup) -> str:
     parts = render_box(table, group.witness)
     return ", ".join(f"{attr.name}: {text}"
@@ -93,7 +88,8 @@ def _overlap_diagnostics(table: DecisionTable,
                 detail=f"rules {listing} overlap under the unique policy "
                        f"at {where}"))
         elif policy == "a":
-            outputs = {_outputs_of(table, rid) for rid in ids}
+            outputs = {table.rule_by_id(rid).output_entries
+                       for rid in ids}
             if len(outputs) > 1:
                 out.append(Diagnostic(
                     "error", OUTPUT_DISAGREEMENT, rule_ids=ids,

@@ -16,12 +16,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import TYPE_CHECKING, Optional
 
 from .errors import CodecError, DimensionError
-from .intervals import Interval1D, IntervalSet, interval
+from .intervals import Interval1D, IntervalSet
 from .sfeel import (Alternative, AnyValue, Condition, Kind, Match, Not,
-                    lower_to_intervals)
+                    category_index, lower_to_intervals)
 
 if TYPE_CHECKING:  # pragma: no cover
     from .model import DecisionTable, Rule
@@ -48,16 +48,6 @@ class HyperRect:
                 return None
             pieces.append(piece)
         return HyperRect(tuple(pieces))
-
-    def contains_point(self, point: Sequence) -> bool:
-        if len(point) != len(self.intervals):
-            raise DimensionError("point dimensionality mismatch")
-        return all(iv.contains(x) for iv, x in zip(self.intervals, point))
-
-
-def intersect_rects(a: HyperRect, b: HyperRect) -> Optional[HyperRect]:
-    """Component-wise intersection; None when any component is empty."""
-    return a.intersect(b)
 
 
 def _condition_literals(cond: Condition) -> list:
@@ -88,12 +78,7 @@ class CategoryCodec:
                 from None
 
     def encode(self, column: str, literal) -> int:
-        cats = self.categories(column)
-        for i, cat in enumerate(cats):
-            if cat == literal and type(cat) is type(literal):
-                return i
-        raise CodecError(f"literal {literal!r} is not a known category of "
-                         f"column {column!r}")
+        return category_index(self.categories(column), literal)
 
     def interval_for(self, column: str, literal) -> Interval1D:
         k = self.encode(column, literal)

@@ -1,5 +1,10 @@
 """One-dimensional intervals and canonical interval sets.
 
+This module is the only place that knows interval semantics: membership,
+intersection, cover, contiguity, the canonical order and the sweep tie
+ranks.  ``Interval1D`` is a ``NamedTuple``, so the sweeps hash, sort and
+unpack intervals as plain tuples and no second representation exists.
+
 All geometric reasoning in this package is symbolic over interval
 endpoints.  Endpoint values come from parsed literals (64-bit-ish ints,
 binary floats, or small category codes), never from accumulated
@@ -11,6 +16,11 @@ Two endpoint disciplines exist:
 * discrete ("integer") intervals are normalised to closed finite bounds,
   e.g. ``(0..5]`` becomes ``[1..5]`` and ``< 5`` becomes ``(-inf..4]``.
 
+Intervals order canonically by :func:`canonical_key`: lower bound first,
+a closed lower bound before an open one at the same value.  Raw tuple
+order differs there (``False < True``) and puts ``(1..2]`` before
+``[1..1]``.
+
 Sweep algorithms order endpoint events by value and, at equal values, by
 a fixed tie rank: upper-open < lower-closed < upper-closed < lower-open.
 That ordering makes closed-touching intervals count as intersecting
@@ -21,32 +31,25 @@ while open-touching intervals stay disjoint.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator, NamedTuple, Optional
 
 NEG_INF = float("-inf")
 POS_INF = float("inf")
 
-# Event tie ranks for sweeps; see module docstring.
+# Event tie ranks for sweeps; see module docstring.  Lower bounds have
+# odd ranks.
 UPPER_OPEN = 0
 LOWER_CLOSED = 1
 UPPER_CLOSED = 2
 LOWER_OPEN = 3
 
 
-def event_rank(is_lower: bool, closed: bool) -> int:
-    """Tie rank of a bound event at equal endpoint values."""
-    if is_lower:
-        return LOWER_CLOSED if closed else LOWER_OPEN
-    return UPPER_CLOSED if closed else UPPER_OPEN
-
-
-@dataclass(frozen=True, slots=True)
-class Interval1D:
+class Interval1D(NamedTuple):
     """A non-empty interval with independent open/closed bounds.
 
-    Instances are only created through :func:`interval`, which rejects
-    empty combinations and normalises discrete bounds, so code holding
-    an ``Interval1D`` may assume it denotes at least one value.
+    Instances are normally created through :func:`interval`, which
+    rejects empty combinations and normalises discrete bounds, so code
+    holding an ``Interval1D`` may assume it denotes at least one value.
     """
 
     lo: float
@@ -55,26 +58,31 @@ class Interval1D:
     hi_closed: bool
 
     def contains(self, x) -> bool:
-        if x < self.lo or (x == self.lo and not self.lo_closed):
+        lo, lo_closed, hi, hi_closed = self
+        if x < lo or (x == lo and not lo_closed):
             return False
-        if x > self.hi or (x == self.hi and not self.hi_closed):
+        if x > hi or (x == hi and not hi_closed):
             return False
         return True
 
     def intersect(self, other: "Interval1D") -> Optional["Interval1D"]:
-        lo, lo_closed = self.lo, self.lo_closed
+        lo, lo_closed, hi, hi_closed = self
         if (other.lo, not other.lo_closed) > (lo, not lo_closed):
             lo, lo_closed = other.lo, other.lo_closed
-        hi, hi_closed = self.hi, self.hi_closed
         if (other.hi, other.hi_closed) < (hi, hi_closed):
             hi, hi_closed = other.hi, other.hi_closed
         return interval(lo, lo_closed, hi, hi_closed)
 
-    def is_point(self) -> bool:
-        return self.lo == self.hi
+    def covers(self, other: "Interval1D") -> bool:
+        """True when every value of ``other`` lies in this interval."""
+        lo, lo_closed, hi, hi_closed = self
+        return ((other.lo, not other.lo_closed) >= (lo, not lo_closed)
+                and (other.hi, other.hi_closed) <= (hi, hi_closed))
 
-    def as_tuple(self) -> tuple:
-        return (self.lo, self.lo_closed, self.hi, self.hi_closed)
+
+def canonical_key(iv: Interval1D) -> tuple:
+    """Sort key ordering intervals by position on the line."""
+    return (iv.lo, not iv.lo_closed, iv.hi, iv.hi_closed)
 
 
 def interval(lo, lo_closed: bool, hi, hi_closed: bool,
@@ -116,9 +124,10 @@ def contiguous(a: Interval1D, b: Interval1D, discrete: bool) -> bool:
 
     Discrete intervals are contiguous when ``a.hi + 1 == b.lo`` (or the
     mirror image); continuous ones when they meet at an equal endpoint
-    with complementary openness, e.g. ``[0..2)`` followed by ``[2..5]``.
+    with complementary openness, e.g. ``[0..2)`` followed by ``[2..5]``
+    or ``[1..1]`` followed by ``(1..2]``.
     """
-    if a.lo > b.lo:
+    if canonical_key(a) > canonical_key(b):
         a, b = b, a
     if discrete:
         return a.hi + 1 == b.lo
@@ -148,7 +157,7 @@ class IntervalSet:
             p = interval(p.lo, p.lo_closed, p.hi, p.hi_closed, discrete)
             if p is not None:
                 normal.append(p)
-        normal.sort(key=lambda iv: (iv.lo, not iv.lo_closed, iv.hi, iv.hi_closed))
+        normal.sort(key=canonical_key)
         merged: list[Interval1D] = []
         for iv in normal:
             if merged and _mergeable(merged[-1], iv, discrete):
@@ -208,13 +217,6 @@ class IntervalSet:
             lo, lo_closed = iv.hi, not iv.hi_closed
         pieces.append(interval(lo, lo_closed, POS_INF, False, self.discrete))
         return IntervalSet.build(pieces, self.discrete)
-
-    def hull(self) -> Optional[Interval1D]:
-        """Smallest single interval covering the set, None when empty."""
-        if not self.members:
-            return None
-        first, last = self.members[0], self.members[-1]
-        return Interval1D(first.lo, first.lo_closed, last.hi, last.hi_closed)
 
     def _check_peer(self, other: "IntervalSet") -> None:
         if self.discrete != other.discrete:

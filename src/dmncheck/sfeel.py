@@ -208,9 +208,19 @@ _TOKEN_RE = re.compile(
 # operation, unary minus included.
 _MAX_NESTING = 32
 _MAX_OPERATORS = 100
+# Characters of an entry text that an error message repeats.
+_ECHO_LIMIT = 60
 
 _QUOTED_RE = re.compile(r'"([^"]*)"')
 _BARE_STRING_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_ .\-]*")
+
+
+def _echo(text: str) -> str:
+    """An entry text quoted for an error message, cut after
+    ``_ECHO_LIMIT`` characters so hostile entries give short errors."""
+    if len(text) <= _ECHO_LIMIT:
+        return repr(text)
+    return f"{text[:_ECHO_LIMIT]!r}..."
 
 
 def _lex_numeric(text: str) -> list[tuple[str, object]]:
@@ -223,7 +233,8 @@ def _lex_numeric(text: str) -> list[tuple[str, object]]:
             rest = text[pos:].strip()
             if not rest:
                 break
-            raise SFeelSyntaxError(f"unexpected character {rest[0]!r} in {text!r}")
+            raise SFeelSyntaxError(f"unexpected character {rest[0]!r} "
+                                   f"in {_echo(text)}")
         pos = m.end()
         kind = m.lastgroup
         value = m.group(kind)
@@ -234,7 +245,7 @@ def _lex_numeric(text: str) -> list[tuple[str, object]]:
                 number = math.inf
             if not is_finite_number(number):
                 raise SFeelTypeError(f"numeric literal out of range "
-                                     f"in {text!r}")
+                                     f"in {_echo(text)}")
             tokens.append(("num", number))
         else:
             tokens.append((kind, value))
@@ -258,7 +269,8 @@ class _NumericParser:
     def take(self) -> tuple[str, object]:
         tok = self.peek()
         if tok is None:
-            raise SFeelSyntaxError(f"unexpected end of condition in {self.text!r}")
+            raise SFeelSyntaxError(f"unexpected end of condition "
+                                   f"in {_echo(self.text)}")
         self.pos += 1
         return tok
 
@@ -266,20 +278,21 @@ class _NumericParser:
         tok = self.take()
         if tok[0] != kind:
             raise SFeelSyntaxError(f"expected {kind} but found {tok[1]!r} "
-                                   f"in {self.text!r}")
+                                   f"in {_echo(self.text)}")
         return tok
 
     def nest(self) -> None:
         self.depth += 1
         if self.depth > _MAX_NESTING:
             raise SFeelSyntaxError(f"more than {_MAX_NESTING} nested "
-                                   f"parentheses or signs in {self.text!r}")
+                                   f"parentheses or signs "
+                                   f"in {_echo(self.text)}")
 
     def operator(self) -> None:
         self.operators += 1
         if self.operators > _MAX_OPERATORS:
             raise SFeelSyntaxError(f"more than {_MAX_OPERATORS} arithmetic "
-                                   f"operators in {self.text!r}")
+                                   f"operators in {_echo(self.text)}")
 
     def at_end(self) -> bool:
         return self.pos >= len(self.tokens)
@@ -287,7 +300,7 @@ class _NumericParser:
     def require_end(self) -> None:
         if not self.at_end():
             raise SFeelSyntaxError(f"trailing input after condition "
-                                   f"in {self.text!r}")
+                                   f"in {_echo(self.text)}")
 
     # term grammar: addsub -> muldiv -> unary -> atom
 
@@ -335,16 +348,16 @@ class _NumericParser:
             self.depth -= 1
             return node
         if tok[0] == "word":
-            raise SFeelTypeError(f"{tok[1]!r} is not a {self.kind.value} "
-                                 f"literal in {self.text!r}")
-        raise SFeelSyntaxError(f"unexpected {tok[1]!r} in {self.text!r}")
+            raise SFeelTypeError(f"{_echo(tok[1])} is not a {self.kind.value} "
+                                 f"literal in {_echo(self.text)}")
+        raise SFeelSyntaxError(f"unexpected {tok[1]!r} in {_echo(self.text)}")
 
     def _literal(self, value):
         if isinstance(value, int):
             return float(value) if self.kind is Kind.REAL else value
         if self.kind is Kind.INTEGER:
             raise SFeelTypeError(f"real literal in integer condition "
-                                 f"{self.text!r}")
+                                 f"{_echo(self.text)}")
         return value
 
     def fold(self, term) -> Union[int, float]:
@@ -355,7 +368,7 @@ class _NumericParser:
     def element(self) -> Condition:
         tok = self.peek()
         if tok is None:
-            raise SFeelSyntaxError(f"empty condition in {self.text!r}")
+            raise SFeelSyntaxError(f"empty condition in {_echo(self.text)}")
         if tok[0] == "word" and tok[1] == "not":
             self.take()
             self.expect("lpar")
@@ -389,7 +402,7 @@ class _NumericParser:
         if not is_interval:
             if bracketed:
                 raise SFeelSyntaxError(f"expected '..' inside interval "
-                                       f"in {self.text!r}")
+                                       f"in {_echo(self.text)}")
             # plain parenthesised arithmetic
             self.pos, self.depth, self.operators = mark
             return Match(self.fold(self.term()))
@@ -397,7 +410,8 @@ class _NumericParser:
         hi = self.term()
         closer = self.take()
         if closer[0] not in ("rbrack", "rpar"):
-            raise SFeelSyntaxError(f"unterminated interval in {self.text!r}")
+            raise SFeelSyntaxError(f"unterminated interval "
+                                   f"in {_echo(self.text)}")
         return Interval(bracketed, self.fold(lo), self.fold(hi),
                         closer[0] == "rbrack")
 
@@ -421,7 +435,8 @@ def _split_alternatives(text: str) -> list[str]:
             parts.append(text[start:i])
             start = i + 1
     if in_quote:
-        raise SFeelSyntaxError(f"unterminated string literal in {text!r}")
+        raise SFeelSyntaxError(f"unterminated string literal "
+                               f"in {_echo(text)}")
     parts.append(text[start:])
     return parts
 
@@ -431,7 +446,7 @@ def _parse_string_literal(text: str) -> str:
     if m is not None:
         return m.group(1)
     if '"' in text:
-        raise SFeelSyntaxError(f"malformed string literal {text!r}")
+        raise SFeelSyntaxError(f"malformed string literal {_echo(text)}")
     return text
 
 
@@ -445,17 +460,17 @@ def _parse_categorical_element(text: str, kind: Kind) -> Condition:
                 return True
             if raw == "false":
                 return False
-            raise SFeelTypeError(f"{raw!r} is not a boolean literal")
+            raise SFeelTypeError(f"{_echo(raw)} is not a boolean literal")
         return _parse_string_literal(raw)
 
     if text.startswith("not(") and text.endswith(")"):
         return Not(literal(text[4:-1]))
     if text[0] in "<>[" or text.startswith(("<=", ">=")):
         raise SFeelTypeError(f"comparisons and intervals are not defined "
-                             f"for {kind.value} columns: {text!r}")
+                             f"for {kind.value} columns: {_echo(text)}")
     if kind is Kind.STRING and text[0] == "(":
         raise SFeelTypeError(f"intervals are not defined for string "
-                             f"columns: {text!r}")
+                             f"columns: {_echo(text)}")
     return Match(literal(text))
 
 
@@ -470,7 +485,7 @@ def parse_condition(text: str, kind: Kind) -> Condition:
                                f"{type(text).__name__}")
     parts = [p.strip() for p in _split_alternatives(text)]
     if any(not p for p in parts):
-        raise SFeelSyntaxError(f"empty condition branch in {text!r}")
+        raise SFeelSyntaxError(f"empty condition branch in {_echo(text)}")
     conditions = [_parse_element(p, kind) for p in parts]
     if len(conditions) == 1:
         return conditions[0]
@@ -587,7 +602,9 @@ def render_condition(cond: Condition) -> str:
 # Lowering to interval sets
 
 
-def _category_index(categories: Sequence, literal) -> int:
+def category_index(categories: Sequence, literal) -> int:
+    """Position of ``literal`` among ``categories``, matching the type
+    too, so ``True`` is not the category ``1``; CodecError if absent."""
     for i, cat in enumerate(categories):
         if cat == literal and type(cat) is type(literal):
             return i
@@ -612,10 +629,10 @@ def lower_to_intervals(cond: Condition, kind: Kind,
         if isinstance(cond, AnyValue):
             return IntervalSet.build([interval(0, True, k, False)])
         if isinstance(cond, Match):
-            i = _category_index(categories, cond.value)
+            i = category_index(categories, cond.value)
             return IntervalSet.build([interval(i, True, i + 1, False)])
         if isinstance(cond, Not):
-            i = _category_index(categories, cond.value)
+            i = category_index(categories, cond.value)
             return IntervalSet.build(
                 [interval(0, True, i, False),
                  interval(i + 1, True, k, False)])

@@ -29,10 +29,9 @@ import time
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
-from .analysis import (_iv_intersect, find_missing_rules,
-                       find_overlapping_rules)
+from .analysis import find_missing_rules, find_overlapping_rules
 from .errors import SpecError
-from .intervals import contiguous, Interval1D
+from .intervals import contiguous
 from .model import DecisionTable, dump_table, load_table
 from .sfeel import Kind
 
@@ -287,11 +286,9 @@ def _boxes_adjacent(a, b, discrete) -> bool:
     # most one column is merely contiguous.
     soft = 0
     for d, disc in enumerate(discrete):
-        if _iv_intersect(a[d], b[d], disc) is not None:
+        if a[d].intersect(b[d]) is not None:
             continue
-        ia, ib = Interval1D(*a[d]), Interval1D(*b[d])
-        lo_first, hi_first = (ia, ib) if a[d] <= b[d] else (ib, ia)
-        if contiguous(lo_first, hi_first, disc):
+        if contiguous(a[d], b[d], disc):
             soft += 1
             if soft > 1:
                 return False
@@ -359,8 +356,8 @@ def pairwise_overlap_fragments(table: DecisionTable) -> int:
         for ra in by_rule[id_a]:
             for rb in by_rule[id_b]:
                 got = []
-                for d, disc in enumerate(discrete):
-                    piece = _iv_intersect(ra[d], rb[d], disc)
+                for a, b in zip(ra, rb):
+                    piece = a.intersect(b)
                     if piece is None:
                         break
                     got.append(piece)

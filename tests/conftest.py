@@ -168,8 +168,8 @@ def region_contained(rects_a, rects_b, discrete) -> bool:
     """True when the union of the boxes ``rects_a`` lies inside that of
     ``rects_b``, decided exactly on their combined endpoint grid: every
     representative point of ``rects_a`` must lie in some box of
-    ``rects_b``.  Boxes are tuples of (lo, lo_closed, hi, hi_closed)."""
-    from dmncheck.analysis import _dimension_pieces, _iv_contains
+    ``rects_b``.  Boxes are tuples of ``Interval1D``."""
+    from dmncheck.analysis import _dimension_pieces
 
     if not rects_a:
         return True
@@ -182,10 +182,10 @@ def region_contained(rects_a, rects_b, discrete) -> bool:
             values.extend(v for v in (lo, hi) if abs(v) != float("inf"))
         reps.append(_dimension_pieces(values, discrete[d])[1])
     for rect in rects_a:
-        per_dim = [[rep for rep in reps[d] if _iv_contains(rect[d], rep)]
+        per_dim = [[rep for rep in reps[d] if rect[d].contains(rep)]
                    for d in range(n_dims)]
         for point in product(*per_dim):
-            if not any(all(_iv_contains(other[d], point[d])
+            if not any(all(other[d].contains(point[d])
                            for d in range(n_dims))
                        for other in rects_b):
                 return False

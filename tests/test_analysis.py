@@ -1,6 +1,7 @@
 """The two sweep analyses against frozen expectations and the
 brute-force grid oracles."""
 
+import gc
 import random
 
 import pytest
@@ -11,6 +12,7 @@ from dmncheck import (FACET_INCOMPAT, CapacityError, HyperRect, Interval1D,
                       lower_to_intervals, oracle_missing, oracle_overlaps,
                       rule_to_rects, validate_structure)
 from dmncheck.analysis import build_grid, grid_cells_of_boxes, table_rects
+from dmncheck.intervals import contiguous
 
 from conftest import loan_doc, random_table, region_contained
 
@@ -125,6 +127,25 @@ class TestSmallCases:
             == [(iv(3.0, False, 7.0, False),)]
         assert [r.conditions for r in regions] == [("(3..7)",)]
 
+    def test_real_gap_merges_closed_point_with_open_stretch(self):
+        # The gaps above b = 0.5 at a = 1 and at a in (1..2] are one
+        # region: the closed point must sort before the open stretch.
+        table = load_table({
+            "name": "merge", "hitPolicy": "U", "completeness": "I",
+            "inputs": [{"name": "a", "type": "real", "facet": "[0..2]"},
+                       {"name": "b", "type": "real", "facet": "[0..1]"}],
+            "outputs": [{"name": "y", "type": "boolean"}],
+            "rules": [
+                {"id": "r1", "in": ["[0..1)", "[0..1]"], "out": ["true"]},
+                {"id": "r2", "in": ["1", "[0..0.5]"], "out": ["true"]},
+                {"id": "r3", "in": ["(1..2]", "[0..0.5]"], "out": ["true"]},
+            ],
+        })
+        regions = find_missing_rules(table)
+        assert [r.box.intervals for r in regions] \
+            == [(iv(1.0, True, 2.0, True), iv(0.5, False, 1.0, True))]
+        assert [r.conditions for r in regions] == [("[1..2]", "(0.5..1]")]
+
     def test_nested_rules_overlap(self):
         table = load_table({
             "name": "nest", "hitPolicy": "U", "completeness": "I",
@@ -199,17 +220,17 @@ class TestSmallCases:
 
 class TestRegionContained:
     def test_basic(self):
-        a = [((2, True, 3, True),)]
-        b = [((0, True, 10, True),)]
+        a = [(iv(2, True, 3, True),)]
+        b = [(iv(0, True, 10, True),)]
         assert region_contained(a, b, (True,))
         assert not region_contained(b, a, (True,))
 
     def test_union_cover(self):
-        a = [((2, True, 6, True),)]
-        b = [((0, True, 4, True),), ((5, True, 8, True),)]
+        a = [(iv(2, True, 6, True),)]
+        b = [(iv(0, True, 4, True),), (iv(5, True, 8, True),)]
         assert region_contained(a, b, (True,))
         # with a genuine hole it fails
-        c = [((0, True, 4, True),), ((6, True, 8, True),)]
+        c = [(iv(0, True, 4, True),), (iv(6, True, 8, True),)]
         assert not region_contained(a, c, (True,))
 
 
@@ -239,6 +260,33 @@ def test_sweeps_match_oracles_on_random_tables():
         total = sum(len(grid_cells_of_boxes(grid, [r.box]))
                     for r in regions)
         assert total == len(cells)
+        # merged to a fixpoint: no two regions differ in one column
+        # only, where they are contiguous
+        discrete = table.geometry.discrete
+        boxes = [r.box.intervals for r in regions]
+        for i, a in enumerate(boxes):
+            for b in boxes[i + 1:]:
+                differ = [d for d in range(len(a)) if a[d] != b[d]]
+                assert not (len(differ) == 1 and contiguous(
+                    a[differ[0]], b[differ[0]], discrete[differ[0]]))
+
+
+def test_sweeps_leave_no_reference_cycles():
+    # A cycle would keep each sweep's memo alive after it returns, until
+    # the cyclic collector runs.
+    rng = random.Random(919191)
+    tables = [load_table(loan_doc())] + [random_table(rng)
+                                        for _ in range(20)]
+    for table in tables:
+        table.geometry
+        for analyse in (find_missing_rules, find_overlapping_rules):
+            gc.collect()
+            gc.disable()
+            try:
+                analyse(table)
+                assert gc.collect() == 0
+            finally:
+                gc.enable()
 
 
 def test_witnesses_covered_by_all_members():
@@ -257,7 +305,7 @@ def test_witnesses_covered_by_all_members():
                                              geometry.box_rule)
                        if owner == rid]
                 assert region_contained(
-                    [tuple(i.as_tuple() for i in group.witness.intervals)],
+                    [group.witness.intervals],
                     own, geometry.discrete)
 
 
@@ -293,7 +341,7 @@ def test_cached_geometry_matches_per_rule_lowering():
         assert geometry.codec == codec
 
         expected = {
-            rule.id: tuple(tuple(i.as_tuple() for i in rect.intervals)
+            rule.id: tuple(rect.intervals
                            for rect in rule_to_rects(rule, table, codec))
             for rule in table.rules}
         assert geometry.boxes_of == expected

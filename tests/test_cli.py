@@ -1,9 +1,14 @@
 """Exit codes, output formats, and determinism of the command line."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import dmncheck
 from dmncheck import main
 
 from conftest import loan_doc
@@ -114,6 +119,34 @@ class TestCheck:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "error: rule 'r'" in captured.err
+
+    def test_long_entry_error_is_short(self, tmp_path, capsys):
+        doc = {
+            "name": "long", "hitPolicy": "U", "completeness": "I",
+            "inputs": [{"name": "n", "type": "integer"}],
+            "outputs": [{"name": "o", "type": "string"}],
+            "rules": [{"id": "r", "in": ["+".join(["1"] * 5000)],
+                       "out": ["x"]}],
+        }
+        path = tmp_path / "long.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["check", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "arithmetic operators" in err
+        assert len(err) < 300
+
+    def test_module_entry_point(self, table1_path):
+        # python -m dmncheck runs the command line without warnings
+        env = dict(os.environ)
+        src = str(Path(dmncheck.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(
+            [src] + [p for p in [env.get("PYTHONPATH")] if p])
+        done = subprocess.run(
+            [sys.executable, "-m", "dmncheck", "check", table1_path],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert done.returncode == 1
+        assert done.stderr == ""
+        assert "table 'loan-grading': not correct" in done.stdout
 
     @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
     def test_non_finite_output_literal_exits_two(self, literal, tmp_path,

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from dmncheck import (DimensionError, HyperRect, Interval1D, build_codec,
-                      build_universe, intersect_rects, load_table,
+                      build_universe, load_table,
                       rule_to_rects, triggered_by)
 
 from conftest import loan_doc, random_input, random_table
@@ -110,34 +110,33 @@ class TestIntersect:
         codec = build_codec(table1)
         rect_a = rule_to_rects(table1.rule_by_id("A"), table1, codec)[0]
         rect_c = rule_to_rects(table1.rule_by_id("C"), table1, codec)[0]
-        got = intersect_rects(rect_a, rect_c)
+        got = rect_a.intersect(rect_c)
         assert got == HyperRect((iv(500, True, 1000, True),
                                  iv(500, True, 1000, True)))
 
     def test_idempotent(self, table1):
         codec = build_codec(table1)
         rect = rule_to_rects(table1.rule_by_id("A"), table1, codec)[0]
-        assert intersect_rects(rect, rect) == rect
+        assert rect.intersect(rect) == rect
 
     def test_disjoint_absent(self, table1):
         codec = build_codec(table1)
         rect_b = rule_to_rects(table1.rule_by_id("B"), table1, codec)[0]
         rect_c = rule_to_rects(table1.rule_by_id("C"), table1, codec)[0]
-        assert intersect_rects(rect_b, rect_c) is None
+        assert rect_b.intersect(rect_c) is None
 
     def test_commutative(self, table1):
         codec = build_codec(table1)
         rect_a = rule_to_rects(table1.rule_by_id("A"), table1, codec)[0]
         rect_c = rule_to_rects(table1.rule_by_id("C"), table1, codec)[0]
-        assert intersect_rects(rect_a, rect_c) \
-            == intersect_rects(rect_c, rect_a)
+        assert rect_a.intersect(rect_c) == rect_c.intersect(rect_a)
 
     def test_dimension_mismatch(self, table1):
         codec = build_codec(table1)
         rect = rule_to_rects(table1.rules[0], table1, codec)[0]
         skinny = HyperRect((rect.intervals[0],))
         with pytest.raises(DimensionError):
-            intersect_rects(rect, skinny)
+            rect.intersect(skinny)
 
 
 class TestUniverse:

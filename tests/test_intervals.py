@@ -6,8 +6,7 @@ from hypothesis import given, strategies as st
 
 from dmncheck import Interval1D, IntervalSet, interval
 from dmncheck.intervals import (LOWER_CLOSED, LOWER_OPEN, NEG_INF, POS_INF,
-                                UPPER_CLOSED, UPPER_OPEN, contiguous,
-                                event_rank)
+                                UPPER_CLOSED, UPPER_OPEN, contiguous)
 
 
 def iv(lo, lc, hi, hc):
@@ -17,10 +16,8 @@ def iv(lo, lc, hi, hc):
 class TestEventRank:
     def test_total_order_at_equal_value(self):
         # upper-open < lower-closed < upper-closed < lower-open
-        assert event_rank(is_lower=False, closed=False) == UPPER_OPEN == 0
-        assert event_rank(is_lower=True, closed=True) == LOWER_CLOSED == 1
-        assert event_rank(is_lower=False, closed=True) == UPPER_CLOSED == 2
-        assert event_rank(is_lower=True, closed=False) == LOWER_OPEN == 3
+        assert (UPPER_OPEN, LOWER_CLOSED, UPPER_CLOSED, LOWER_OPEN) \
+            == (0, 1, 2, 3)
 
     def test_closed_touch_counts_as_intersection(self):
         # Input 1000 triggers both [0..1000] and [1000..2000].
@@ -28,7 +25,7 @@ class TestEventRank:
         b = iv(1000, True, 2000, True)
         got = a.intersect(b)
         assert got == iv(1000, True, 1000, True)
-        assert got.is_point()
+        assert got.lo == got.hi
 
     def test_open_touch_is_disjoint(self):
         assert iv(0, True, 5, False).intersect(iv(5, False, 9, True)) is None

@@ -4,13 +4,14 @@ import random
 
 import pytest
 
-from dmncheck import (Outcome, SchemaError, SFeelTypeError, evaluate,
-                      load_table, masked_by, matches_value, parse_condition,
-                      triggered_by)
+from dmncheck import (CodecError, Outcome, SchemaError, SFeelTypeError,
+                      encode_point, evaluate, load_table, masked_by,
+                      matches_value, parse_condition, triggered_by)
 from dmncheck.model import Attribute
 from dmncheck.sfeel import Kind
 
-from conftest import loan_doc, permuted_doc, random_input, random_table_doc
+from conftest import (CATS, loan_doc, permuted_doc, random_input,
+                      random_table, random_table_doc)
 
 
 def income_attr():
@@ -278,3 +279,59 @@ def test_masked_implies_trigger_implication():
             for r1, r2 in pairs:
                 if triggered_by(r1, table, config):
                     assert triggered_by(r2, table, config)
+
+
+def _probe_values(table, d: int) -> list:
+    """Values worth probing in input column ``d``: every finite box and
+    universe endpoint and a value either side of it, or every category
+    a configuration may name."""
+    attr = table.inputs[d]
+    if attr.kind is Kind.STRING:
+        return list(CATS)
+    if attr.kind is Kind.BOOLEAN:
+        return [False, True]
+    geometry = table.geometry
+    ends = {end for box in geometry.boxes for end in (box[d].lo, box[d].hi)}
+    ends.update(end for iv in geometry.universe[d]
+                for end in (iv.lo, iv.hi))
+    ends = {end for end in ends if abs(end) != float("inf")} or {0}
+    step = 1 if attr.kind is Kind.INTEGER else 0.5
+    return sorted({v + k * step for v in ends for k in (-1, 0, 1)})
+
+
+def test_evaluator_fires_exactly_the_rules_whose_boxes_hold_the_point():
+    """``evaluate`` and ``triggered_by`` fire a rule exactly when one of
+    its boxes in the table geometry contains the encoded point, on
+    points at and beside every interval endpoint."""
+    rng = random.Random(979797)
+    kinds_seen = set()
+    on_endpoint = 0
+    for _ in range(150):
+        table = random_table(rng)
+        geometry = table.geometry
+        probes = [_probe_values(table, d) for d in range(len(table.inputs))]
+        kinds_seen.update(attr.kind for attr in table.inputs)
+        for _ in range(20):
+            config = {attr.name: rng.choice(values)
+                      for attr, values in zip(table.inputs, probes)}
+            try:
+                point = encode_point(table, geometry.codec, config)
+            except CodecError:
+                # a category outside the codec fails the column facet
+                expected = set()
+            else:
+                expected = {
+                    rule.id for rule in table.rules
+                    if any(all(iv.contains(x) for iv, x in zip(box, point))
+                           for box in geometry.boxes_of[rule.id])}
+                on_endpoint += any(
+                    x in (box[d].lo, box[d].hi)
+                    for box in geometry.boxes
+                    for d, x in enumerate(point)
+                    if not table.inputs[d].kind.is_categorical)
+            assert set(evaluate(table, config).triggered) == expected
+            for rule in table.rules:
+                assert triggered_by(rule, table, config) \
+                    == (rule.id in expected)
+    assert kinds_seen == set(Kind)
+    assert on_endpoint > 500

@@ -133,6 +133,21 @@ class TestHostileLiterals:
         with pytest.raises(SFeelSyntaxError):
             parse_condition(text, Kind.INTEGER)
 
+    @pytest.mark.parametrize("text,error", [
+        ("+".join(["1"] * 5000), SFeelSyntaxError),
+        ("1+" * 3000 + "%", SFeelSyntaxError),
+        ("[0.." + "1+" * 30 + "1", SFeelSyntaxError),
+        (">=" + "9" * 5000 + ".0", SFeelTypeError),
+        ("x" * 5000, SFeelTypeError),
+    ], ids=["long-sum", "bad-character", "unterminated", "real-overflow",
+            "long-word"])
+    def test_error_echo_is_bounded(self, text, error):
+        with pytest.raises(error) as caught:
+            parse_condition(text, Kind.INTEGER)
+        message = str(caught.value)
+        assert len(message) < 300
+        assert repr(text[:20])[:-1] in message and "..." in message
+
     def test_caps_admit_their_bound(self):
         assert parse_condition("(" * 32 + "7" + ")" * 32, Kind.INTEGER) \
             == Match(7)
