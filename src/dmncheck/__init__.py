@@ -29,7 +29,6 @@ from .synth import (BenchCell, BenchReport, ColumnSpec, GenSpec,
                     bench_columns, benchmark_grid, generate_table,
                     inject_noise, pairwise_overlap_fragments,
                     run_benchmark)
-from .cli import main
 
 __version__ = "0.1.0"
 
@@ -48,7 +47,7 @@ __all__ = [
     "find_missing_rules", "find_overlapping_rules", "format_literal",
     "generate_table", "inject_noise", "interval",
     "load_table",
-    "lower_to_intervals", "main", "masked_by", "matches_value",
+    "lower_to_intervals", "masked_by", "matches_value",
     "oracle_missing",
     "oracle_overlaps", "pairwise_overlap_fragments", "parse_condition",
     "render_box", "render_condition", "rule_to_rects", "run_benchmark",

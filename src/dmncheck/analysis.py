@@ -370,7 +370,7 @@ def find_missing_rules(table: "DecisionTable") -> list[MissingRegion]:
     """
     geometry = table.geometry
     discrete = geometry.discrete
-    universe, codec = geometry.universe, geometry.codec
+    universe = geometry.universe
     n_dims = len(table.inputs)
 
     # Every suffix carries the same tag: only the boxes' union matters.
@@ -431,17 +431,9 @@ def find_missing_rules(table: "DecisionTable") -> list[MissingRegion]:
         memo[key] = result
         return result
 
-    boxes = list(gaps(top_ids, 0))
+    rects = [HyperRect(box) for box in sorted(gaps(top_ids, 0))]
     del gaps  # frees the memo now, as in find_overlapping_rules
-    boxes.sort()
-    regions = []
-    for box in boxes:
-        conditions = tuple(
-            _render_region_condition(iv, attr, codec, universe[d],
-                                     discrete[d])
-            for d, (iv, attr) in enumerate(zip(box, table.inputs)))
-        regions.append(MissingRegion(HyperRect(box), conditions))
-    return regions
+    return [MissingRegion(rect, render_box(table, rect)) for rect in rects]
 
 
 def render_box(table: "DecisionTable", box: HyperRect) -> tuple[str, ...]:
@@ -489,12 +481,6 @@ class CellGrid:
     pieces: tuple[tuple[Interval1D, ...], ...]
     reps: tuple[tuple, ...]
     in_universe: tuple[tuple[bool, ...], ...]
-
-    def cell_count(self) -> int:
-        total = 1
-        for dim_pieces in self.pieces:
-            total *= len(dim_pieces)
-        return total
 
     def cell_box(self, cell: tuple[int, ...]) -> HyperRect:
         return HyperRect(tuple(self.pieces[d][p]

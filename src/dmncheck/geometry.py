@@ -67,9 +67,6 @@ class CategoryCodec:
 
     columns: dict[str, tuple]
 
-    def has(self, column: str) -> bool:
-        return column in self.columns
-
     def categories(self, column: str) -> tuple:
         try:
             return self.columns[column]
@@ -79,10 +76,6 @@ class CategoryCodec:
 
     def encode(self, column: str, literal) -> int:
         return category_index(self.categories(column), literal)
-
-    def interval_for(self, column: str, literal) -> Interval1D:
-        k = self.encode(column, literal)
-        return Interval1D(k, True, k + 1, False)
 
     def decode(self, column: str, iv: Interval1D) -> list:
         """Categories whose unit intervals meet the given interval."""

@@ -174,10 +174,6 @@ class IntervalSet:
     def full(cls, discrete: bool = False) -> "IntervalSet":
         return cls((Interval1D(NEG_INF, False, POS_INF, False),), discrete)
 
-    @classmethod
-    def empty(cls, discrete: bool = False) -> "IntervalSet":
-        return cls((), discrete)
-
     @property
     def is_empty(self) -> bool:
         return not self.members

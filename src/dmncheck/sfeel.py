@@ -622,6 +622,11 @@ def lower_to_intervals(cond: Condition, kind: Kind,
     interval [k..k+1), so adjacent categories never touch unless both
     are present and merge.
     """
+    if isinstance(cond, Alternative):
+        return IntervalSet.build(
+            [iv for part in cond.parts
+             for iv in lower_to_intervals(part, kind, categories)],
+            kind is Kind.INTEGER)
     if kind.is_categorical:
         if categories is None or len(categories) == 0:
             raise CodecError(f"no categories known for {kind.value} column")
@@ -636,11 +641,6 @@ def lower_to_intervals(cond: Condition, kind: Kind,
             return IntervalSet.build(
                 [interval(0, True, i, False),
                  interval(i + 1, True, k, False)])
-        if isinstance(cond, Alternative):
-            out = IntervalSet.empty()
-            for part in cond.parts:
-                out = out.union(lower_to_intervals(part, kind, categories))
-            return out
         raise SFeelTypeError(f"condition {cond!r} is not defined for "
                              f"{kind.value} columns")
 
@@ -668,11 +668,6 @@ def lower_to_intervals(cond: Condition, kind: Kind,
         hi = _numeric_literal(cond.hi, kind)
         return IntervalSet.build(
             [interval(lo, cond.lo_closed, hi, cond.hi_closed)], discrete)
-    if isinstance(cond, Alternative):
-        out = IntervalSet.empty(discrete)
-        for part in cond.parts:
-            out = out.union(lower_to_intervals(part, kind))
-        return out
     raise SFeelTypeError(f"not a condition: {cond!r}")
 
 

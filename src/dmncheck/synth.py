@@ -15,7 +15,9 @@ missing regions without introducing overlaps.
 ``pairwise_overlap_fragments`` counts, summed over rule pairs, the
 connected components of each pairwise intersection.  Group reporting
 can be arbitrarily more compact: three identical rules are one group
-but three pairwise fragments.
+but three pairwise fragments.  The pairs come from the overlap sweep's
+maximal groups, which is exact: two rules intersect exactly when some
+group holds both, so no second sweep looks for candidates.
 
 ``run_benchmark`` drives generated-and-noised tables of increasing
 width and height through both sweeps and reports wall-clock times.
@@ -27,6 +29,7 @@ import math
 import random
 import time
 from dataclasses import dataclass, replace
+from itertools import combinations
 from typing import Optional, Sequence
 
 from .analysis import find_missing_rules, find_overlapping_rules
@@ -316,42 +319,20 @@ def _component_count(pieces: list, discrete) -> int:
 
 def pairwise_overlap_fragments(table: DecisionTable) -> int:
     """Total fragments a pair-at-a-time analysis would report: for each
-    rule pair, the connected components of their intersection."""
+    rule pair, the connected components of their intersection.
+
+    The pairs that intersect are exactly the 2-subsets of the maximal
+    overlap groups: two rules with a common point are both active
+    there, so some group holds both, and every rule of a group contains
+    the group's witness.  Pairs that only touch have no intersection
+    and count 0, so no other pair needs a look.
+    """
     by_rule = table.geometry.boxes_of
     discrete = table.geometry.discrete
-    rule_ids = [rule.id for rule in table.rules]
-
-    # Candidate pairs come from a first-column sweep over slightly
-    # padded intervals, so contiguity in column 0 still pairs up.
-    padded = []
-    for rid in rule_ids:
-        for rect in by_rule[rid]:
-            lo, lo_closed, hi, hi_closed = rect[0]
-            if discrete[0]:
-                padded.append((lo, hi + 1, rid, rect))
-            else:
-                padded.append((lo, hi, rid, rect))
-    events = []
-    for k, (lo, hi, rid, rect) in enumerate(padded):
-        events.append((lo, 1, k))
-        events.append((hi, 0, k))
-    events.sort(key=lambda e: (e[0], -e[1]))
-
-    candidates: set[tuple[str, str]] = set()
-    active: set[int] = set()
-    for _value, is_lower, k in events:
-        if is_lower:
-            rid = padded[k][2]
-            for other in active:
-                oid = padded[other][2]
-                if oid != rid:
-                    candidates.add((rid, oid) if rid < oid else (oid, rid))
-            active.add(k)
-        else:
-            active.discard(k)
-
+    pairs = {pair for group in find_overlapping_rules(table)
+             for pair in combinations(group.sorted_ids(), 2)}
     total = 0
-    for id_a, id_b in sorted(candidates):
+    for id_a, id_b in pairs:
         pieces = []
         for ra in by_rule[id_a]:
             for rb in by_rule[id_b]:
@@ -363,8 +344,7 @@ def pairwise_overlap_fragments(table: DecisionTable) -> int:
                     got.append(piece)
                 else:
                     pieces.append(tuple(got))
-        if pieces:
-            total += _component_count(pieces, discrete)
+        total += _component_count(pieces, discrete)
     return total
 
 

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import dmncheck
-from dmncheck import main
+from dmncheck.cli import main
 
 from conftest import loan_doc
 
@@ -136,17 +136,19 @@ class TestCheck:
         assert len(err) < 300
 
     def test_module_entry_point(self, table1_path):
-        # python -m dmncheck runs the command line without warnings
+        # python -m dmncheck and python -m dmncheck.cli run the command
+        # line without warnings
         env = dict(os.environ)
         src = str(Path(dmncheck.__file__).resolve().parents[1])
         env["PYTHONPATH"] = os.pathsep.join(
             [src] + [p for p in [env.get("PYTHONPATH")] if p])
-        done = subprocess.run(
-            [sys.executable, "-m", "dmncheck", "check", table1_path],
-            capture_output=True, text=True, env=env, timeout=120)
-        assert done.returncode == 1
-        assert done.stderr == ""
-        assert "table 'loan-grading': not correct" in done.stdout
+        for module in ("dmncheck", "dmncheck.cli"):
+            done = subprocess.run(
+                [sys.executable, "-m", module, "check", table1_path],
+                capture_output=True, text=True, env=env, timeout=120)
+            assert done.returncode == 1, module
+            assert done.stderr == "", module
+            assert "table 'loan-grading': not correct" in done.stdout
 
     @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
     def test_non_finite_output_literal_exits_two(self, literal, tmp_path,

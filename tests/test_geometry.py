@@ -31,9 +31,9 @@ class TestCodec:
     def test_facet_order(self, table1):
         codec = build_codec(table1)
         assert codec.categories("Grade") == ("VG", "G", "F", "P")
-        assert codec.interval_for("Grade", "VG") == iv(0, True, 1, False)
-        assert codec.interval_for("Grade", "G") == iv(1, True, 2, False)
-        assert codec.interval_for("Grade", "P") == iv(3, True, 4, False)
+        assert codec.encode("Grade", "VG") == 0
+        assert codec.encode("Grade", "G") == 1
+        assert codec.encode("Grade", "P") == 3
 
     def test_boolean_false_before_true(self):
         doc = {
@@ -43,8 +43,8 @@ class TestCodec:
             "rules": [{"id": "r", "in": ["true"], "out": ["1"]}],
         }
         codec = build_codec(load_table(doc))
-        assert codec.interval_for("flag", False) == iv(0, True, 1, False)
-        assert codec.interval_for("flag", True) == iv(1, True, 2, False)
+        assert codec.encode("flag", False) == 0
+        assert codec.encode("flag", True) == 1
 
     def test_appearance_order_without_facet(self):
         doc = categorical_doc()

@@ -15,7 +15,8 @@ import json
 import pytest
 
 from dmncheck import (GenSpec, bench_columns, dump_table, generate_table,
-                      inject_noise, main)
+                      inject_noise)
+from dmncheck.cli import main
 
 
 def _noised(n_cols: int, n_rules: int, seed: int, mode: str) -> dict:

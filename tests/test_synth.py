@@ -2,17 +2,18 @@
 benchmark driver."""
 
 import random
+from itertools import combinations
 
 import pytest
 
-from dmncheck import (GenSpec, Kind, SpecError, bench_columns,
+from dmncheck import (GenSpec, HyperRect, Kind, SpecError, bench_columns,
                       benchmark_grid, check_correct, dump_table,
                       find_missing_rules, find_overlapping_rules,
                       generate_table, inject_noise, load_table,
                       pairwise_overlap_fragments, run_benchmark)
-from dmncheck.synth import ColumnSpec, _shrink, _widen
+from dmncheck.synth import ColumnSpec, _component_count, _shrink, _widen
 
-from conftest import loan_doc
+from conftest import loan_doc, random_table
 
 SMALL = (ColumnSpec("cat", Kind.STRING, categories=("K1", "K2", "K3")),
          ColumnSpec("num", Kind.INTEGER, lo=0, hi=40))
@@ -155,15 +156,19 @@ class TestFragments:
         assert len(find_overlapping_rules(table)) == 1
 
     def test_disjoint_rules(self):
-        table = load_table({
-            "name": "d", "hitPolicy": "U", "completeness": "I",
-            "inputs": [{"name": "x", "type": "integer",
-                        "facet": "[0..9]"}],
-            "outputs": [{"name": "y", "type": "string"}],
-            "rules": [{"id": "p", "in": ["[0..3]"], "out": ["a"]},
-                      {"id": "q", "in": ["[6..9]"], "out": ["a"]}],
-        })
-        assert pairwise_overlap_fragments(table) == 0
+        # Apart, then contiguous but disjoint: no pair intersects.
+        for kind, p, q in (("integer", "[0..3]", "[6..9]"),
+                           ("integer", "[0..3]", "[4..9]"),
+                           ("real", "[0..1)", "[1..2]")):
+            table = load_table({
+                "name": "d", "hitPolicy": "U", "completeness": "I",
+                "inputs": [{"name": "x", "type": kind,
+                            "facet": "[0..9]"}],
+                "outputs": [{"name": "y", "type": "string"}],
+                "rules": [{"id": "p", "in": [p], "out": ["a"]},
+                          {"id": "q", "in": [q], "out": ["a"]}],
+            })
+            assert pairwise_overlap_fragments(table) == 0, (p, q)
 
     def test_fragmented_pair_counted_per_component(self):
         # q's two disjoint blocks both meet p: one pair, two fragments
@@ -186,6 +191,26 @@ class TestFragments:
                                  seed=seed + 100)
             assert pairwise_overlap_fragments(noisy) \
                 >= len(find_overlapping_rules(noisy))
+
+    def test_matches_all_pairs_brute_force(self):
+        # Every rule pair, with no candidate filter, on mixed-kind tables.
+        rng = random.Random(11)
+        overlapping = 0
+        for _ in range(300):
+            table = random_table(rng)
+            geometry = table.geometry
+            expected = 0
+            for a, b in combinations(table.rules, 2):
+                pieces = []
+                for ra in geometry.boxes_of[a.id]:
+                    for rb in geometry.boxes_of[b.id]:
+                        got = HyperRect(ra).intersect(HyperRect(rb))
+                        if got is not None:
+                            pieces.append(got.intervals)
+                expected += _component_count(pieces, geometry.discrete)
+            overlapping += expected > 0
+            assert pairwise_overlap_fragments(table) == expected
+        assert overlapping > 100
 
 
 class TestBenchmark:
