@@ -64,10 +64,12 @@ if TYPE_CHECKING:  # pragma: no cover
 
 @dataclass(frozen=True)
 class OverlapGroup:
-    """A maximal set of rules sharing a common region, with a witness."""
+    """A maximal set of rules sharing a common region, with a witness
+    and one condition text per input column describing it."""
 
     rule_ids: frozenset[str]
     witness: HyperRect
+    conditions: tuple[str, ...]
 
     def sorted_ids(self) -> tuple[str, ...]:
         return tuple(sorted(self.rule_ids))
@@ -321,7 +323,9 @@ def find_overlapping_rules(table: "DecisionTable") -> list[OverlapGroup]:
                             "witness cell inside both boxes"
                     break
         assert witness is not None
-        groups.append(OverlapGroup(frozenset(ids), HyperRect(witness)))
+        box = HyperRect(witness)
+        groups.append(OverlapGroup(frozenset(ids), box,
+                                   render_box(table, box)))
     groups.sort(key=lambda g: g.sorted_ids())
     return groups
 
@@ -638,7 +642,10 @@ def oracle_overlaps(table: "DecisionTable",
     for ids in sorted(found, key=len, reverse=True):
         if not any(ids < other for other, _ in keep):
             keep.append((ids, found[ids]))
-    groups = [OverlapGroup(ids, grid.cell_box(cell)) for ids, cell in keep]
+    groups = []
+    for ids, cell in keep:
+        box = grid.cell_box(cell)
+        groups.append(OverlapGroup(ids, box, render_box(table, box)))
     groups.sort(key=lambda g: g.sorted_ids())
     return groups
 

@@ -25,7 +25,6 @@ import json
 import sys
 from typing import Optional, Sequence
 
-from .analysis import render_box
 from .correctness import CorrectnessReport, check_correct
 from .errors import DecisionTableError
 from .model import Diagnostic, DecisionTable, dump_table, load_table
@@ -85,7 +84,7 @@ def _check_text(table: DecisionTable, report: CorrectnessReport,
         for group in report.overlap_groups:
             where = ", ".join(
                 f"{attr.name}: {text}" for attr, text in
-                zip(table.inputs, render_box(table, group.witness)))
+                zip(table.inputs, group.conditions))
             lines.append("  " + ", ".join(group.sorted_ids())
                          + f" at ({where})")
     if only != "overlap" and report.missing_regions:
@@ -126,7 +125,7 @@ def _check_doc(table: DecisionTable, report: CorrectnessReport,
         doc["overlaps"] = [
             {
                 "rules": list(group.sorted_ids()),
-                "witness": list(render_box(table, group.witness)),
+                "witness": list(group.conditions),
             }
             for group in report.overlap_groups
         ]

@@ -24,8 +24,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import permutations
 
+# render_box is not called here any more, but perfbench's tracer test
+# looks the name up in this module, so the binding stays until that
+# test is re-recorded.
 from .analysis import (MissingRegion, OverlapGroup, find_missing_rules,
-                       find_overlapping_rules, render_box)
+                       find_overlapping_rules, render_box)  # noqa: F401
 from .model import (COMPLETENESS_MISMATCH, MASKED_RULE, MISSING_RULE,
                     OUTPUT_DISAGREEMENT, OVERLAP, DecisionTable, Diagnostic,
                     validate_structure)
@@ -64,9 +67,8 @@ class CorrectnessReport:
 
 
 def _witness_text(table: DecisionTable, group: OverlapGroup) -> str:
-    parts = render_box(table, group.witness)
     return ", ".join(f"{attr.name}: {text}"
-                     for attr, text in zip(table.inputs, parts))
+                     for attr, text in zip(table.inputs, group.conditions))
 
 
 def _overlap_diagnostics(table: DecisionTable,
@@ -78,6 +80,7 @@ def _overlap_diagnostics(table: DecisionTable,
     """
     out = []
     policy = table.hit_policy
+    outputs_of = {rule.id: rule.output_entries for rule in table.rules}
     for group in groups:
         ids = group.sorted_ids()
         listing = ", ".join(ids)
@@ -88,8 +91,7 @@ def _overlap_diagnostics(table: DecisionTable,
                 detail=f"rules {listing} overlap under the unique policy "
                        f"at {where}"))
         elif policy == "a":
-            outputs = {table.rule_by_id(rid).output_entries
-                       for rid in ids}
+            outputs = {outputs_of[rid] for rid in ids}
             if len(outputs) > 1:
                 out.append(Diagnostic(
                     "error", OUTPUT_DISAGREEMENT, rule_ids=ids,

@@ -140,7 +140,20 @@ def _parse_attribute(entry, index: int, role: str) -> Attribute:
     return Attribute(name, kind, facet)
 
 
-def _parse_output_literal(text, attr: Attribute, rule_id: str) -> Literal:
+def _parse_cell(memo: dict, text, kind: Kind) -> Condition:
+    """``parse_condition`` through a memo of one document's successful
+    parses, so equal texts of one kind share one frozen Condition."""
+    if not isinstance(text, str):
+        return parse_condition(text, kind)  # raises: cells must be text
+    key = (text, kind)
+    cond = memo.get(key)
+    if cond is None:
+        cond = memo[key] = parse_condition(text, kind)
+    return cond
+
+
+def _parse_output_literal(text, attr: Attribute, rule_id: str,
+                          memo: dict) -> Literal:
     where = f"rule {rule_id!r}, output column {attr.name!r}"
     if isinstance(text, bool):
         value: Literal = text
@@ -151,7 +164,7 @@ def _parse_output_literal(text, attr: Attribute, rule_id: str) -> Literal:
         value = text
     elif isinstance(text, str):
         try:
-            cond = parse_condition(text, attr.kind)
+            cond = _parse_cell(memo, text, attr.kind)
         except (SFeelSyntaxError, SFeelTypeError) as exc:
             raise _located(exc, where) from exc
         if not isinstance(cond, Match):
@@ -174,6 +187,11 @@ def load_table(document) -> DecisionTable:
     Accepts a JSON text or an already-decoded dict.  Schema problems
     raise SchemaError; condition problems re-raise the parser's error
     with a (rule id, column name) location prefix.
+
+    Input entries and string output literals are parsed once per
+    distinct (text, column kind) within one call, and equal cells share
+    one frozen Condition.  The memo holds only successful parses and is
+    dropped on return, so nothing is shared between documents.
     """
     if isinstance(document, (str, bytes)):
         try:
@@ -216,6 +234,7 @@ def load_table(document) -> DecisionTable:
     rules: list[Rule] = []
     explicit: dict[str, int] = {}
     seen_ids: set[str] = set()
+    parsed: dict[tuple[str, Kind], Condition] = {}
     for index, raw in enumerate(raw_rules):
         if not isinstance(raw, dict):
             raise SchemaError(f"rule {index} must be an object")
@@ -236,11 +255,11 @@ def load_table(document) -> DecisionTable:
         entries = []
         for attr, text in zip(inputs, in_texts):
             try:
-                entries.append(parse_condition(text, attr.kind))
+                entries.append(_parse_cell(parsed, text, attr.kind))
             except (SFeelSyntaxError, SFeelTypeError) as exc:
                 raise _located(
                     exc, f"rule {rule_id!r}, column {attr.name!r}") from exc
-        out_values = tuple(_parse_output_literal(text, attr, rule_id)
+        out_values = tuple(_parse_output_literal(text, attr, rule_id, parsed)
                            for attr, text in zip(outputs, out_texts))
         rules.append(Rule(rule_id, tuple(entries), out_values))
         if "priority" in raw:
@@ -306,12 +325,16 @@ def validate_structure(table: DecisionTable) -> list[Diagnostic]:
     A cell is incompatible when no value satisfies both its condition
     and the column facet, decided by intersecting their interval
     images; input cells are read from the table's geometry.  An output
-    cell is treated as the condition equating the output literal.
+    cell is treated as the condition equating the output literal, and
+    is decided once per distinct (output column, literal) within one
+    call: every literal of a loaded column has the column's kind, so
+    equal keys mean equal conditions.
     """
     geometry = table.geometry
     codec = geometry.codec
     output_facets = [lower_condition(attr.facet, attr, codec)
                      for attr in table.outputs]
+    violates: dict[tuple[int, Literal], bool] = {}
     diagnostics: list[Diagnostic] = []
     for rule in table.rules:
         for d, (attr, cond) in enumerate(zip(table.inputs,
@@ -326,10 +349,13 @@ def validate_structure(table: DecisionTable) -> list[Diagnostic]:
                            f"under facet "
                            f"{render_condition(attr.facet)!r}",
                 ))
-        for attr, facet, value in zip(table.outputs, output_facets,
-                                      rule.output_entries):
-            if lower_condition(Match(value), attr,
-                               codec).intersect(facet).is_empty:
+        for o, (attr, facet, value) in enumerate(zip(
+                table.outputs, output_facets, rule.output_entries)):
+            bad = violates.get((o, value))
+            if bad is None:
+                bad = violates[o, value] = lower_condition(
+                    Match(value), attr, codec).intersect(facet).is_empty
+            if bad:
                 diagnostics.append(Diagnostic(
                     severity="error",
                     code=FACET_INCOMPAT,

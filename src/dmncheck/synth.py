@@ -16,8 +16,9 @@ missing regions without introducing overlaps.
 connected components of each pairwise intersection.  Group reporting
 can be arbitrarily more compact: three identical rules are one group
 but three pairwise fragments.  The pairs come from the overlap sweep's
-maximal groups, which is exact: two rules intersect exactly when some
-group holds both, so no second sweep looks for candidates.
+maximal groups, passed in by the caller, which is exact: two rules
+intersect exactly when some group holds both, so no second sweep looks
+for candidates.
 
 ``run_benchmark`` drives generated-and-noised tables of increasing
 width and height through both sweeps and reports wall-clock times.
@@ -32,7 +33,8 @@ from dataclasses import dataclass, replace
 from itertools import combinations
 from typing import Optional, Sequence
 
-from .analysis import find_missing_rules, find_overlapping_rules
+from .analysis import (OverlapGroup, find_missing_rules,
+                       find_overlapping_rules)
 from .errors import SpecError
 from .intervals import contiguous
 from .model import DecisionTable, dump_table, load_table
@@ -317,19 +319,22 @@ def _component_count(pieces: list, discrete) -> int:
     return len({find(i) for i in range(len(pieces))})
 
 
-def pairwise_overlap_fragments(table: DecisionTable) -> int:
+def pairwise_overlap_fragments(table: DecisionTable,
+                               groups: Sequence[OverlapGroup]) -> int:
     """Total fragments a pair-at-a-time analysis would report: for each
     rule pair, the connected components of their intersection.
 
-    The pairs that intersect are exactly the 2-subsets of the maximal
-    overlap groups: two rules with a common point are both active
-    there, so some group holds both, and every rule of a group contains
-    the group's witness.  Pairs that only touch have no intersection
-    and count 0, so no other pair needs a look.
+    ``groups`` are the table's maximal overlap groups, as
+    ``find_overlapping_rules(table)`` returns them.  The pairs that
+    intersect are exactly their 2-subsets: two rules with a common
+    point are both active there, so some group holds both, and every
+    rule of a group contains the group's witness.  Pairs that only
+    touch have no intersection and count 0, so no other pair needs a
+    look.
     """
     by_rule = table.geometry.boxes_of
     discrete = table.geometry.discrete
-    pairs = {pair for group in find_overlapping_rules(table)
+    pairs = {pair for group in groups
              for pair in combinations(group.sorted_ids(), 2)}
     total = 0
     for id_a, id_b in pairs:
@@ -459,7 +464,7 @@ def run_benchmark(specs: Sequence[GenSpec],
             groups = find_overlapping_rules(noisy)
             overlap_ms += (time.perf_counter() - start) * 1000.0
             groups_seen += len(groups)
-            fragments_seen += pairwise_overlap_fragments(noisy)
+            fragments_seen += pairwise_overlap_fragments(noisy, groups)
 
             gappy = inject_noise(base, spec.columns, "missing",
                                  noise_fraction, run_seed + 2)

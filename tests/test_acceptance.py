@@ -75,7 +75,7 @@ def bench_cells():
         start = time.perf_counter()
         groups = find_overlapping_rules(noisy)
         overlap_s = time.perf_counter() - start
-        fragments = pairwise_overlap_fragments(noisy)
+        fragments = pairwise_overlap_fragments(noisy, groups)
 
         gappy = inject_noise(base, spec.columns, "missing", 0.1,
                              spec.seed + 2)

@@ -6,11 +6,15 @@ import json
 
 import pytest
 
-from dmncheck import (FACET_INCOMPAT, PRIORITY_ERROR, Kind, SchemaError,
-                      SFeelTypeError, dump_table, load_table,
-                      validate_structure)
+import random
 
-from conftest import loan_doc
+import dmncheck.model
+from dmncheck import (FACET_INCOMPAT, PRIORITY_ERROR, GenSpec, Kind, Rule,
+                      SchemaError, SFeelSyntaxError, SFeelTypeError,
+                      bench_columns, dump_table, generate_table, inject_noise,
+                      load_table, parse_condition, validate_structure)
+
+from conftest import loan_doc, random_table_doc
 
 
 class TestLoad:
@@ -90,6 +94,100 @@ class TestLoad:
             load_table(text)
 
 
+def _bench_doc() -> dict:
+    columns = bench_columns(7)
+    base = generate_table(GenSpec(columns=columns, target_rules=300, seed=1))
+    return dump_table(inject_noise(base, columns, "overlap", 0.1, 2))
+
+
+def _parsed_cell_by_cell(doc: dict) -> tuple[Rule, ...]:
+    """The rules of a document with every cell parsed on its own."""
+    in_kinds = [Kind(col["type"]) for col in doc["inputs"]]
+    out_kinds = [Kind(col["type"]) for col in doc["outputs"]]
+    return tuple(
+        Rule(raw["id"],
+             tuple(parse_condition(text, kind)
+                   for text, kind in zip(raw["in"], in_kinds)),
+             tuple(parse_condition(text, kind).value
+                   if isinstance(text, str) else text
+                   for text, kind in zip(raw["out"], out_kinds)))
+        for raw in doc["rules"])
+
+
+def _distinct_cells(doc: dict) -> set:
+    keys = set()
+    for raw in doc["rules"]:
+        keys.update((text, Kind(col["type"]))
+                    for text, col in zip(raw["in"], doc["inputs"]))
+        keys.update((text, Kind(col["type"]))
+                    for text, col in zip(raw["out"], doc["outputs"])
+                    if isinstance(text, str))
+    return keys
+
+
+class TestParseOncePerText:
+    def test_matches_cell_by_cell_parsing(self):
+        rng = random.Random(7)
+        docs = [random_table_doc(rng) for _ in range(300)] + [_bench_doc()]
+        for doc in docs:
+            # repr tells True, 1 and 1.0 apart, which == does not.
+            assert repr(load_table(doc).rules) \
+                == repr(_parsed_cell_by_cell(doc))
+
+    def test_equal_texts_of_one_kind_share_one_condition(self):
+        table = load_table({
+            "name": "s", "hitPolicy": "A", "completeness": "I",
+            "inputs": [{"name": "x", "type": "integer"},
+                       {"name": "y", "type": "integer"},
+                       {"name": "z", "type": "real"}],
+            "outputs": [{"name": "o", "type": "string"}],
+            "rules": [{"id": "p", "in": ["[1..5]", "[1..5]", "[1..5]"],
+                       "out": ["a"]},
+                      {"id": "q", "in": ["[1..5]", "-", "[1..5]"],
+                       "out": ["a"]}],
+        })
+        p, q = (rule.input_entries for rule in table.rules)
+        assert p[0] is p[1] is q[0]
+        assert p[2] is q[2]
+        assert p[2] is not p[0]
+        assert p[2] == parse_condition("[1..5]", Kind.REAL)
+
+    def test_one_parse_per_distinct_text_and_kind(self, monkeypatch):
+        calls = []
+        real = parse_condition
+
+        def counting(text, kind):
+            calls.append((text, kind))
+            return real(text, kind)
+
+        monkeypatch.setattr(dmncheck.model, "parse_condition", counting)
+        rng = random.Random(8)
+        for doc in [random_table_doc(rng) for _ in range(50)] \
+                + [_bench_doc()]:
+            calls.clear()
+            load_table(doc)
+            facets = sum("facet" in col
+                         for col in doc["inputs"] + doc["outputs"])
+            assert len(calls) == len(_distinct_cells(doc)) + facets
+
+    def test_repeated_bad_cell_names_its_first_rule(self):
+        cases = (
+            ("in", 1, "[5..", SFeelSyntaxError,
+             "rule 'B', column 'Loan Size': unexpected end of condition "
+             "in '[5..'"),
+            ("out", 0, "[1..2]", SFeelTypeError,
+             "rule 'B', output column 'Grade': comparisons and intervals "
+             "are not defined for string columns: '[1..2]'"),
+        )
+        for role, column, text, error, message in cases:
+            doc = loan_doc()
+            for rule in doc["rules"][1:]:
+                rule[role][column] = text
+            with pytest.raises(error) as err:
+                load_table(doc)
+            assert str(err.value) == message
+
+
 class TestRoundTrip:
     def test_load_dump_load(self, table1):
         again = load_table(dump_table(table1))
@@ -131,6 +229,14 @@ class TestValidateStructure:
         assert [d.code for d in diags] == [FACET_INCOMPAT]
         assert diags[0].rule_ids == ("C",)
         assert diags[0].columns == ("Grade",)
+
+    def test_repeated_output_outside_facet_flags_every_rule(self):
+        doc = loan_doc()
+        for rule, grade in zip(doc["rules"], ("X", "VG", "X", "Y")):
+            rule["out"] = [grade]
+        diags = validate_structure(load_table(doc))
+        assert [(d.rule_ids, d.detail.split()[1]) for d in diags] \
+            == [(("A",), "'X'"), (("C",), "'X'"), (("D",), "'Y'")]
 
     def test_priority_not_bijection(self):
         doc = loan_doc()

@@ -141,7 +141,8 @@ class TestNoise:
 
 class TestFragments:
     def test_reference_pair(self, table1):
-        assert pairwise_overlap_fragments(table1) == 1
+        assert pairwise_overlap_fragments(
+            table1, find_overlapping_rules(table1)) == 1
 
     def test_three_identical_rules(self):
         table = load_table({
@@ -152,8 +153,9 @@ class TestFragments:
             "rules": [{"id": f"r{i}", "in": ["[2..5]"], "out": ["a"]}
                       for i in range(3)],
         })
-        assert pairwise_overlap_fragments(table) == 3
-        assert len(find_overlapping_rules(table)) == 1
+        groups = find_overlapping_rules(table)
+        assert pairwise_overlap_fragments(table, groups) == 3
+        assert len(groups) == 1
 
     def test_disjoint_rules(self):
         # Apart, then contiguous but disjoint: no pair intersects.
@@ -168,7 +170,8 @@ class TestFragments:
                 "rules": [{"id": "p", "in": [p], "out": ["a"]},
                           {"id": "q", "in": [q], "out": ["a"]}],
             })
-            assert pairwise_overlap_fragments(table) == 0, (p, q)
+            assert pairwise_overlap_fragments(
+                table, find_overlapping_rules(table)) == 0, (p, q)
 
     def test_fragmented_pair_counted_per_component(self):
         # q's two disjoint blocks both meet p: one pair, two fragments
@@ -180,7 +183,8 @@ class TestFragments:
             "rules": [{"id": "p", "in": ["[0..9]"], "out": ["a"]},
                       {"id": "q", "in": ["[1..2],[6..7]"], "out": ["a"]}],
         })
-        assert pairwise_overlap_fragments(table) == 2
+        assert pairwise_overlap_fragments(
+            table, find_overlapping_rules(table)) == 2
 
     def test_at_least_group_count_on_random_noise(self):
         rng = random.Random(2)
@@ -189,8 +193,8 @@ class TestFragments:
                                           seed=seed))
             noisy = inject_noise(base, SMALL, "overlap", 0.2,
                                  seed=seed + 100)
-            assert pairwise_overlap_fragments(noisy) \
-                >= len(find_overlapping_rules(noisy))
+            groups = find_overlapping_rules(noisy)
+            assert pairwise_overlap_fragments(noisy, groups) >= len(groups)
 
     def test_matches_all_pairs_brute_force(self):
         # Every rule pair, with no candidate filter, on mixed-kind tables.
@@ -209,7 +213,8 @@ class TestFragments:
                             pieces.append(got.intervals)
                 expected += _component_count(pieces, geometry.discrete)
             overlapping += expected > 0
-            assert pairwise_overlap_fragments(table) == expected
+            assert pairwise_overlap_fragments(
+                table, find_overlapping_rules(table)) == expected
         assert overlapping > 100
 
 
@@ -230,10 +235,11 @@ class TestBenchmark:
                                       seed=spec.seed))
         noisy = inject_noise(base, SMALL, "overlap", 0.1, spec.seed + 1)
         gappy = inject_noise(base, SMALL, "missing", 0.1, spec.seed + 2)
-        assert cell.overlap_groups == len(find_overlapping_rules(noisy))
+        groups = find_overlapping_rules(noisy)
+        assert cell.overlap_groups == len(groups)
         assert cell.missing_regions == len(find_missing_rules(gappy))
         assert cell.pairwise_fragments \
-            == pairwise_overlap_fragments(noisy)
+            == pairwise_overlap_fragments(noisy, groups)
         assert cell.overlap_ms >= 0 and cell.missing_ms >= 0
 
     def test_grid_layout(self):
