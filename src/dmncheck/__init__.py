@@ -7,8 +7,8 @@ with exact interval geometry rather than sampling.
 """
 
 from .errors import (CapacityError, CodecError, DecisionTableError,
-                     DimensionError, EvalError, SchemaError,
-                     SFeelSyntaxError, SFeelTypeError, SpecError)
+                     EvalError, SchemaError, SFeelSyntaxError,
+                     SFeelTypeError, SpecError)
 from .intervals import Interval1D, IntervalSet, interval
 from .sfeel import (ANY, Kind, format_literal, lower_to_intervals,
                     parse_condition, render_condition, satisfies)
@@ -16,8 +16,8 @@ from .model import (COMPLETENESS_MISMATCH, FACET_INCOMPAT, MASKED_RULE,
                     MISSING_RULE, OUTPUT_DISAGREEMENT, OVERLAP,
                     PRIORITY_ERROR, Attribute, DecisionTable, Diagnostic,
                     Rule, dump_table, load_table, validate_structure)
-from .geometry import (CategoryCodec, HyperRect, build_codec,
-                       build_universe, encode_point, rule_to_rects)
+from .geometry import (CategoryCodec, build_codec, build_universe,
+                       encode_point)
 from .analysis import (MissingRegion, OverlapGroup, find_missing_rules,
                        find_overlapping_rules, oracle_missing,
                        oracle_overlaps, render_box)
@@ -37,8 +37,8 @@ __all__ = [
     "CategoryCodec", "CodecError", "ColumnSpec", "COMPLETENESS_MISMATCH",
     "CompletenessVerdict",
     "CorrectnessReport", "DecisionTable", "DecisionTableError",
-    "Diagnostic", "DimensionError", "EvalError", "EvalResult",
-    "FACET_INCOMPAT", "GenSpec", "HyperRect", "Interval1D", "IntervalSet",
+    "Diagnostic", "EvalError", "EvalResult",
+    "FACET_INCOMPAT", "GenSpec", "Interval1D", "IntervalSet",
     "Kind", "MASKED_RULE", "MISSING_RULE", "MissingRegion",
     "OUTPUT_DISAGREEMENT", "OVERLAP", "Outcome", "OverlapGroup",
     "PRIORITY_ERROR", "Rule", "SchemaError", "SFeelSyntaxError",
@@ -50,6 +50,6 @@ __all__ = [
     "lower_to_intervals", "masked_by", "matches_value",
     "oracle_missing",
     "oracle_overlaps", "pairwise_overlap_fragments", "parse_condition",
-    "render_box", "render_condition", "rule_to_rects", "run_benchmark",
+    "render_box", "render_condition", "run_benchmark",
     "satisfies", "triggered_by", "validate_structure",
 ]

@@ -4,8 +4,9 @@ Every analysis reads one ``TableGeometry`` per table: the codec, the
 universe, each rule's canonical set per column and the boxes of their
 product with the owning rule, and the input cells that admit no legal
 value.  A box is a tuple of ``Interval1D``, one per input column, and
-all interval semantics come from :mod:`dmncheck.intervals`.
-``table_rects`` builds the geometry and ``DecisionTable.geometry``
+all interval semantics come from :mod:`dmncheck.intervals`; the
+witnesses and missing regions reported here are such tuples too.
+``table_rects`` is the only box builder, and ``DecisionTable.geometry``
 caches it, so the sweeps, witness and region rendering, the masked-rule
 check, the structure check and the grid oracles share a single build.
 Each distinct ``entry ∩ facet`` is lowered once per column.
@@ -29,7 +30,7 @@ at the last dimension the active rule set is reported.  Reported
 groups form an antichain: a candidate that is a subset of an existing
 group is dropped, and inserting a new group purges its subsets.  The
 witness of a group is the joint intersection of the overlapping
-boxes, one per rule.
+boxes, one per rule, folded with ``intersect_boxes``.
 
 Missing values: sweeping one dimension, spans where no box is active
 are uncovered for every legal deeper value; spans with active boxes
@@ -51,12 +52,13 @@ from itertools import product, repeat
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Optional, Sequence
 
 from .errors import CapacityError
-from .geometry import (CategoryCodec, HyperRect, build_codec, build_universe,
+from .geometry import (CategoryCodec, build_codec, build_universe,
                        lower_condition)
 from .intervals import (LOWER_CLOSED, LOWER_OPEN, NEG_INF, POS_INF,
                         UPPER_CLOSED, UPPER_OPEN, Interval1D, IntervalSet,
-                        canonical_key, contiguous, interval)
-from .sfeel import Kind, format_literal
+                        canonical_key, contiguous, interval, intersect_boxes)
+from .sfeel import (ANY, Comparison, Interval, Kind, Match, format_literal,
+                    render_condition)
 
 if TYPE_CHECKING:  # pragma: no cover
     from .model import DecisionTable
@@ -68,7 +70,7 @@ class OverlapGroup:
     and one condition text per input column describing it."""
 
     rule_ids: frozenset[str]
-    witness: HyperRect
+    witness: tuple[Interval1D, ...]
     conditions: tuple[str, ...]
 
     def sorted_ids(self) -> tuple[str, ...]:
@@ -80,7 +82,7 @@ class MissingRegion:
     """An uncovered box of legal inputs, with one condition text per
     input column describing a candidate rule that would close it."""
 
-    box: HyperRect
+    box: tuple[Interval1D, ...]
     conditions: tuple[str, ...]
 
 
@@ -314,18 +316,12 @@ def find_overlapping_rules(table: "DecisionTable") -> list[OverlapGroup]:
         for rid in ids:
             for rect in geometry.boxes_of[rid]:
                 if all(iv.covers(part) for iv, part in zip(rect, cell)):
-                    if witness is None:
-                        witness = rect
-                    else:
-                        witness = tuple(a.intersect(b)
-                                        for a, b in zip(witness, rect))
-                        assert None not in witness, \
-                            "witness cell inside both boxes"
+                    witness = rect if witness is None \
+                        else intersect_boxes(witness, rect)
                     break
-        assert witness is not None
-        box = HyperRect(witness)
-        groups.append(OverlapGroup(frozenset(ids), box,
-                                   render_box(table, box)))
+            assert witness is not None, "witness cell inside every box"
+        groups.append(OverlapGroup(frozenset(ids), witness,
+                                   render_box(table, witness)))
     groups.sort(key=lambda g: g.sorted_ids())
     return groups
 
@@ -435,18 +431,19 @@ def find_missing_rules(table: "DecisionTable") -> list[MissingRegion]:
         memo[key] = result
         return result
 
-    rects = [HyperRect(box) for box in sorted(gaps(top_ids, 0))]
+    boxes = sorted(gaps(top_ids, 0))
     del gaps  # frees the memo now, as in find_overlapping_rules
-    return [MissingRegion(rect, render_box(table, rect)) for rect in rects]
+    return [MissingRegion(box, render_box(table, box)) for box in boxes]
 
 
-def render_box(table: "DecisionTable", box: HyperRect) -> tuple[str, ...]:
+def render_box(table: "DecisionTable",
+               box: tuple[Interval1D, ...]) -> tuple[str, ...]:
     """Condition-style texts describing a box, one per input column."""
     geometry = table.geometry
     return tuple(
         _render_region_condition(iv, attr, geometry.codec,
                                  geometry.universe[d], geometry.discrete[d])
-        for d, (iv, attr) in enumerate(zip(box.intervals, table.inputs)))
+        for d, (iv, attr) in enumerate(zip(box, table.inputs)))
 
 
 def _render_region_condition(iv: Interval1D, attr, codec: CategoryCodec,
@@ -462,16 +459,16 @@ def _render_region_condition(iv: Interval1D, attr, codec: CategoryCodec,
         return ",".join(format_literal(c) for c in cats)
     lo, lo_closed, hi, hi_closed = iv
     if lo == NEG_INF and hi == POS_INF:
-        return "-"
-    if lo == NEG_INF:
-        return ("<=" if hi_closed else "<") + format_literal(hi)
-    if hi == POS_INF:
-        return (">=" if lo_closed else ">") + format_literal(lo)
-    if lo == hi:
-        return format_literal(lo)
-    left = "[" if lo_closed else "("
-    right = "]" if hi_closed else ")"
-    return f"{left}{format_literal(lo)}..{format_literal(hi)}{right}"
+        cond = ANY
+    elif lo == NEG_INF:
+        cond = Comparison("<=" if hi_closed else "<", hi)
+    elif hi == POS_INF:
+        cond = Comparison(">=" if lo_closed else ">", lo)
+    elif lo == hi:
+        cond = Match(lo)
+    else:
+        cond = Interval(lo_closed, lo, hi, hi_closed)
+    return render_condition(cond)
 
 
 # ---------------------------------------------------------------------------
@@ -486,9 +483,8 @@ class CellGrid:
     reps: tuple[tuple, ...]
     in_universe: tuple[tuple[bool, ...], ...]
 
-    def cell_box(self, cell: tuple[int, ...]) -> HyperRect:
-        return HyperRect(tuple(self.pieces[d][p]
-                               for d, p in enumerate(cell)))
+    def cell_box(self, cell: tuple[int, ...]) -> tuple[Interval1D, ...]:
+        return tuple(self.pieces[d][p] for d, p in enumerate(cell))
 
 
 def _dimension_pieces(values: list,
@@ -650,13 +646,13 @@ def oracle_overlaps(table: "DecisionTable",
     return groups
 
 
-def grid_cells_of_boxes(grid: CellGrid,
-                        boxes: Iterable[HyperRect]) -> set[tuple[int, ...]]:
+def grid_cells_of_boxes(grid: CellGrid, boxes: Iterable[tuple[Interval1D, ...]]
+                        ) -> set[tuple[int, ...]]:
     """Grid cells whose representative point falls inside any box."""
     out: set[tuple[int, ...]] = set()
     for box in boxes:
         per_dim: list[list[int]] = []
-        for d, iv in enumerate(box.intervals):
+        for d, iv in enumerate(box):
             per_dim.append([p for p, rep in enumerate(grid.reps[d])
                             if iv.contains(rep)])
         out.update(product(*per_dim))

@@ -25,7 +25,8 @@ import json
 import sys
 from typing import Optional, Sequence
 
-from .correctness import CorrectnessReport, check_correct
+from .correctness import (CorrectnessReport, check_correct,
+                          located_conditions)
 from .errors import DecisionTableError
 from .model import Diagnostic, DecisionTable, dump_table, load_table
 from .semantics import Outcome, evaluate
@@ -82,18 +83,14 @@ def _check_text(table: DecisionTable, report: CorrectnessReport,
     if only != "missing" and report.overlap_groups:
         lines.append("overlapping groups:")
         for group in report.overlap_groups:
-            where = ", ".join(
-                f"{attr.name}: {text}" for attr, text in
-                zip(table.inputs, group.conditions))
+            where = located_conditions(table, group.conditions)
             lines.append("  " + ", ".join(group.sorted_ids())
                          + f" at ({where})")
     if only != "overlap" and report.missing_regions:
         lines.append("missing regions:")
         for region in report.missing_regions:
-            where = ", ".join(
-                f"{attr.name}: {text}" for attr, text in
-                zip(table.inputs, region.conditions))
-            lines.append(f"  ({where})")
+            lines.append(
+                f"  ({located_conditions(table, region.conditions)})")
     verdict = "correct" if report.correct else "not correct"
     lines.append(f"table {table.name!r}: {verdict}")
     return "\n".join(lines)

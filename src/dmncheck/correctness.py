@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import permutations
+from typing import Sequence
 
 # render_box is not called here any more, but perfbench's tracer test
 # looks the name up in this module, so the binding stays until that
@@ -66,9 +67,11 @@ class CorrectnessReport:
                 + self.hit_policy_diagnostics)
 
 
-def _witness_text(table: DecisionTable, group: OverlapGroup) -> str:
-    return ", ".join(f"{attr.name}: {text}"
-                     for attr, text in zip(table.inputs, group.conditions))
+def located_conditions(table: DecisionTable,
+                       conditions: Sequence[str]) -> str:
+    """``name: text`` for each input column, comma-separated."""
+    return ", ".join(f"{name}: {text}"
+                     for name, text in zip(table.input_names(), conditions))
 
 
 def _overlap_diagnostics(table: DecisionTable,
@@ -84,7 +87,7 @@ def _overlap_diagnostics(table: DecisionTable,
     for group in groups:
         ids = group.sorted_ids()
         listing = ", ".join(ids)
-        where = _witness_text(table, group)
+        where = located_conditions(table, group.conditions)
         if policy == "u":
             out.append(Diagnostic(
                 "error", OVERLAP, rule_ids=ids,
@@ -146,7 +149,7 @@ def check_correct(table: DecisionTable,
     facet = tuple(validate_structure(table))
     groups = find_overlapping_rules(table) if only != "missing" else []
 
-    input_names = tuple(attr.name for attr in table.inputs)
+    input_names = table.input_names()
     verdict: CompletenessVerdict | None = None
     completeness: list[Diagnostic] = []
     if only != "overlap":
@@ -160,9 +163,8 @@ def check_correct(table: DecisionTable,
         for region in missing:
             completeness.append(Diagnostic(
                 severity, MISSING_RULE, columns=input_names,
-                detail="no rule covers " + ", ".join(
-                    f"{attr.name}: {text}" for attr, text in
-                    zip(table.inputs, region.conditions))))
+                detail="no rule covers "
+                       + located_conditions(table, region.conditions)))
         if missing and declared_complete:
             completeness.append(Diagnostic(
                 "error", COMPLETENESS_MISMATCH, columns=input_names,

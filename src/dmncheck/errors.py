@@ -29,9 +29,5 @@ class CapacityError(DecisionTableError):
     """Brute-force grid would exceed the configured cell cap."""
 
 
-class DimensionError(DecisionTableError):
-    """Hyper-rectangle operands have mismatched dimensionality."""
-
-
 class SpecError(DecisionTableError):
     """Invalid synthetic-generation or noise parameters."""

@@ -1,10 +1,13 @@
 """Geometric view of decision tables.
 
-Rules become iso-oriented hyper-rectangles, one axis per input column.
-Numeric columns map onto the number line directly.  Categorical columns
-are coded: the k-th known category of a column occupies the half-open
-unit interval [k..k+1), so distinct categories never share a point and
-a multi-valued entry such as ``VG,G`` becomes [0..2).
+Rules become iso-oriented hyper-rectangles, one axis per input column:
+each box is a tuple of ``Interval1D``, one per column, and
+``analysis.table_rects`` builds every box of a table from the codec and
+universe defined here.  Numeric columns map onto the number line
+directly.  Categorical columns are coded: the k-th known category of a
+column occupies the half-open unit interval [k..k+1), so distinct
+categories never share a point and a multi-valued entry such as
+``VG,G`` becomes [0..2).
 
 The category order is deterministic: facet declaration order first,
 then first appearance scanning the rules top to bottom.  Boolean
@@ -15,39 +18,15 @@ columns with an unrestricted facet use the canonical order
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING
 
-from .errors import CodecError, DimensionError
+from .errors import CodecError
 from .intervals import Interval1D, IntervalSet
 from .sfeel import (Alternative, AnyValue, Condition, Kind, Match, Not,
                     category_index, lower_to_intervals)
 
 if TYPE_CHECKING:  # pragma: no cover
-    from .model import DecisionTable, Rule
-
-
-@dataclass(frozen=True)
-class HyperRect:
-    """A non-empty box: one interval per input column, in column order."""
-
-    intervals: tuple[Interval1D, ...]
-
-    def __len__(self) -> int:
-        return len(self.intervals)
-
-    def intersect(self, other: "HyperRect") -> Optional["HyperRect"]:
-        if len(self.intervals) != len(other.intervals):
-            raise DimensionError(
-                f"cannot intersect a {len(self.intervals)}-dimensional box "
-                f"with a {len(other.intervals)}-dimensional one")
-        pieces = []
-        for a, b in zip(self.intervals, other.intervals):
-            piece = a.intersect(b)
-            if piece is None:
-                return None
-            pieces.append(piece)
-        return HyperRect(tuple(pieces))
+    from .model import DecisionTable
 
 
 def _condition_literals(cond: Condition) -> list:
@@ -133,25 +112,6 @@ def build_universe(table: "DecisionTable",
     """Legal-value interval set per input column (the facet image)."""
     return tuple(lower_condition(attr.facet, attr, codec)
                  for attr in table.inputs)
-
-
-def rule_to_rects(rule: "Rule", table: "DecisionTable",
-                  codec: CategoryCodec) -> list[HyperRect]:
-    """Boxes covered by a rule, clipped to the column facets.
-
-    Each column contributes the members of ``entry ∩ facet``; the boxes
-    are the cross product of one member per column.  A column whose
-    intersection is empty yields no boxes at all.
-    """
-    per_column: list[tuple[Interval1D, ...]] = []
-    for attr, cond in zip(table.inputs, rule.input_entries):
-        entry = lower_condition(cond, attr, codec)
-        facet = lower_condition(attr.facet, attr, codec)
-        members = entry.intersect(facet).members
-        if not members:
-            return []
-        per_column.append(members)
-    return [HyperRect(combo) for combo in product(*per_column)]
 
 
 def encode_point(table: "DecisionTable", codec: CategoryCodec,

@@ -4,6 +4,8 @@ This module is the only place that knows interval semantics: membership,
 intersection, cover, contiguity, the canonical order and the sweep tie
 ranks.  ``Interval1D`` is a ``NamedTuple``, so the sweeps hash, sort and
 unpack intervals as plain tuples and no second representation exists.
+A box is a plain tuple of ``Interval1D``, one per input column, and
+:func:`intersect_boxes` is its one intersection.
 
 All geometric reasoning in this package is symbolic over interval
 endpoints.  Endpoint values come from parsed literals (64-bit-ish ints,
@@ -78,6 +80,19 @@ class Interval1D(NamedTuple):
         lo, lo_closed, hi, hi_closed = self
         return ((other.lo, not other.lo_closed) >= (lo, not lo_closed)
                 and (other.hi, other.hi_closed) <= (hi, hi_closed))
+
+
+def intersect_boxes(a: tuple[Interval1D, ...], b: tuple[Interval1D, ...]
+                    ) -> Optional[tuple[Interval1D, ...]]:
+    """The common part of two boxes, each one interval per column in
+    the same column order, or None when they share no point."""
+    pieces = []
+    for x, y in zip(a, b):
+        piece = x.intersect(y)
+        if piece is None:
+            return None
+        pieces.append(piece)
+    return tuple(pieces)
 
 
 def canonical_key(iv: Interval1D) -> tuple:

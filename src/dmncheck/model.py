@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import TYPE_CHECKING, Optional, Union
 
-from .errors import SchemaError, SFeelSyntaxError, SFeelTypeError
+from .errors import EvalError, SchemaError, SFeelSyntaxError, SFeelTypeError
 from .geometry import lower_condition
 from .sfeel import (ANY, AnyValue, Condition, Kind, Match, format_literal,
                     is_finite_number, lower_to_intervals, parse_condition,
@@ -112,6 +112,11 @@ _HIT_POLICIES = {"U": "u", "A": "a", "P": "p", "F": "f"}
 _COMPLETENESS = {"C": "c", "I": "i"}
 
 
+# What parsing one condition or literal can raise; re-raised with the
+# cell's location.
+_CONDITION_ERRORS = (SFeelSyntaxError, SFeelTypeError, EvalError)
+
+
 def _located(exc: Exception, where: str):
     return type(exc)(f"{where}: {exc}")
 
@@ -133,7 +138,7 @@ def _parse_attribute(entry, index: int, role: str) -> Attribute:
         return Attribute(name, kind)
     try:
         facet = parse_condition(facet_text, kind)
-    except (SFeelSyntaxError, SFeelTypeError) as exc:
+    except _CONDITION_ERRORS as exc:
         raise _located(exc, f"facet of {role} column {name!r}") from exc
     if kind.is_numeric and lower_to_intervals(facet, kind).is_empty:
         raise SchemaError(f"facet of {role} column {name!r} permits no value")
@@ -165,7 +170,7 @@ def _parse_output_literal(text, attr: Attribute, rule_id: str,
     elif isinstance(text, str):
         try:
             cond = _parse_cell(memo, text, attr.kind)
-        except (SFeelSyntaxError, SFeelTypeError) as exc:
+        except _CONDITION_ERRORS as exc:
             raise _located(exc, where) from exc
         if not isinstance(cond, Match):
             raise SchemaError(f"{where}: output entry must be a single "
@@ -256,7 +261,7 @@ def load_table(document) -> DecisionTable:
         for attr, text in zip(inputs, in_texts):
             try:
                 entries.append(_parse_cell(parsed, text, attr.kind))
-            except (SFeelSyntaxError, SFeelTypeError) as exc:
+            except _CONDITION_ERRORS as exc:
                 raise _located(
                     exc, f"rule {rule_id!r}, column {attr.name!r}") from exc
         out_values = tuple(_parse_output_literal(text, attr, rule_id, parsed)

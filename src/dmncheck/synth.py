@@ -36,7 +36,7 @@ from typing import Optional, Sequence
 from .analysis import (OverlapGroup, find_missing_rules,
                        find_overlapping_rules)
 from .errors import SpecError
-from .intervals import contiguous
+from .intervals import contiguous, intersect_boxes
 from .model import DecisionTable, dump_table, load_table
 from .sfeel import Kind
 
@@ -341,14 +341,9 @@ def pairwise_overlap_fragments(table: DecisionTable,
         pieces = []
         for ra in by_rule[id_a]:
             for rb in by_rule[id_b]:
-                got = []
-                for a, b in zip(ra, rb):
-                    piece = a.intersect(b)
-                    if piece is None:
-                        break
-                    got.append(piece)
-                else:
-                    pieces.append(tuple(got))
+                got = intersect_boxes(ra, rb)
+                if got is not None:
+                    pieces.append(got)
         total += _component_count(pieces, discrete)
     return total
 

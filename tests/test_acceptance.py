@@ -23,7 +23,7 @@ import time
 
 import pytest
 
-from dmncheck import (COMPLETENESS_MISMATCH, HyperRect, Interval1D, OVERLAP,
+from dmncheck import (COMPLETENESS_MISMATCH, Interval1D, OVERLAP,
                       Outcome, benchmark_grid, check_correct, evaluate,
                       find_missing_rules, find_overlapping_rules,
                       generate_table, inject_noise, load_table,
@@ -112,8 +112,8 @@ def test_criterion_1_reference_evaluation(table1, capsys):
 
 def test_criterion_2_reference_overlap(table1, capsys):
     groups = find_overlapping_rules(table1)
-    expected_witness = HyperRect((iv(500.0, True, 1000.0, True),
-                                  iv(500.0, True, 1000.0, True)))
+    expected_witness = (iv(500.0, True, 1000.0, True),
+                        iv(500.0, True, 1000.0, True))
     exact = (len(groups) == 1
              and groups[0].rule_ids == frozenset({"A", "C"})
              and groups[0].witness == expected_witness)
@@ -132,8 +132,8 @@ def test_criterion_3_reference_missing(table1, capsys):
     union = grid_cells_of_boxes(grid, [r.box for r in regions])
     cells_equal = union == oracle_missing(table1)
     probe_covered = any(
-        r.box.intervals[0].contains(200.0)
-        and r.box.intervals[1].contains(2000.0) for r in regions)
+        r.box[0].contains(200.0)
+        and r.box[1].contains(2000.0) for r in regions)
     ms = best_ms(lambda: find_missing_rules(table1))
     announce(capsys, 3, cells_equal and probe_covered and ms < 10.0,
              f"{len(regions)} regions match the oracle cell-for-cell and "

@@ -3,14 +3,15 @@ brute-force grid oracles."""
 
 import gc
 import random
+from itertools import product
 
 import pytest
 
-from dmncheck import (FACET_INCOMPAT, CapacityError, HyperRect, Interval1D,
+from dmncheck import (FACET_INCOMPAT, CapacityError, Interval1D,
                       build_codec, find_missing_rules,
                       find_overlapping_rules, load_table,
                       lower_to_intervals, oracle_missing, oracle_overlaps,
-                      rule_to_rects, validate_structure)
+                      validate_structure)
 from dmncheck.analysis import build_grid, grid_cells_of_boxes, table_rects
 from dmncheck.intervals import contiguous
 
@@ -46,8 +47,8 @@ class TestOverlapReference:
 
     def test_witness_exact(self, table1):
         witness = find_overlapping_rules(table1)[0].witness
-        assert witness == HyperRect((iv(500.0, True, 1000.0, True),
-                                     iv(500.0, True, 1000.0, True)))
+        assert witness == (iv(500.0, True, 1000.0, True),
+                           iv(500.0, True, 1000.0, True))
 
     def test_oracle_agrees(self, table1):
         assert [g.rule_ids for g in oracle_overlaps(table1)] \
@@ -68,14 +69,13 @@ class TestMissingReference:
     def test_contains_uncovered_probe(self, table1):
         regions = find_missing_rules(table1)
         hit = [r for r in regions
-               if r.box.intervals[0].contains(200.0)
-               and r.box.intervals[1].contains(2000.0)]
+               if r.box[0].contains(200.0)
+               and r.box[1].contains(2000.0)]
         assert len(hit) == 1
         assert hit[0].conditions == ("[0..250)", ">1000")
 
     def test_narrative_boxes_present(self, table1):
-        boxes = {tuple(i for i in r.box.intervals)
-                 for r in find_missing_rules(table1)}
+        boxes = {r.box for r in find_missing_rules(table1)}
         assert (iv(0.0, True, 250.0, False),
                 iv(1000.0, False, INF, False)) in boxes
         assert (iv(250.0, True, 500.0, False),
@@ -123,7 +123,7 @@ class TestSmallCases:
             ],
         })
         regions = find_missing_rules(table)
-        assert [r.box.intervals for r in regions] \
+        assert [r.box for r in regions] \
             == [(iv(3.0, False, 7.0, False),)]
         assert [r.conditions for r in regions] == [("(3..7)",)]
 
@@ -142,7 +142,7 @@ class TestSmallCases:
             ],
         })
         regions = find_missing_rules(table)
-        assert [r.box.intervals for r in regions] \
+        assert [r.box for r in regions] \
             == [(iv(1.0, True, 2.0, True), iv(0.5, False, 1.0, True))]
         assert [r.conditions for r in regions] == [("[1..2]", "(0.5..1]")]
 
@@ -172,7 +172,7 @@ class TestSmallCases:
         })
         groups = find_overlapping_rules(table)
         assert len(groups) == 1
-        assert groups[0].witness.intervals \
+        assert groups[0].witness \
             == (iv(5.0, True, 5.0, True),)
 
     def test_open_touch_leaves_point_gap(self):
@@ -187,7 +187,7 @@ class TestSmallCases:
         })
         assert find_overlapping_rules(table) == []
         regions = find_missing_rules(table)
-        assert [r.box.intervals for r in regions] \
+        assert [r.box for r in regions] \
             == [(iv(5.0, True, 5.0, True),)]
         assert [r.conditions for r in regions] == [("5",)]
 
@@ -263,7 +263,7 @@ def test_sweeps_match_oracles_on_random_tables():
         # merged to a fixpoint: no two regions differ in one column
         # only, where they are contiguous
         discrete = table.geometry.discrete
-        boxes = [r.box.intervals for r in regions]
+        boxes = [r.box for r in regions]
         for i, a in enumerate(boxes):
             for b in boxes[i + 1:]:
                 differ = [d for d in range(len(a)) if a[d] != b[d]]
@@ -305,7 +305,7 @@ def test_witnesses_covered_by_all_members():
                                              geometry.box_rule)
                        if owner == rid]
                 assert region_contained(
-                    [group.witness.intervals],
+                    [group.witness],
                     own, geometry.discrete)
 
 
@@ -320,14 +320,25 @@ def test_missing_regions_disjoint_from_rules():
         assert covered == oracle_missing(table)
 
 
-def _incompatible(cond, attr, codec) -> bool:
-    # Per-cell lowering of entry and facet: the reference for the empty
-    # cells recorded in the table geometry.
+def _entry_in_facet(cond, attr, codec):
+    # Per-cell lowering of entry and facet, with no memo: the reference
+    # for the boxes and empty cells recorded in the table geometry.
     categories = codec.categories(attr.name) if attr.kind.is_categorical \
         else None
     entry = lower_to_intervals(cond, attr.kind, categories)
     facet = lower_to_intervals(attr.facet, attr.kind, categories)
-    return entry.intersect(facet).is_empty
+    return entry.intersect(facet)
+
+
+def _incompatible(cond, attr, codec) -> bool:
+    return _entry_in_facet(cond, attr, codec).is_empty
+
+
+def _rule_boxes(rule, table, codec) -> tuple:
+    # One box per product of the rule's entry ∩ facet members.
+    per_column = [_entry_in_facet(cond, attr, codec).members
+                  for attr, cond in zip(table.inputs, rule.input_entries)]
+    return tuple(product(*per_column))
 
 
 def test_cached_geometry_matches_per_rule_lowering():
@@ -340,10 +351,8 @@ def test_cached_geometry_matches_per_rule_lowering():
         codec = build_codec(table)
         assert geometry.codec == codec
 
-        expected = {
-            rule.id: tuple(rect.intervals
-                           for rect in rule_to_rects(rule, table, codec))
-            for rule in table.rules}
+        expected = {rule.id: _rule_boxes(rule, table, codec)
+                    for rule in table.rules}
         assert geometry.boxes_of == expected
         assert geometry.boxes == tuple(
             box for rule in table.rules for box in expected[rule.id])

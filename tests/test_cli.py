@@ -102,8 +102,11 @@ class TestCheck:
         ("n", "-" * 5000 + "1"),
         ("n", "(" * 3000 + "1" + ")" * 3000),
         ("n", "+".join(["1"] * 5000)),
+        ("n", "1/0"),
+        ("a", "1/0"),
     ], ids=["ge-1e400", "interval-1e400", "product-overflow",
-            "400-digits-real", "unary-minus", "parentheses", "long-sum"])
+            "400-digits-real", "unary-minus", "parentheses", "long-sum",
+            "integer-div-zero", "real-div-zero"])
     def test_hostile_entry_exits_two(self, column, entry, tmp_path, capsys):
         doc = {
             "name": "hostile", "hitPolicy": "U", "completeness": "I",

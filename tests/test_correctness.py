@@ -6,12 +6,14 @@ import random
 import pytest
 
 from dmncheck import (COMPLETENESS_MISMATCH, MASKED_RULE, MISSING_RULE,
-                      OUTPUT_DISAGREEMENT, OVERLAP, Outcome, check_correct,
-                      evaluate, load_table, masked_by)
+                      OUTPUT_DISAGREEMENT, OVERLAP, IntervalSet, Outcome,
+                      check_correct, evaluate, load_table, masked_by,
+                      parse_condition)
 from dmncheck.analysis import build_grid
+from dmncheck.geometry import lower_condition
 
-from conftest import (loan_doc, permuted_doc, random_table_doc,
-                      region_contained)
+from conftest import (loan_doc, permuted_doc, random_table,
+                      random_table_doc, region_contained)
 
 
 def one_column(rules, hit_policy="U", completeness="I", facet="[0..10]"):
@@ -247,3 +249,28 @@ def test_masked_check_matches_all_pairs_oracle():
         assert [d.rule_ids for d in report.hit_policy_diagnostics
                 if d.code == MASKED_RULE] == expected
     assert with_empty >= 30
+
+
+def test_findings_paste_back_as_rows():
+    """Every condition text of a missing region or an overlap witness,
+    parsed under its column's kind, covers exactly the box's interval
+    within the column's legal values, so the texts form a pasteable row."""
+    rng = random.Random(424242)
+    checked = 0
+    for _ in range(300):
+        table = random_table(rng)
+        geometry = table.geometry
+        report = check_correct(table)
+        found = ([(r.box, r.conditions) for r in report.missing_regions]
+                 + [(g.witness, g.conditions)
+                    for g in report.overlap_groups])
+        for box, conditions in found:
+            for d, (attr, text) in enumerate(zip(table.inputs, conditions)):
+                universe = geometry.universe[d]
+                pasted = lower_condition(parse_condition(text, attr.kind),
+                                         attr, geometry.codec)
+                assert pasted.intersect(universe) == IntervalSet.build(
+                    [box[d]], universe.discrete).intersect(universe), \
+                    (attr.name, text, box[d])
+                checked += 1
+    assert checked > 1000

@@ -1,12 +1,10 @@
-"""Categorical encoding and rule-to-rectangle lowering."""
+"""Categorical encoding and rule-to-box lowering."""
 
 import random
 
-import pytest
-
-from dmncheck import (DimensionError, HyperRect, Interval1D, build_codec,
-                      build_universe, load_table,
-                      rule_to_rects, triggered_by)
+from dmncheck import (Interval1D, build_codec, build_universe, load_table,
+                      triggered_by)
+from dmncheck.intervals import intersect_boxes
 
 from conftest import loan_doc, random_input, random_table
 
@@ -69,74 +67,58 @@ class TestCodec:
 
 class TestRuleToRects:
     def test_reference_rule_a(self, table1):
-        codec = build_codec(table1)
-        rects = rule_to_rects(table1.rules[0], table1, codec)
-        assert rects == [HyperRect((iv(0, True, 1000, True),
-                                    iv(0, True, 1000, True)))]
+        assert table1.geometry.boxes_of["A"] \
+            == ((iv(0, True, 1000, True), iv(0, True, 1000, True)),)
 
     def test_nonadjacent_categories_make_two_rects(self):
         table = load_table(categorical_doc())
-        codec = build_codec(table)
-        rects = rule_to_rects(table.rule_by_id("r1"), table, codec)
-        assert len(rects) == 2
-        assert {r.intervals[0] for r in rects} \
+        boxes = table.geometry.boxes_of["r1"]
+        assert len(boxes) == 2
+        assert {box[0] for box in boxes} \
             == {iv(0, True, 1, False), iv(2, True, 3, False)}
 
     def test_adjacent_categories_merge(self):
         doc = categorical_doc()
         doc["rules"][0]["in"] = ["Refinancing,CardPayoff"]
         table = load_table(doc)
-        rects = rule_to_rects(table.rule_by_id("r1"), table,
-                              build_codec(table))
-        assert [r.intervals[0] for r in rects] == [iv(0, True, 2, False)]
+        assert [box[0] for box in table.geometry.boxes_of["r1"]] \
+            == [iv(0, True, 2, False)]
 
     def test_facet_incompatible_entry_is_empty(self):
         doc = loan_doc()
         doc["rules"][0]["in"][0] = "[-5..-1]"
         table = load_table(doc)
-        assert rule_to_rects(table.rules[0], table,
-                             build_codec(table)) == []
+        assert table.geometry.boxes_of[table.rules[0].id] == ()
 
     def test_entry_clipped_to_facet(self):
         doc = loan_doc()
         doc["rules"][0]["in"][0] = "<=1000"
         table = load_table(doc)
-        rects = rule_to_rects(table.rules[0], table, build_codec(table))
-        assert rects[0].intervals[0] == iv(0, True, 1000, True)
+        box = table.geometry.boxes_of[table.rules[0].id][0]
+        assert box[0] == iv(0, True, 1000, True)
 
 
 class TestIntersect:
     def test_reference_a_c(self, table1):
-        codec = build_codec(table1)
-        rect_a = rule_to_rects(table1.rule_by_id("A"), table1, codec)[0]
-        rect_c = rule_to_rects(table1.rule_by_id("C"), table1, codec)[0]
-        got = rect_a.intersect(rect_c)
-        assert got == HyperRect((iv(500, True, 1000, True),
-                                 iv(500, True, 1000, True)))
+        (box_a,), (box_c,) = (table1.geometry.boxes_of[rid]
+                              for rid in "AC")
+        assert intersect_boxes(box_a, box_c) \
+            == (iv(500, True, 1000, True), iv(500, True, 1000, True))
 
     def test_idempotent(self, table1):
-        codec = build_codec(table1)
-        rect = rule_to_rects(table1.rule_by_id("A"), table1, codec)[0]
-        assert rect.intersect(rect) == rect
+        (box,) = table1.geometry.boxes_of["A"]
+        assert intersect_boxes(box, box) == box
 
     def test_disjoint_absent(self, table1):
-        codec = build_codec(table1)
-        rect_b = rule_to_rects(table1.rule_by_id("B"), table1, codec)[0]
-        rect_c = rule_to_rects(table1.rule_by_id("C"), table1, codec)[0]
-        assert rect_b.intersect(rect_c) is None
+        (box_b,), (box_c,) = (table1.geometry.boxes_of[rid]
+                              for rid in "BC")
+        assert intersect_boxes(box_b, box_c) is None
 
     def test_commutative(self, table1):
-        codec = build_codec(table1)
-        rect_a = rule_to_rects(table1.rule_by_id("A"), table1, codec)[0]
-        rect_c = rule_to_rects(table1.rule_by_id("C"), table1, codec)[0]
-        assert rect_a.intersect(rect_c) == rect_c.intersect(rect_a)
-
-    def test_dimension_mismatch(self, table1):
-        codec = build_codec(table1)
-        rect = rule_to_rects(table1.rules[0], table1, codec)[0]
-        skinny = HyperRect((rect.intervals[0],))
-        with pytest.raises(DimensionError):
-            rect.intersect(skinny)
+        (box_a,), (box_c,) = (table1.geometry.boxes_of[rid]
+                              for rid in "AC")
+        assert intersect_boxes(box_a, box_c) \
+            == intersect_boxes(box_c, box_a)
 
 
 class TestUniverse:
@@ -157,9 +139,8 @@ def test_rects_semantically_faithful():
     rng = random.Random(1234)
     for _ in range(60):
         table = random_table(rng)
-        codec = build_codec(table)
-        rect_map = {rule.id: rule_to_rects(rule, table, codec)
-                    for rule in table.rules}
+        codec = table.geometry.codec
+        boxes_of = table.geometry.boxes_of
         for _ in range(12):
             config = random_input(rng, table)
             try:
@@ -172,7 +153,7 @@ def test_rects_semantically_faithful():
                 continue
             for rule in table.rules:
                 in_rects = any(
-                    all(r.intervals[d].contains(point[d])
+                    all(box[d].contains(point[d])
                         for d in range(len(point)))
-                    for r in rect_map[rule.id])
+                    for box in boxes_of[rule.id])
                 assert in_rects == triggered_by(rule, table, config)

@@ -9,8 +9,8 @@ import pytest
 import random
 
 import dmncheck.model
-from dmncheck import (FACET_INCOMPAT, PRIORITY_ERROR, GenSpec, Kind, Rule,
-                      SchemaError, SFeelSyntaxError, SFeelTypeError,
+from dmncheck import (FACET_INCOMPAT, PRIORITY_ERROR, EvalError, GenSpec,
+                      Kind, Rule, SchemaError, SFeelSyntaxError, SFeelTypeError,
                       bench_columns, dump_table, generate_table, inject_noise,
                       load_table, parse_condition, validate_structure)
 
@@ -40,6 +40,23 @@ class TestLoad:
             load_table(doc)
         # the error names the offending cell
         assert "A" in str(err.value) and "Annual Income" in str(err.value)
+
+    def test_division_by_zero_in_facet_located(self):
+        doc = loan_doc()
+        doc["inputs"][1]["facet"] = "<1/0"
+        with pytest.raises(EvalError, match="^facet of input column "
+                                            "'Loan Size': division by zero$"):
+            load_table(doc)
+
+    def test_division_by_zero_in_output_literal_located(self):
+        doc = loan_doc()
+        doc["outputs"][0] = {"name": "Points", "type": "integer"}
+        for rule in doc["rules"]:
+            rule["out"] = ["1"]
+        doc["rules"][2]["out"] = ["1/0"]
+        with pytest.raises(EvalError, match="^rule 'C', output column "
+                                            "'Points': division by zero$"):
+            load_table(doc)
 
     def test_implicit_priority_first_row_highest(self, table1):
         assert table1.priority == {"A": 4, "B": 3, "C": 2, "D": 1}

@@ -6,11 +6,12 @@ from itertools import combinations
 
 import pytest
 
-from dmncheck import (GenSpec, HyperRect, Kind, SpecError, bench_columns,
+from dmncheck import (GenSpec, Kind, SpecError, bench_columns,
                       benchmark_grid, check_correct, dump_table,
                       find_missing_rules, find_overlapping_rules,
                       generate_table, inject_noise, load_table,
                       pairwise_overlap_fragments, run_benchmark)
+from dmncheck.intervals import intersect_boxes
 from dmncheck.synth import ColumnSpec, _component_count, _shrink, _widen
 
 from conftest import loan_doc, random_table
@@ -208,9 +209,9 @@ class TestFragments:
                 pieces = []
                 for ra in geometry.boxes_of[a.id]:
                     for rb in geometry.boxes_of[b.id]:
-                        got = HyperRect(ra).intersect(HyperRect(rb))
+                        got = intersect_boxes(ra, rb)
                         if got is not None:
-                            pieces.append(got.intervals)
+                            pieces.append(got)
                 expected += _component_count(pieces, geometry.discrete)
             overlapping += expected > 0
             assert pairwise_overlap_fragments(
