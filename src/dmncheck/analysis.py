@@ -1,44 +1,49 @@
-"""Overlap and missing-rule detection over rule hyper-rectangles.
+"""Overlap and missing-rule detection over rule regions.
 
 Every analysis reads one ``TableGeometry`` per table: the codec, the
-universe, each rule's canonical set per column and the boxes of their
-product with the owning rule, and the input cells that admit no legal
-value.  A box is a tuple of ``Interval1D``, one per input column, and
-all interval semantics come from :mod:`dmncheck.intervals`; the
-witnesses and missing regions reported here are such tuples too.
-``table_rects`` is the only box builder, and ``DecisionTable.geometry``
-caches it, so the sweeps, witness and region rendering, the masked-rule
-check, the structure check and the grid oracles share a single build.
-Each distinct ``entry ∩ facet`` is lowered once per column.
+universe and each rule's canonical ``entry ∩ facet`` set per input
+column.  A rule's region is the product of its column sets, and a rule
+with an empty set in some column covers nothing.  A box is a tuple of
+``Interval1D``, one per input column, and all interval semantics come
+from :mod:`dmncheck.intervals`; the witnesses and missing regions
+reported here are such tuples.  ``table_rects`` is the only geometry
+builder, and ``DecisionTable.geometry`` caches it, so the sweeps,
+witness and region rendering, the masked-rule check, the structure
+check and the grid oracles share a single build.  Each distinct
+``entry ∩ facet`` is lowered once per column.
 
 Both analyses are N-dimensional line sweeps in table column order over
-one skeleton.  ``_suffix_forest`` hash-conses the box suffixes: boxes
-that agree from column d onward, and carry the same tag, share one
-suffix id there, so each sub-sweep over a set of suffix ids runs once
-and is memoised.  The overlap sweep tags each box with its rule's bit;
-the missing sweep tags them all alike.  ``_events`` lists one column's
-bound events as ``(value, tie rank, suffix id)`` tuples, sorted by
-value and, at equal values, by the tie rank from
-:mod:`dmncheck.intervals`, so closed-touching boxes count as
-overlapping while open-touching ones do not.  ``_span`` gives the
-stretch between two consecutive events.  Each sweep keeps its own
-per-event loop.
+one skeleton.  ``_suffix_forest`` hash-conses the rules' column-set
+suffixes: rules whose sets agree from column d onward, and which carry
+the same tag, share one suffix id there, so each sub-sweep over a set
+of suffix ids runs once and is memoised.  The overlap sweep tags each
+rule with its own bit; the missing sweep tags them all alike.
+``_events`` lists one column's bound events as ``(value, tie rank,
+suffix id)`` tuples, one pair per member of each suffix's set, sorted
+by value and, at equal values, by the tie rank from
+:mod:`dmncheck.intervals`, so closed-touching intervals count as
+overlapping while open-touching ones do not.  A canonical set's
+members are disjoint and non-contiguous, so a suffix is active at most
+once at any point.  ``_span`` gives the stretch between two
+consecutive events.  Each sweep keeps its own per-event loop.
 
 Overlaps: sweeping one dimension, every span between consecutive
-events recurses into the next dimension over the boxes active there;
-at the last dimension the active rule set is reported.  Reported
-groups form an antichain: a candidate that is a subset of an existing
-group is dropped, and inserting a new group purges its subsets.  The
-witness of a group is the joint intersection of the overlapping
-boxes, one per rule, folded with ``intersect_boxes``.
+events recurses into the next dimension over the suffixes active
+there; at the last dimension the active rule set is reported.
+Reported groups form an antichain: a candidate that is a subset of an
+existing group is dropped, and inserting a new group purges its
+subsets.  The witness of a group is the joint intersection, folded
+with ``intersect_boxes``, of one box per rule: per column, the member
+of the rule's set that holds the reported cell.
 
-Missing values: sweeping one dimension, spans where no box is active
-are uncovered for every legal deeper value; spans with active boxes
+Missing values: sweeping one dimension, spans where no rule is active
+are uncovered for every legal deeper value; spans with active rules
 recurse over them.  Discovered gap boxes merge when exactly one
 column's intervals are contiguous and all other columns agree, repeated
-to a fixpoint, so no two reported boxes could still merge.  The merge
-orders each column's intervals canonically, so a closed point such as
-``[1..1]`` meets the open stretch ``(1..2]`` that follows it.
+to a fixpoint, so no two reported boxes could still merge.  Each merge
+is ``IntervalSet.build``, which orders a column's intervals
+canonically, so a closed point such as ``[1..1]`` meets the open
+stretch ``(1..2]`` that follows it.
 
 The module also carries deliberately naive oracles that enumerate the
 compressed endpoint grid cell by cell.  They exist to cross-check the
@@ -56,7 +61,7 @@ from .geometry import (CategoryCodec, build_codec, build_universe,
                        lower_condition)
 from .intervals import (LOWER_CLOSED, LOWER_OPEN, NEG_INF, POS_INF,
                         UPPER_CLOSED, UPPER_OPEN, Interval1D, IntervalSet,
-                        canonical_key, contiguous, interval, intersect_boxes)
+                        interval, intersect_boxes)
 from .sfeel import (ANY, Comparison, Interval, Kind, Match, format_literal,
                     render_condition)
 
@@ -87,24 +92,14 @@ class MissingRegion:
 
 
 class TableGeometry(NamedTuple):
-    """The geometric view of one table, built once by ``table_rects``.
-    A box is a tuple of ``Interval1D``, one per input column."""
+    """The geometric view of one table, built once by ``table_rects``."""
 
-    boxes: tuple[tuple[Interval1D, ...], ...]
-    # Owning rule id of each box, parallel to ``boxes``.
-    box_rule: tuple[str, ...]
-    # Every rule id, in table order, to its boxes; empty for a rule
-    # with an empty cell.
-    boxes_of: dict[str, tuple[tuple[Interval1D, ...], ...]]
-    # Every rule id to its canonical entry ∩ facet set per input column;
-    # the rule's boxes are their product.
+    # Every rule id, in table order, to its canonical entry ∩ facet set
+    # per input column; an empty set marks a cell that admits no value.
     columns_of: dict[str, tuple[tuple[Interval1D, ...], ...]]
     discrete: tuple[bool, ...]
     universe: tuple[IntervalSet, ...]
     codec: CategoryCodec
-    # (rule id, input column index) of every cell whose entry ∩ facet
-    # is empty.
-    empty_cells: frozenset[tuple[str, int]]
 
 
 def table_rects(table: "DecisionTable") -> TableGeometry:
@@ -116,11 +111,7 @@ def table_rects(table: "DecisionTable") -> TableGeometry:
     # Literals in one column share its kind (load_table folds real
     # literals to floats), so equal conditions lower alike there.
     lowered: dict[tuple, tuple[Interval1D, ...]] = {}
-    boxes: list[tuple[Interval1D, ...]] = []
-    box_rule: list[str] = []
-    boxes_of: dict[str, tuple[tuple[Interval1D, ...], ...]] = {}
     columns_of: dict[str, tuple[tuple[Interval1D, ...], ...]] = {}
-    empty_cells: set[tuple[str, int]] = set()
     for rule in table.rules:
         per_column = []
         for d, (attr, cond) in enumerate(zip(table.inputs,
@@ -130,16 +121,9 @@ def table_rects(table: "DecisionTable") -> TableGeometry:
                 cell = lower_condition(cond, attr, codec)
                 members = cell.intersect(universe[d]).members
                 lowered[d, cond] = members
-            if not members:
-                empty_cells.add((rule.id, d))
             per_column.append(members)
-        own = tuple(product(*per_column))
-        boxes.extend(own)
-        box_rule.extend([rule.id] * len(own))
-        boxes_of[rule.id] = own
         columns_of[rule.id] = tuple(per_column)
-    return TableGeometry(tuple(boxes), tuple(box_rule), boxes_of, columns_of,
-                         discrete, universe, codec, frozenset(empty_cells))
+    return TableGeometry(columns_of, discrete, universe, codec)
 
 
 def columns_contained(inner: Sequence[tuple[Interval1D, ...]],
@@ -162,29 +146,30 @@ def columns_contained(inner: Sequence[tuple[Interval1D, ...]],
 # Sweep skeleton shared by both analyses
 
 
-def _suffix_forest(boxes: Iterable[tuple], tags: Iterable[int],
+def _suffix_forest(rows: Iterable[tuple], tags: Iterable[int],
                    n_dims: int) -> tuple[list, list, list, frozenset[int]]:
-    """Hash-cons the tagged box suffixes column by column.
+    """Hash-cons the tagged suffixes of rows of column sets, column by
+    column.
 
-    Two boxes with equal tags that agree from column d onward share one
+    Two rows with equal tags that agree from column d onward share one
     suffix id at d, so sub-sweeps over equal suffix sets are computed
-    once.  Returns, per column, the interval (head), the suffix id at
+    once.  Returns, per column, the column set (head), the suffix id at
     the next column (tail; 0 past the last column) and the tag of each
     suffix id, and the suffix ids at column 0.
     """
-    heads: list[list[Interval1D]] = [[] for _ in range(n_dims)]
+    heads: list[list[tuple[Interval1D, ...]]] = [[] for _ in range(n_dims)]
     tails: list[list[int]] = [[] for _ in range(n_dims)]
     tags_at: list[list[int]] = [[] for _ in range(n_dims)]
     intern: list[dict] = [{} for _ in range(n_dims)]
     top_ids: set[int] = set()
-    for box, tag in zip(boxes, tags):
+    for row, tag in zip(rows, tags):
         tid = 0
         for d in range(n_dims - 1, -1, -1):
-            key = (box[d], tag, tid)
+            key = (row[d], tag, tid)
             got = intern[d].get(key)
             if got is None:
                 got = len(heads[d])
-                heads[d].append(box[d])
+                heads[d].append(row[d])
                 tails[d].append(tid)
                 tags_at[d].append(tag)
                 intern[d][key] = got
@@ -193,14 +178,17 @@ def _suffix_forest(boxes: Iterable[tuple], tags: Iterable[int],
     return heads, tails, tags_at, frozenset(top_ids)
 
 
-def _events(suffix_ids: Iterable[int], head: list[Interval1D]) -> list:
-    """The bound events ``(value, tie rank, suffix id)`` of the given
-    suffixes' intervals at one column, in sweep order."""
+def _events(suffix_ids: Iterable[int],
+            head: list[tuple[Interval1D, ...]]) -> list:
+    """The bound events ``(value, tie rank, suffix id)`` of every member
+    of the given suffixes' sets at one column, in sweep order."""
     events = []
     for sid in suffix_ids:
-        lo, lo_closed, hi, hi_closed = head[sid]
-        events.append((lo, LOWER_CLOSED if lo_closed else LOWER_OPEN, sid))
-        events.append((hi, UPPER_CLOSED if hi_closed else UPPER_OPEN, sid))
+        for lo, lo_closed, hi, hi_closed in head[sid]:
+            events.append((lo, LOWER_CLOSED if lo_closed else LOWER_OPEN,
+                           sid))
+            events.append((hi, UPPER_CLOSED if hi_closed else UPPER_OPEN,
+                           sid))
     events.sort()
     return events
 
@@ -220,6 +208,11 @@ def _span(last: Optional[tuple], current: Optional[tuple],
     return interval(lo, lo_closed, hi, hi_closed, discrete)
 
 
+def _nonempty_rules(geometry: TableGeometry) -> list[str]:
+    # Rules that cover some point: no column set is empty.
+    return [rid for rid, sets in geometry.columns_of.items() if all(sets)]
+
+
 # ---------------------------------------------------------------------------
 # Overlap sweep
 
@@ -237,27 +230,23 @@ def _insert_antichain(chain: list, mask: int, box: tuple) -> None:
 def find_overlapping_rules(table: "DecisionTable") -> list[OverlapGroup]:
     """Maximal groups of rules with a common point, as an antichain.
 
-    Each group carries a witness: the joint intersection of the
-    overlapping boxes, one per rule of the group.
+    Each group carries a witness: the joint intersection of one box per
+    rule of the group, made of the rule's members that hold the cell
+    where the sweep found the group.
     """
     geometry = table.geometry
-    rects, rect_rule = geometry.boxes, geometry.box_rule
-    discrete = geometry.discrete
+    columns_of, discrete = geometry.columns_of, geometry.discrete
     n_dims = len(table.inputs)
-    if not rects:
+    rule_order = _nonempty_rules(geometry)
+    if not rule_order:
         return []
 
-    rule_order: list[str] = []
-    rule_bit_by_id: dict[str, int] = {}
-    for rid in rect_rule:
-        if rid not in rule_bit_by_id:
-            rule_bit_by_id[rid] = 1 << len(rule_order)
-            rule_order.append(rid)
-
-    # Tagging suffixes with their rule's bit keeps boxes of different
-    # rules apart, so the sweep can count the active boxes per rule.
+    # Tagging suffixes with their rule's bit keeps rules apart.  A rule
+    # has one suffix per column and its members are disjoint, so at any
+    # point its bit is active at most once.
     heads, tails, bits, top_ids = _suffix_forest(
-        rects, (rule_bit_by_id[rid] for rid in rect_rule), n_dims)
+        (columns_of[rid] for rid in rule_order),
+        (1 << i for i in range(len(rule_order))), n_dims)
     memo: dict[tuple, tuple] = {}
 
     def sweep(suffix_ids: frozenset[int], dim: int) -> tuple:
@@ -270,11 +259,10 @@ def find_overlapping_rules(table: "DecisionTable") -> list[OverlapGroup]:
         disc = discrete[dim]
         chain: list[tuple[int, tuple]] = []
         active: set[int] = set()
-        counts: dict[int, int] = {}
         rule_mask = 0
         last: Optional[tuple] = None
         for event in _events(suffix_ids, heads[dim]):
-            if active and rule_mask.bit_count() >= 2:
+            if rule_mask.bit_count() >= 2:
                 stretch = _span(last, event, disc)
                 if stretch is not None:
                     if dim + 1 == n_dims:
@@ -286,19 +274,11 @@ def find_overlapping_rules(table: "DecisionTable") -> list[OverlapGroup]:
                             _insert_antichain(chain, mask,
                                               (stretch,) + cell)
             _value, rank, sid = event
-            bit = bit_of[sid]
             if rank & 1:
                 active.add(sid)
-                seen = counts.get(bit, 0)
-                counts[bit] = seen + 1
-                if seen == 0:
-                    rule_mask |= bit
             else:
                 active.discard(sid)
-                seen = counts[bit] - 1
-                counts[bit] = seen
-                if seen == 0:
-                    rule_mask &= ~bit
+            rule_mask ^= bit_of[sid]
             last = event
         result = tuple(chain)
         memo[key] = result
@@ -311,15 +291,13 @@ def find_overlapping_rules(table: "DecisionTable") -> list[OverlapGroup]:
 
     groups = []
     for mask, cell in found:
-        ids = [rid for rid in rule_order if mask & rule_bit_by_id[rid]]
+        ids = [rid for i, rid in enumerate(rule_order) if mask >> i & 1]
         witness: Optional[tuple] = None
         for rid in ids:
-            for rect in geometry.boxes_of[rid]:
-                if all(iv.covers(part) for iv, part in zip(rect, cell)):
-                    witness = rect if witness is None \
-                        else intersect_boxes(witness, rect)
-                    break
-            assert witness is not None, "witness cell inside every box"
+            box = tuple(next(m for m in members if m.covers(part))
+                        for members, part in zip(columns_of[rid], cell))
+            witness = box if witness is None \
+                else intersect_boxes(witness, box)
         groups.append(OverlapGroup(frozenset(ids), witness,
                                    render_box(table, witness)))
     groups.sort(key=lambda g: g.sorted_ids())
@@ -335,7 +313,6 @@ def _merge_boxes(boxes: list[tuple], discrete: Sequence[bool]) -> list[tuple]:
     contiguous and every other column is identical."""
     if len(boxes) < 2:
         return list(boxes)
-    boxes = list(boxes)
     n_dims = len(discrete)
     changed = True
     while changed:
@@ -346,17 +323,14 @@ def _merge_boxes(boxes: list[tuple], discrete: Sequence[bool]) -> list[tuple]:
                 groups.setdefault((box[:d], box[d + 1:]), []).append(box[d])
             rebuilt: list[tuple] = []
             for (prefix, suffix), ivs in groups.items():
-                ivs.sort(key=canonical_key)
-                merged = [ivs[0]]
-                for iv in ivs[1:]:
-                    tail = merged[-1]
-                    if contiguous(tail, iv, discrete[d]):
-                        merged[-1] = Interval1D(tail.lo, tail.lo_closed,
-                                                iv.hi, iv.hi_closed)
-                        changed = True
-                    else:
-                        merged.append(iv)
-                for iv in merged:
+                # Boxes of one group are disjoint, so the canonical
+                # merge fuses exactly the contiguous intervals.  Most
+                # groups hold one interval, which needs no merge.
+                if len(ivs) > 1:
+                    merged = IntervalSet.build(ivs, discrete[d]).members
+                    changed = changed or len(merged) < len(ivs)
+                    ivs = merged
+                for iv in ivs:
                     rebuilt.append(prefix + (iv,) + suffix)
             boxes = rebuilt
     return boxes
@@ -365,7 +339,7 @@ def _merge_boxes(boxes: list[tuple], discrete: Sequence[bool]) -> list[tuple]:
 def find_missing_rules(table: "DecisionTable") -> list[MissingRegion]:
     """Boxes of legal inputs not covered by any rule.
 
-    The reported boxes are pairwise disjoint, intersect no rule box,
+    The reported boxes are pairwise disjoint, meet no rule's region,
     and jointly cover exactly the uncovered part of the Universe.
     """
     geometry = table.geometry
@@ -373,9 +347,10 @@ def find_missing_rules(table: "DecisionTable") -> list[MissingRegion]:
     universe = geometry.universe
     n_dims = len(table.inputs)
 
-    # Every suffix carries the same tag: only the boxes' union matters.
-    heads, tails, _, top_ids = _suffix_forest(geometry.boxes, repeat(0),
-                                              n_dims)
+    # Every suffix carries the same tag: only the rules' union matters.
+    heads, tails, _, top_ids = _suffix_forest(
+        (geometry.columns_of[rid] for rid in _nonempty_rules(geometry)),
+        repeat(0), n_dims)
 
     # Per-column products of universe member intervals: the tail of a
     # gap box when no rule is active at some column.
@@ -477,7 +452,7 @@ def _render_region_condition(iv: Interval1D, attr, codec: CategoryCodec,
 
 @dataclass(frozen=True)
 class CellGrid:
-    """Elementary cells induced by all box and universe endpoints."""
+    """Elementary cells induced by all rule and universe endpoints."""
 
     pieces: tuple[tuple[Interval1D, ...], ...]
     reps: tuple[tuple, ...]
@@ -525,8 +500,8 @@ def build_grid(table: "DecisionTable", cell_cap: int = 10 ** 6) -> CellGrid:
     """Compressed endpoint grid for the table; CapacityError when the
     cell product exceeds ``cell_cap``."""
     geometry = table.geometry
-    rects, discrete, universe = (geometry.boxes, geometry.discrete,
-                                 geometry.universe)
+    discrete, universe = geometry.discrete, geometry.universe
+    rows = [geometry.columns_of[rid] for rid in _nonempty_rules(geometry)]
     n_dims = len(table.inputs)
     pieces: list[tuple[Interval1D, ...]] = []
     reps: list[tuple] = []
@@ -534,13 +509,8 @@ def build_grid(table: "DecisionTable", cell_cap: int = 10 ** 6) -> CellGrid:
     total = 1
     for d in range(n_dims):
         values = []
-        for rect in rects:
-            lo, _, hi, _ = rect[d]
-            if lo != NEG_INF:
-                values.append(lo)
-            if hi != POS_INF:
-                values.append(hi)
-        for member in universe[d].members:
+        for member in [m for row in rows for m in row[d]] \
+                + list(universe[d].members):
             if member.lo != NEG_INF:
                 values.append(member.lo)
             if member.hi != POS_INF:
@@ -556,29 +526,31 @@ def build_grid(table: "DecisionTable", cell_cap: int = 10 ** 6) -> CellGrid:
     return CellGrid(tuple(pieces), tuple(reps), tuple(inside))
 
 
-def _rect_piece_masks(table: "DecisionTable", grid: CellGrid):
-    rects, rect_rule = table.geometry.boxes, table.geometry.box_rule
-    n_dims = len(grid.pieces)
+def _rule_piece_masks(table: "DecisionTable",
+                      grid: CellGrid) -> list[list[int]]:
+    # Per column and grid piece, the mask of the rules (bit i for the
+    # i-th rule in table order) whose column set holds the piece.
+    rows = list(table.geometry.columns_of.values())
     masks: list[list[int]] = []
-    for d in range(n_dims):
+    for d, dim_reps in enumerate(grid.reps):
         dim_masks = []
-        for rep in grid.reps[d]:
+        for rep in dim_reps:
             mask = 0
-            for i, rect in enumerate(rects):
-                if rect[d].contains(rep):
+            for i, row in enumerate(rows):
+                if any(m.contains(rep) for m in row[d]):
                     mask |= 1 << i
             dim_masks.append(mask)
         masks.append(dim_masks)
-    return rects, rect_rule, masks
+    return masks
 
 
 def oracle_missing(table: "DecisionTable",
                    cell_cap: int = 10 ** 6) -> set[tuple[int, ...]]:
     """Uncovered universe cells of the compressed grid, by brute force."""
     grid = build_grid(table, cell_cap)
-    rects, _, masks = _rect_piece_masks(table, grid)
+    masks = _rule_piece_masks(table, grid)
     n_dims = len(grid.pieces)
-    full = (1 << len(rects)) - 1
+    full = (1 << len(table.rules)) - 1
     out: set[tuple[int, ...]] = set()
 
     def walk(dim: int, prefix: tuple[int, ...], mask: int) -> None:
@@ -600,47 +572,33 @@ def oracle_overlaps(table: "DecisionTable",
                     cell_cap: int = 10 ** 6) -> list[OverlapGroup]:
     """Maximal overlap groups by cell-wise enumeration of the grid."""
     grid = build_grid(table, cell_cap)
-    rects, rect_rule, masks = _rect_piece_masks(table, grid)
+    masks = _rule_piece_masks(table, grid)
     n_dims = len(grid.pieces)
-    found: dict[frozenset[str], tuple[int, ...]] = {}
-    rule_sets: dict[int, frozenset[str]] = {}
-
-    def rules_of(mask: int) -> frozenset[str]:
-        got = rule_sets.get(mask)
-        if got is None:
-            ids = set()
-            i = 0
-            m = mask
-            while m:
-                if m & 1:
-                    ids.add(rect_rule[i])
-                m >>= 1
-                i += 1
-            got = frozenset(ids)
-            rule_sets[mask] = got
-        return got
+    # First cell, in walk order, of every mask of two or more rules.
+    found: dict[int, tuple[int, ...]] = {}
 
     def walk(dim: int, prefix: tuple[int, ...], mask: int) -> None:
         if not mask:
             return
         if dim == n_dims:
-            ids = rules_of(mask)
-            if len(ids) >= 2 and ids not in found:
-                found[ids] = prefix
+            if mask.bit_count() >= 2:
+                found.setdefault(mask, prefix)
             return
         dim_masks = masks[dim]
         for p in range(len(grid.pieces[dim])):
             walk(dim + 1, prefix + (p,), mask & dim_masks[p])
 
-    walk(0, (), (1 << len(rects)) - 1)
+    walk(0, (), (1 << len(table.rules)) - 1)
 
-    keep: list[tuple[frozenset[str], tuple[int, ...]]] = []
-    for ids in sorted(found, key=len, reverse=True):
-        if not any(ids < other for other, _ in keep):
-            keep.append((ids, found[ids]))
+    keep: list[int] = []
+    for mask in sorted(found, key=int.bit_count, reverse=True):
+        if not any(mask & other == mask for other in keep):
+            keep.append(mask)
     groups = []
-    for ids, cell in keep:
-        box = grid.cell_box(cell)
+    for mask in keep:
+        ids = frozenset(rule.id for i, rule in enumerate(table.rules)
+                        if mask >> i & 1)
+        box = grid.cell_box(found[mask])
         groups.append(OverlapGroup(ids, box, render_box(table, box)))
     groups.sort(key=lambda g: g.sorted_ids())
     return groups

@@ -118,10 +118,10 @@ def _masked_diagnostics(table: DecisionTable,
     for group in groups:
         pairs.update(permutations([index[rid] for rid in group.rule_ids],
                                   2))
-    for rid in {rid for rid, _ in table.geometry.empty_cells}:
-        low = index[rid]
-        pairs.update((low, high) for high in range(len(rules))
-                     if high != low)
+    for low, rule in enumerate(rules):
+        if not all(table.geometry.columns_of[rule.id]):
+            pairs.update((low, high) for high in range(len(rules))
+                         if high != low)
     out = []
     for i, j in sorted(pairs):
         low, high = rules[i], rules[j]

@@ -1,8 +1,8 @@
 """Geometric view of decision tables.
 
-Rules become iso-oriented hyper-rectangles, one axis per input column:
-each box is a tuple of ``Interval1D``, one per column, and
-``analysis.table_rects`` builds every box of a table from the codec and
+A rule becomes a region with one axis per input column: one canonical
+interval set per column, whose product is the region.
+``analysis.table_rects`` builds every rule's sets from the codec and
 universe defined here.  Numeric columns map onto the number line
 directly.  Categorical columns are coded: the k-th known category of a
 column occupies the half-open unit interval [k..k+1), so distinct

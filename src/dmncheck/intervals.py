@@ -154,9 +154,9 @@ class IntervalSet:
     """A canonical union of intervals: sorted, disjoint, non-contiguous.
 
     The ``discrete`` flag selects integer endpoint discipline for
-    normalisation, contiguity, and complement.  Construction goes
-    through :meth:`build`; structural equality of canonical sets then
-    coincides with semantic equality.
+    normalisation and contiguity.  Construction goes through
+    :meth:`build`, the one canonical merge; structural equality of
+    canonical sets then coincides with semantic equality.
     """
 
     members: tuple[Interval1D, ...] = ()
@@ -199,10 +199,6 @@ class IntervalSet:
     def contains(self, x) -> bool:
         return any(iv.contains(x) for iv in self.members)
 
-    def union(self, other: "IntervalSet") -> "IntervalSet":
-        self._check_peer(other)
-        return IntervalSet.build(self.members + other.members, self.discrete)
-
     def intersect(self, other: "IntervalSet") -> "IntervalSet":
         self._check_peer(other)
         out: list[Interval1D] = []
@@ -218,16 +214,6 @@ class IntervalSet:
             else:
                 j += 1
         return IntervalSet.build(out, self.discrete)
-
-    def complement(self) -> "IntervalSet":
-        pieces: list[Optional[Interval1D]] = []
-        lo, lo_closed = NEG_INF, False
-        for iv in self.members:
-            pieces.append(interval(lo, lo_closed, iv.lo, not iv.lo_closed,
-                                   self.discrete))
-            lo, lo_closed = iv.hi, not iv.hi_closed
-        pieces.append(interval(lo, lo_closed, POS_INF, False, self.discrete))
-        return IntervalSet.build(pieces, self.discrete)
 
     def _check_peer(self, other: "IntervalSet") -> None:
         if self.discrete != other.discrete:

@@ -33,8 +33,8 @@ from typing import TYPE_CHECKING, Optional, Union
 from .errors import EvalError, SchemaError, SFeelSyntaxError, SFeelTypeError
 from .geometry import lower_condition
 from .sfeel import (ANY, AnyValue, Condition, Kind, Match, format_literal,
-                    is_finite_number, lower_to_intervals, parse_condition,
-                    render_condition)
+                    is_finite_number, kind_of, lower_to_intervals,
+                    parse_condition, render_condition)
 
 if TYPE_CHECKING:  # pragma: no cover
     from .analysis import TableGeometry
@@ -178,8 +178,6 @@ def _parse_output_literal(text, attr: Attribute, rule_id: str,
         value = cond.value
     else:
         raise SchemaError(f"{where}: output entry must be a literal text")
-    from .sfeel import kind_of
-
     if kind_of(value) != attr.kind:
         raise SFeelTypeError(f"{where}: {kind_of(value).value} literal in a "
                              f"{attr.kind.value} column")
@@ -344,7 +342,7 @@ def validate_structure(table: DecisionTable) -> list[Diagnostic]:
     for rule in table.rules:
         for d, (attr, cond) in enumerate(zip(table.inputs,
                                              rule.input_entries)):
-            if (rule.id, d) in geometry.empty_cells:
+            if not geometry.columns_of[rule.id][d]:
                 diagnostics.append(Diagnostic(
                     severity="error",
                     code=FACET_INCOMPAT,

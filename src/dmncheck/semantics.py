@@ -61,7 +61,7 @@ def _check_config(table: DecisionTable, config: dict) -> dict:
                 f"input '{attr.name}' expects {attr.kind.value}, "
                 f"got {got.value}")
         if attr.kind is Kind.REAL:
-            # No rule box holds NaN, an infinity or a number beyond
+            # No rule region holds NaN, an infinity or a number beyond
             # float range, so the evaluator must not match them either.
             if not is_finite_number(value):
                 raise SFeelTypeError(

@@ -71,7 +71,7 @@ _FLOAT_MAX = sys.float_info.max
 def is_finite_number(value) -> bool:
     """True for an int or float within the range of a finite float.
 
-    Rule boxes hold only such values, so literals and folded results
+    Rule regions hold only such values, so literals and folded results
     outside it (NaN, the infinities, integers too large for a float)
     are rejected where they enter.
     """
@@ -360,9 +360,6 @@ class _NumericParser:
                                  f"{_echo(self.text)}")
         return value
 
-    def fold(self, term) -> Union[int, float]:
-        return fold_term(term)
-
     # condition elements
 
     def element(self) -> Condition:
@@ -372,20 +369,20 @@ class _NumericParser:
         if tok[0] == "word" and tok[1] == "not":
             self.take()
             self.expect("lpar")
-            value = self.fold(self.term())
+            value = fold_term(self.term())
             self.expect("rpar")
             self.require_end()
             return Not(value)
         if tok[0] == "cmp":
             self.take()
-            value = self.fold(self.term())
+            value = fold_term(self.term())
             self.require_end()
             return Comparison(str(tok[1]), value)
         if tok[0] in ("lbrack", "lpar"):
             cond = self._interval_or_term(tok[0] == "lbrack")
             self.require_end()
             return cond
-        value = self.fold(self.term())
+        value = fold_term(self.term())
         self.require_end()
         return Match(value)
 
@@ -405,14 +402,14 @@ class _NumericParser:
                                        f"in {_echo(self.text)}")
             # plain parenthesised arithmetic
             self.pos, self.depth, self.operators = mark
-            return Match(self.fold(self.term()))
+            return Match(fold_term(self.term()))
         self.take()  # '..'
         hi = self.term()
         closer = self.take()
         if closer[0] not in ("rbrack", "rpar"):
             raise SFeelSyntaxError(f"unterminated interval "
                                    f"in {_echo(self.text)}")
-        return Interval(bracketed, self.fold(lo), self.fold(hi),
+        return Interval(bracketed, fold_term(lo), fold_term(hi),
                         closer[0] == "rbrack")
 
 
@@ -518,7 +515,7 @@ def satisfies(cond: Condition, value, kind: Optional[Kind] = None) -> bool:
 
     When ``kind`` is given, the value's kind is checked against it
     first; mismatches raise SFeelTypeError rather than returning False.
-    So does a NaN or infinite real value, which no rule box holds.
+    So does a NaN or infinite real value, which no rule region holds.
     """
     if kind is not None and kind_of(value) != kind:
         raise SFeelTypeError(f"expected a {kind.value} value, got "

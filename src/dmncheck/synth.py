@@ -13,12 +13,13 @@ overlaps without uncovering anything, shrinking entries creates
 missing regions without introducing overlaps.
 
 ``pairwise_overlap_fragments`` counts, summed over rule pairs, the
-connected components of each pairwise intersection.  Group reporting
-can be arbitrarily more compact: three identical rules are one group
-but three pairwise fragments.  The pairs come from the overlap sweep's
-maximal groups, passed in by the caller, which is exact: two rules
-intersect exactly when some group holds both, so no second sweep looks
-for candidates.
+connected components of each pairwise intersection: per pair, the
+product over columns of the member pairs of the two rules' column sets
+that intersect.  Group reporting can be arbitrarily more compact: three
+identical rules are one group but three pairwise fragments.  The pairs
+come from the overlap sweep's maximal groups, passed in by the caller,
+which is exact: two rules intersect exactly when some group holds
+both, so no second sweep looks for candidates.
 
 ``run_benchmark`` drives generated-and-noised tables of increasing
 width and height through both sweeps and reports wall-clock times.
@@ -36,7 +37,6 @@ from typing import Optional, Sequence
 from .analysis import (OverlapGroup, find_missing_rules,
                        find_overlapping_rules)
 from .errors import SpecError
-from .intervals import contiguous, intersect_boxes
 from .model import DecisionTable, dump_table, load_table
 from .sfeel import Kind
 
@@ -286,39 +286,6 @@ def inject_noise(table: DecisionTable, columns: Sequence[ColumnSpec],
 # Pairwise fragment counting
 
 
-def _boxes_adjacent(a, b, discrete) -> bool:
-    # Connected union: every column intersects or is contiguous, and at
-    # most one column is merely contiguous.
-    soft = 0
-    for d, disc in enumerate(discrete):
-        if a[d].intersect(b[d]) is not None:
-            continue
-        if contiguous(a[d], b[d], disc):
-            soft += 1
-            if soft > 1:
-                return False
-        else:
-            return False
-    return True
-
-
-def _component_count(pieces: list, discrete) -> int:
-    parent = list(range(len(pieces)))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for i in range(len(pieces)):
-        for j in range(i + 1, len(pieces)):
-            ri, rj = find(i), find(j)
-            if ri != rj and _boxes_adjacent(pieces[i], pieces[j], discrete):
-                parent[ri] = rj
-    return len({find(i) for i in range(len(pieces))})
-
-
 def pairwise_overlap_fragments(table: DecisionTable,
                                groups: Sequence[OverlapGroup]) -> int:
     """Total fragments a pair-at-a-time analysis would report: for each
@@ -331,20 +298,20 @@ def pairwise_overlap_fragments(table: DecisionTable,
     rule of a group contains the group's witness.  Pairs that only
     touch have no intersection and count 0, so no other pair needs a
     look.
+
+    In each column the two rules' canonical sets meet in one piece per
+    intersecting member pair, and those pieces are disjoint and
+    non-contiguous.  The intersection is the product of the columns'
+    pieces, so its components number the product of the piece counts.
     """
-    by_rule = table.geometry.boxes_of
-    discrete = table.geometry.discrete
+    columns_of = table.geometry.columns_of
     pairs = {pair for group in groups
              for pair in combinations(group.sorted_ids(), 2)}
     total = 0
     for id_a, id_b in pairs:
-        pieces = []
-        for ra in by_rule[id_a]:
-            for rb in by_rule[id_b]:
-                got = intersect_boxes(ra, rb)
-                if got is not None:
-                    pieces.append(got)
-        total += _component_count(pieces, discrete)
+        total += math.prod(
+            sum(a.intersect(b) is not None for a in set_a for b in set_b)
+            for set_a, set_b in zip(columns_of[id_a], columns_of[id_b]))
     return total
 
 

@@ -1,6 +1,6 @@
 """Shared fixtures: the loan-grading reference table, a small
-random-table generator used for oracle cross-checks, and the grid
-oracle for region containment."""
+random-table generator used for oracle cross-checks, the boxes of a
+rule's region, and the grid oracle for region containment."""
 
 from __future__ import annotations
 
@@ -162,6 +162,12 @@ def permuted_doc(doc: dict, rng: random.Random) -> dict:
         rule.setdefault("priority", count - i)
     rng.shuffle(out["rules"])
     return out
+
+
+def rule_boxes(geometry, rid) -> tuple:
+    """The boxes of a rule's region: the product of its column sets,
+    one box per combination of members; none for an empty cell."""
+    return tuple(product(*geometry.columns_of[rid]))
 
 
 def region_contained(rects_a, rects_b, discrete) -> bool:

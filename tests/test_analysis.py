@@ -3,7 +3,6 @@ brute-force grid oracles."""
 
 import gc
 import random
-from itertools import product
 
 import pytest
 
@@ -11,11 +10,11 @@ from dmncheck import (FACET_INCOMPAT, CapacityError, Interval1D,
                       build_codec, find_missing_rules,
                       find_overlapping_rules, load_table,
                       lower_to_intervals, oracle_missing, oracle_overlaps,
-                      validate_structure)
+                      pairwise_overlap_fragments, validate_structure)
 from dmncheck.analysis import build_grid, grid_cells_of_boxes, table_rects
 from dmncheck.intervals import contiguous
 
-from conftest import loan_doc, random_table, region_contained
+from conftest import loan_doc, random_table, region_contained, rule_boxes
 
 INF = float("inf")
 
@@ -201,6 +200,33 @@ class TestSmallCases:
         })
         assert find_overlapping_rules(table) == []
 
+    def test_rule_split_in_two_columns(self):
+        # r holds two members in each column, so its region is four
+        # disjoint blocks; a covering rule meets each block once.
+        doc = {
+            "name": "split2", "hitPolicy": "U", "completeness": "I",
+            "inputs": [{"name": "x", "type": "integer",
+                        "facet": "[0..9]"},
+                       {"name": "c", "type": "string",
+                        "facet": "a,b,c,d"}],
+            "outputs": [{"name": "y", "type": "string"}],
+            "rules": [{"id": "r", "in": ["[0..2],[5..7]", "a,c"],
+                       "out": ["a"]}],
+        }
+        table = load_table(doc)
+        assert len(rule_boxes(table.geometry, "r")) == 4
+        assert find_overlapping_rules(table) == []
+        grid = build_grid(table)
+        assert grid_cells_of_boxes(
+            grid, [r.box for r in find_missing_rules(table)]) \
+            == oracle_missing(table)
+
+        doc["rules"].append({"id": "all", "in": ["-", "-"], "out": ["b"]})
+        table = load_table(doc)
+        groups = find_overlapping_rules(table)
+        assert [g.rule_ids for g in groups] == [frozenset({"r", "all"})]
+        assert pairwise_overlap_fragments(table, groups) == 4
+
     def test_categorical_gap_decoded(self):
         table = load_table({
             "name": "cats", "hitPolicy": "U", "completeness": "I",
@@ -301,12 +327,9 @@ def test_witnesses_covered_by_all_members():
         geometry = table_rects(table)
         for group in groups:
             for rid in group.rule_ids:
-                own = [r for r, owner in zip(geometry.boxes,
-                                             geometry.box_rule)
-                       if owner == rid]
                 assert region_contained(
                     [group.witness],
-                    own, geometry.discrete)
+                    rule_boxes(geometry, rid), geometry.discrete)
 
 
 def test_missing_regions_disjoint_from_rules():
@@ -322,7 +345,7 @@ def test_missing_regions_disjoint_from_rules():
 
 def _entry_in_facet(cond, attr, codec):
     # Per-cell lowering of entry and facet, with no memo: the reference
-    # for the boxes and empty cells recorded in the table geometry.
+    # for the column sets and empty cells recorded in the table geometry.
     categories = codec.categories(attr.name) if attr.kind.is_categorical \
         else None
     entry = lower_to_intervals(cond, attr.kind, categories)
@@ -334,11 +357,10 @@ def _incompatible(cond, attr, codec) -> bool:
     return _entry_in_facet(cond, attr, codec).is_empty
 
 
-def _rule_boxes(rule, table, codec) -> tuple:
-    # One box per product of the rule's entry ∩ facet members.
-    per_column = [_entry_in_facet(cond, attr, codec).members
-                  for attr, cond in zip(table.inputs, rule.input_entries)]
-    return tuple(product(*per_column))
+def _rule_columns(rule, table, codec) -> tuple:
+    # The rule's entry ∩ facet members, one tuple per input column.
+    return tuple(_entry_in_facet(cond, attr, codec).members
+                 for attr, cond in zip(table.inputs, rule.input_entries))
 
 
 def test_cached_geometry_matches_per_rule_lowering():
@@ -351,19 +373,18 @@ def test_cached_geometry_matches_per_rule_lowering():
         codec = build_codec(table)
         assert geometry.codec == codec
 
-        expected = {rule.id: _rule_boxes(rule, table, codec)
+        expected = {rule.id: _rule_columns(rule, table, codec)
                     for rule in table.rules}
-        assert geometry.boxes_of == expected
-        assert geometry.boxes == tuple(
-            box for rule in table.rules for box in expected[rule.id])
-        assert geometry.box_rule == tuple(
-            rule.id for rule in table.rules for _ in expected[rule.id])
+        assert geometry.columns_of == expected
+        assert list(geometry.columns_of) == [rule.id for rule in table.rules]
 
         cells = {(rule.id, d) for rule in table.rules
                  for d, (attr, cond) in enumerate(zip(table.inputs,
                                                       rule.input_entries))
                  if _incompatible(cond, attr, codec)}
-        assert geometry.empty_cells == cells
+        assert cells == {(rid, d)
+                         for rid, sets in geometry.columns_of.items()
+                         for d, members in enumerate(sets) if not members}
         input_names = table.input_names()
         flagged = {(diag.rule_ids[0], input_names.index(diag.columns[0]))
                    for diag in validate_structure(table)

@@ -6,7 +6,7 @@ from dmncheck import (Interval1D, build_codec, build_universe, load_table,
                       triggered_by)
 from dmncheck.intervals import intersect_boxes
 
-from conftest import loan_doc, random_input, random_table
+from conftest import loan_doc, random_input, random_table, rule_boxes
 
 
 def iv(lo, lc, hi, hc):
@@ -67,12 +67,12 @@ class TestCodec:
 
 class TestRuleToRects:
     def test_reference_rule_a(self, table1):
-        assert table1.geometry.boxes_of["A"] \
+        assert rule_boxes(table1.geometry, "A") \
             == ((iv(0, True, 1000, True), iv(0, True, 1000, True)),)
 
     def test_nonadjacent_categories_make_two_rects(self):
         table = load_table(categorical_doc())
-        boxes = table.geometry.boxes_of["r1"]
+        boxes = rule_boxes(table.geometry, "r1")
         assert len(boxes) == 2
         assert {box[0] for box in boxes} \
             == {iv(0, True, 1, False), iv(2, True, 3, False)}
@@ -81,41 +81,41 @@ class TestRuleToRects:
         doc = categorical_doc()
         doc["rules"][0]["in"] = ["Refinancing,CardPayoff"]
         table = load_table(doc)
-        assert [box[0] for box in table.geometry.boxes_of["r1"]] \
+        assert [box[0] for box in rule_boxes(table.geometry, "r1")] \
             == [iv(0, True, 2, False)]
 
     def test_facet_incompatible_entry_is_empty(self):
         doc = loan_doc()
         doc["rules"][0]["in"][0] = "[-5..-1]"
         table = load_table(doc)
-        assert table.geometry.boxes_of[table.rules[0].id] == ()
+        assert rule_boxes(table.geometry, table.rules[0].id) == ()
 
     def test_entry_clipped_to_facet(self):
         doc = loan_doc()
         doc["rules"][0]["in"][0] = "<=1000"
         table = load_table(doc)
-        box = table.geometry.boxes_of[table.rules[0].id][0]
+        box = rule_boxes(table.geometry, table.rules[0].id)[0]
         assert box[0] == iv(0, True, 1000, True)
 
 
 class TestIntersect:
     def test_reference_a_c(self, table1):
-        (box_a,), (box_c,) = (table1.geometry.boxes_of[rid]
+        (box_a,), (box_c,) = (rule_boxes(table1.geometry, rid)
                               for rid in "AC")
         assert intersect_boxes(box_a, box_c) \
             == (iv(500, True, 1000, True), iv(500, True, 1000, True))
 
     def test_idempotent(self, table1):
-        (box,) = table1.geometry.boxes_of["A"]
+        (box,) = rule_boxes(table1.geometry, "A")
         assert intersect_boxes(box, box) == box
 
     def test_disjoint_absent(self, table1):
-        (box_b,), (box_c,) = (table1.geometry.boxes_of[rid]
+        (box_b,), (box_c,) = (rule_boxes(table1.geometry, rid)
                               for rid in "BC")
         assert intersect_boxes(box_b, box_c) is None
 
     def test_commutative(self, table1):
-        (box_a,), (box_c,) = (table1.geometry.boxes_of[rid]
+        (box_a,), (box_c,) = (rule_boxes(table1.geometry, rid)
                               for rid in "AC")
         assert intersect_boxes(box_a, box_c) \
             == intersect_boxes(box_c, box_a)
@@ -140,7 +140,7 @@ def test_rects_semantically_faithful():
     for _ in range(60):
         table = random_table(rng)
         codec = table.geometry.codec
-        boxes_of = table.geometry.boxes_of
+        geometry = table.geometry
         for _ in range(12):
             config = random_input(rng, table)
             try:
@@ -155,5 +155,5 @@ def test_rects_semantically_faithful():
                 in_rects = any(
                     all(box[d].contains(point[d])
                         for d in range(len(point)))
-                    for box in boxes_of[rule.id])
+                    for box in rule_boxes(geometry, rule.id))
                 assert in_rects == triggered_by(rule, table, config)

@@ -11,7 +11,7 @@ from dmncheck.model import Attribute
 from dmncheck.sfeel import Kind
 
 from conftest import (CATS, loan_doc, permuted_doc, random_input,
-                      random_table, random_table_doc)
+                      random_table, random_table_doc, rule_boxes)
 
 
 def income_attr():
@@ -281,6 +281,12 @@ def test_masked_implies_trigger_implication():
                     assert triggered_by(r2, table, config)
 
 
+def _all_boxes(geometry) -> list:
+    """Every rule's boxes, rules in table order."""
+    return [box for rid in geometry.columns_of
+            for box in rule_boxes(geometry, rid)]
+
+
 def _probe_values(table, d: int) -> list:
     """Values worth probing in input column ``d``: every finite box and
     universe endpoint and a value either side of it, or every category
@@ -291,7 +297,8 @@ def _probe_values(table, d: int) -> list:
     if attr.kind is Kind.BOOLEAN:
         return [False, True]
     geometry = table.geometry
-    ends = {end for box in geometry.boxes for end in (box[d].lo, box[d].hi)}
+    ends = {end for box in _all_boxes(geometry)
+            for end in (box[d].lo, box[d].hi)}
     ends.update(end for iv in geometry.universe[d]
                 for end in (iv.lo, iv.hi))
     ends = {end for end in ends if abs(end) != float("inf")} or {0}
@@ -309,6 +316,7 @@ def test_evaluator_fires_exactly_the_rules_whose_boxes_hold_the_point():
     for _ in range(150):
         table = random_table(rng)
         geometry = table.geometry
+        boxes = _all_boxes(geometry)
         probes = [_probe_values(table, d) for d in range(len(table.inputs))]
         kinds_seen.update(attr.kind for attr in table.inputs)
         for _ in range(20):
@@ -323,10 +331,10 @@ def test_evaluator_fires_exactly_the_rules_whose_boxes_hold_the_point():
                 expected = {
                     rule.id for rule in table.rules
                     if any(all(iv.contains(x) for iv, x in zip(box, point))
-                           for box in geometry.boxes_of[rule.id])}
+                           for box in rule_boxes(geometry, rule.id))}
                 on_endpoint += any(
                     x in (box[d].lo, box[d].hi)
-                    for box in geometry.boxes
+                    for box in boxes
                     for d, x in enumerate(point)
                     if not table.inputs[d].kind.is_categorical)
             assert set(evaluate(table, config).triggered) == expected

@@ -11,10 +11,10 @@ from dmncheck import (GenSpec, Kind, SpecError, bench_columns,
                       find_missing_rules, find_overlapping_rules,
                       generate_table, inject_noise, load_table,
                       pairwise_overlap_fragments, run_benchmark)
-from dmncheck.intervals import intersect_boxes
-from dmncheck.synth import ColumnSpec, _component_count, _shrink, _widen
+from dmncheck.intervals import contiguous, intersect_boxes
+from dmncheck.synth import ColumnSpec, _shrink, _widen
 
-from conftest import loan_doc, random_table
+from conftest import loan_doc, random_table, rule_boxes
 
 SMALL = (ColumnSpec("cat", Kind.STRING, categories=("K1", "K2", "K3")),
          ColumnSpec("num", Kind.INTEGER, lo=0, hi=40))
@@ -140,6 +140,41 @@ class TestNoise:
             inject_noise(base, SMALL, "sideways", 0.1)
 
 
+def _boxes_adjacent(a, b, discrete) -> bool:
+    # Connected union: every column intersects or is contiguous, and at
+    # most one column is merely contiguous.
+    soft = 0
+    for d, disc in enumerate(discrete):
+        if a[d].intersect(b[d]) is not None:
+            continue
+        if contiguous(a[d], b[d], disc):
+            soft += 1
+            if soft > 1:
+                return False
+        else:
+            return False
+    return True
+
+
+def _component_count(pieces: list, discrete) -> int:
+    # Connected components of a union of boxes, by union-find over
+    # every adjacent pair.
+    parent = list(range(len(pieces)))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for i in range(len(pieces)):
+        for j in range(i + 1, len(pieces)):
+            ri, rj = find(i), find(j)
+            if ri != rj and _boxes_adjacent(pieces[i], pieces[j], discrete):
+                parent[ri] = rj
+    return len({find(i) for i in range(len(pieces))})
+
+
 class TestFragments:
     def test_reference_pair(self, table1):
         assert pairwise_overlap_fragments(
@@ -198,7 +233,8 @@ class TestFragments:
             assert pairwise_overlap_fragments(noisy, groups) >= len(groups)
 
     def test_matches_all_pairs_brute_force(self):
-        # Every rule pair, with no candidate filter, on mixed-kind tables.
+        # Every rule pair, with no candidate filter, on mixed-kind tables;
+        # each pair's intersection boxes are joined by union-find.
         rng = random.Random(11)
         overlapping = 0
         for _ in range(300):
@@ -207,8 +243,8 @@ class TestFragments:
             expected = 0
             for a, b in combinations(table.rules, 2):
                 pieces = []
-                for ra in geometry.boxes_of[a.id]:
-                    for rb in geometry.boxes_of[b.id]:
+                for ra in rule_boxes(geometry, a.id):
+                    for rb in rule_boxes(geometry, b.id):
                         got = intersect_boxes(ra, rb)
                         if got is not None:
                             pieces.append(got)
