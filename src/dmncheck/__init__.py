@@ -9,7 +9,7 @@ with exact interval geometry rather than sampling.
 from .errors import (CapacityError, CodecError, DecisionTableError,
                      EvalError, SchemaError, SFeelSyntaxError,
                      SFeelTypeError, SpecError)
-from .intervals import Interval1D, IntervalSet, interval
+from .intervals import Interval1D, interval
 from .sfeel import (ANY, Kind, format_literal, lower_to_intervals,
                     parse_condition, render_condition, satisfies)
 from .model import (COMPLETENESS_MISMATCH, FACET_INCOMPAT, MASKED_RULE,
@@ -38,7 +38,7 @@ __all__ = [
     "CompletenessVerdict",
     "CorrectnessReport", "DecisionTable", "DecisionTableError",
     "Diagnostic", "EvalError", "EvalResult",
-    "FACET_INCOMPAT", "GenSpec", "Interval1D", "IntervalSet",
+    "FACET_INCOMPAT", "GenSpec", "Interval1D",
     "Kind", "MASKED_RULE", "MISSING_RULE", "MissingRegion",
     "OUTPUT_DISAGREEMENT", "OVERLAP", "Outcome", "OverlapGroup",
     "PRIORITY_ERROR", "Rule", "SchemaError", "SFeelSyntaxError",

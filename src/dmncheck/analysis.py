@@ -2,8 +2,9 @@
 
 Every analysis reads one ``TableGeometry`` per table: the codec, the
 universe and each rule's canonical ``entry ∩ facet`` set per input
-column.  A rule's region is the product of its column sets, and a rule
-with an empty set in some column covers nothing.  A box is a tuple of
+column, each set a sorted tuple of ``Interval1D``.  A rule's region is
+the product of its column sets, and a rule with an empty set in some
+column covers nothing.  A box is a tuple of
 ``Interval1D``, one per input column, and all interval semantics come
 from :mod:`dmncheck.intervals`; the witnesses and missing regions
 reported here are such tuples.  ``table_rects`` is the only geometry
@@ -41,9 +42,9 @@ are uncovered for every legal deeper value; spans with active rules
 recurse over them.  Discovered gap boxes merge when exactly one
 column's intervals are contiguous and all other columns agree, repeated
 to a fixpoint, so no two reported boxes could still merge.  Each merge
-is ``IntervalSet.build``, which orders a column's intervals
-canonically, so a closed point such as ``[1..1]`` meets the open
-stretch ``(1..2]`` that follows it.
+is ``canonical``, which orders a column's intervals canonically, so a
+closed point such as ``[1..1]`` meets the open stretch ``(1..2]`` that
+follows it.
 
 The module also carries deliberately naive oracles that enumerate the
 compressed endpoint grid cell by cell.  They exist to cross-check the
@@ -60,8 +61,8 @@ from .errors import CapacityError
 from .geometry import (CategoryCodec, build_codec, build_universe,
                        lower_condition)
 from .intervals import (LOWER_CLOSED, LOWER_OPEN, NEG_INF, POS_INF,
-                        UPPER_CLOSED, UPPER_OPEN, Interval1D, IntervalSet,
-                        interval, intersect_boxes)
+                        UPPER_CLOSED, UPPER_OPEN, Interval1D, canonical,
+                        interval, intersect_boxes, intersect_sets)
 from .sfeel import (ANY, Comparison, Interval, Kind, Match, format_literal,
                     render_condition)
 
@@ -98,7 +99,7 @@ class TableGeometry(NamedTuple):
     # per input column; an empty set marks a cell that admits no value.
     columns_of: dict[str, tuple[tuple[Interval1D, ...], ...]]
     discrete: tuple[bool, ...]
-    universe: tuple[IntervalSet, ...]
+    universe: tuple[tuple[Interval1D, ...], ...]
     codec: CategoryCodec
 
 
@@ -118,8 +119,8 @@ def table_rects(table: "DecisionTable") -> TableGeometry:
                                              rule.input_entries)):
             members = lowered.get((d, cond))
             if members is None:
-                cell = lower_condition(cond, attr, codec)
-                members = cell.intersect(universe[d]).members
+                members = intersect_sets(lower_condition(cond, attr, codec),
+                                         universe[d])
                 lowered[d, cond] = members
             per_column.append(members)
         columns_of[rule.id] = tuple(per_column)
@@ -327,7 +328,7 @@ def _merge_boxes(boxes: list[tuple], discrete: Sequence[bool]) -> list[tuple]:
                 # merge fuses exactly the contiguous intervals.  Most
                 # groups hold one interval, which needs no merge.
                 if len(ivs) > 1:
-                    merged = IntervalSet.build(ivs, discrete[d]).members
+                    merged = canonical(ivs, discrete[d])
                     changed = changed or len(merged) < len(ivs)
                     ivs = merged
                 for iv in ivs:
@@ -357,7 +358,7 @@ def find_missing_rules(table: "DecisionTable") -> list[MissingRegion]:
     universe_tails: list[list[tuple]] = [[] for _ in range(n_dims + 1)]
     universe_tails[n_dims] = [()]
     for d in range(n_dims - 1, -1, -1):
-        universe_tails[d] = [(m,) + tail for m in universe[d].members
+        universe_tails[d] = [(m,) + tail for m in universe[d]
                              for tail in universe_tails[d + 1]]
 
     memo: dict[tuple, tuple[tuple, ...]] = {}
@@ -387,8 +388,7 @@ def find_missing_rules(table: "DecisionTable") -> list[MissingRegion]:
                     for box in sub:
                         out.append((stretch,) + box)
             else:
-                for frag in uni.intersect(IntervalSet((stretch,),
-                                                      disc)).members:
+                for frag in intersect_sets(uni, (stretch,)):
                     for ubox in universe_tails[dim + 1]:
                         out.append((frag,) + ubox)
 
@@ -422,13 +422,13 @@ def render_box(table: "DecisionTable",
 
 
 def _render_region_condition(iv: Interval1D, attr, codec: CategoryCodec,
-                             universe_set: IntervalSet,
+                             universe_set: tuple[Interval1D, ...],
                              discrete: bool) -> str:
-    as_set = IntervalSet.build([iv], discrete)
-    if as_set == universe_set:
+    if canonical([iv], discrete) == universe_set:
         return "-"
     if attr.kind.is_categorical:
         cats = codec.decode(attr.name, iv)
+        # All categories: e.g. an oracle grid cell of a one-category column.
         if len(cats) == len(codec.categories(attr.name)):
             return "-"
         return ",".join(format_literal(c) for c in cats)
@@ -509,8 +509,7 @@ def build_grid(table: "DecisionTable", cell_cap: int = 10 ** 6) -> CellGrid:
     total = 1
     for d in range(n_dims):
         values = []
-        for member in [m for row in rows for m in row[d]] \
-                + list(universe[d].members):
+        for member in universe[d] + tuple(m for row in rows for m in row[d]):
             if member.lo != NEG_INF:
                 values.append(member.lo)
             if member.hi != POS_INF:
@@ -518,7 +517,8 @@ def build_grid(table: "DecisionTable", cell_cap: int = 10 ** 6) -> CellGrid:
         dim_pieces, dim_reps = _dimension_pieces(values, discrete[d])
         pieces.append(tuple(dim_pieces))
         reps.append(tuple(dim_reps))
-        inside.append(tuple(universe[d].contains(r) for r in dim_reps))
+        inside.append(tuple(any(m.contains(r) for m in universe[d])
+                            for r in dim_reps))
         total *= len(dim_pieces)
         if total > cell_cap:
             raise CapacityError(f"compressed grid needs {total}+ cells, "

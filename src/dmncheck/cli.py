@@ -237,13 +237,30 @@ def _cmd_generate(args) -> int:
 
 
 def _parse_int_list(value) -> tuple[int, ...]:
-    if isinstance(value, (list, tuple)):
-        return tuple(int(v) for v in value)
+    if isinstance(value, list):
+        return tuple(value)
     try:
         return tuple(int(part) for part in str(value).split(","))
     except ValueError as exc:
         raise DecisionTableError(f"expected comma-separated integers, "
                                  f"got {value!r}") from exc
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+_COUNTS = ("a non-empty list of integers or comma-separated text",
+           lambda v: isinstance(v, str)
+           or isinstance(v, list) and v and all(map(_is_int, v)))
+_INTEGER = ("an integer", _is_int)
+# Every suite key, with what its value must be.
+_SUITE_KEYS = {
+    "columnCounts": _COUNTS, "ruleCounts": _COUNTS, "runs": _INTEGER,
+    "seed": _INTEGER, "numericRange": _INTEGER, "arity": _INTEGER,
+    "noiseFraction": ("a number",
+                      lambda v: _is_int(v) or isinstance(v, float)),
+}
 
 
 def _load_suite(path: str) -> dict:
@@ -253,12 +270,15 @@ def _load_suite(path: str) -> dict:
         raise DecisionTableError(f"bad suite document: {exc}") from exc
     if not isinstance(doc, dict):
         raise DecisionTableError("suite document must be a JSON object")
-    known = {"columnCounts", "ruleCounts", "runs", "noiseFraction", "seed",
-             "numericRange", "arity"}
-    extra = set(doc) - known
+    extra = set(doc) - set(_SUITE_KEYS)
     if extra:
         raise DecisionTableError(
             f"unknown suite keys: {', '.join(sorted(extra))}")
+    for key, value in doc.items():
+        expected, accepts = _SUITE_KEYS[key]
+        if not accepts(value):
+            raise DecisionTableError(
+                f"suite key {key} must be {expected}, got {value!r}")
     return doc
 
 
@@ -275,12 +295,12 @@ def _cmd_bench(args) -> int:
                                            "3,5,7")),
         rule_counts=_parse_int_list(pick(args.rules, "ruleCounts",
                                          "500,1000,1500")),
-        seed=int(pick(args.seed, "seed", 1)),
-        numeric_range=int(pick(args.numeric_range, "numericRange", 1000)),
-        arity=int(pick(args.arity, "arity", 4)))
+        seed=pick(args.seed, "seed", 1),
+        numeric_range=pick(args.numeric_range, "numericRange", 1000),
+        arity=pick(args.arity, "arity", 4))
     report = run_benchmark(
         specs,
-        runs=int(pick(args.runs, "runs", 5)),
+        runs=pick(args.runs, "runs", 5),
         noise_fraction=float(pick(args.fraction, "noiseFraction", 0.1)))
     if args.format == "structured":
         _write_output(_dump_json(report.to_doc()), args.out)

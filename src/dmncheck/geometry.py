@@ -1,7 +1,7 @@
 """Geometric view of decision tables.
 
 A rule becomes a region with one axis per input column: one canonical
-interval set per column, whose product is the region.
+set per column, a tuple of ``Interval1D``, whose product is the region.
 ``analysis.table_rects`` builds every rule's sets from the codec and
 universe defined here.  Numeric columns map onto the number line
 directly.  Categorical columns are coded: the k-th known category of a
@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .errors import CodecError
-from .intervals import Interval1D, IntervalSet
+from .intervals import Interval1D
 from .sfeel import (Alternative, AnyValue, Condition, Kind, Match, Not,
                     category_index, lower_to_intervals)
 
@@ -99,7 +99,7 @@ def build_codec(table: "DecisionTable") -> CategoryCodec:
 
 
 def lower_condition(cond: Condition, attr,
-                    codec: CategoryCodec) -> IntervalSet:
+                    codec: CategoryCodec) -> tuple[Interval1D, ...]:
     """Interval image of a condition over the column ``attr``, with
     categories coded by ``codec``."""
     categories = codec.categories(attr.name) if attr.kind.is_categorical \
@@ -108,8 +108,8 @@ def lower_condition(cond: Condition, attr,
 
 
 def build_universe(table: "DecisionTable",
-                   codec: CategoryCodec) -> tuple[IntervalSet, ...]:
-    """Legal-value interval set per input column (the facet image)."""
+                   codec: CategoryCodec) -> tuple[tuple[Interval1D, ...], ...]:
+    """Legal-value canonical set per input column (the facet image)."""
     return tuple(lower_condition(attr.facet, attr, codec)
                  for attr in table.inputs)
 

@@ -4,8 +4,10 @@ This module is the only place that knows interval semantics: membership,
 intersection, cover, contiguity, the canonical order and the sweep tie
 ranks.  ``Interval1D`` is a ``NamedTuple``, so the sweeps hash, sort and
 unpack intervals as plain tuples and no second representation exists.
-A box is a plain tuple of ``Interval1D``, one per input column, and
-:func:`intersect_boxes` is its one intersection.
+A canonical set is a sorted, disjoint, non-contiguous tuple of
+``Interval1D``, built by :func:`canonical` and met by
+:func:`intersect_sets`.  A box is a tuple of ``Interval1D``, one per
+input column, and :func:`intersect_boxes` is its one intersection.
 
 All geometric reasoning in this package is symbolic over interval
 endpoints.  Endpoint values come from parsed literals (64-bit-ish ints,
@@ -32,8 +34,7 @@ while open-touching intervals stay disjoint.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Iterator, NamedTuple, Optional
+from typing import Iterable, NamedTuple, Optional
 
 NEG_INF = float("-inf")
 POS_INF = float("inf")
@@ -80,6 +81,10 @@ class Interval1D(NamedTuple):
         lo, lo_closed, hi, hi_closed = self
         return ((other.lo, not other.lo_closed) >= (lo, not lo_closed)
                 and (other.hi, other.hi_closed) <= (hi, hi_closed))
+
+
+# The whole line, as a canonical set.
+FULL = (Interval1D(NEG_INF, False, POS_INF, False),)
 
 
 def intersect_boxes(a: tuple[Interval1D, ...], b: tuple[Interval1D, ...]
@@ -149,72 +154,45 @@ def contiguous(a: Interval1D, b: Interval1D, discrete: bool) -> bool:
     return a.hi == b.lo and (a.hi_closed != b.lo_closed)
 
 
-@dataclass(frozen=True)
-class IntervalSet:
-    """A canonical union of intervals: sorted, disjoint, non-contiguous.
+def canonical(parts: Iterable[Optional[Interval1D]],
+              discrete: bool = False) -> tuple[Interval1D, ...]:
+    """The canonical set of a union of intervals: sorted, disjoint and
+    non-contiguous, so equal sets are equal tuples.  ``None`` parts are
+    skipped; ``discrete`` selects integer endpoint discipline."""
+    normal = []
+    for p in parts:
+        if p is None:
+            continue
+        p = interval(p.lo, p.lo_closed, p.hi, p.hi_closed, discrete)
+        if p is not None:
+            normal.append(p)
+    normal.sort(key=canonical_key)
+    merged: list[Interval1D] = []
+    for iv in normal:
+        if merged and _mergeable(merged[-1], iv, discrete):
+            last = merged[-1]
+            hi, hi_closed = last.hi, last.hi_closed
+            if (iv.hi, iv.hi_closed) > (hi, hi_closed):
+                hi, hi_closed = iv.hi, iv.hi_closed
+            merged[-1] = Interval1D(last.lo, last.lo_closed, hi, hi_closed)
+        else:
+            merged.append(iv)
+    return tuple(merged)
 
-    The ``discrete`` flag selects integer endpoint discipline for
-    normalisation and contiguity.  Construction goes through
-    :meth:`build`, the one canonical merge; structural equality of
-    canonical sets then coincides with semantic equality.
-    """
 
-    members: tuple[Interval1D, ...] = ()
-    discrete: bool = False
-
-    @classmethod
-    def build(cls, parts: Iterable[Optional[Interval1D]],
-              discrete: bool = False) -> "IntervalSet":
-        normal = []
-        for p in parts:
-            if p is None:
-                continue
-            p = interval(p.lo, p.lo_closed, p.hi, p.hi_closed, discrete)
-            if p is not None:
-                normal.append(p)
-        normal.sort(key=canonical_key)
-        merged: list[Interval1D] = []
-        for iv in normal:
-            if merged and _mergeable(merged[-1], iv, discrete):
-                last = merged[-1]
-                hi, hi_closed = last.hi, last.hi_closed
-                if (iv.hi, iv.hi_closed) > (hi, hi_closed):
-                    hi, hi_closed = iv.hi, iv.hi_closed
-                merged[-1] = Interval1D(last.lo, last.lo_closed, hi, hi_closed)
-            else:
-                merged.append(iv)
-        return cls(tuple(merged), discrete)
-
-    @classmethod
-    def full(cls, discrete: bool = False) -> "IntervalSet":
-        return cls((Interval1D(NEG_INF, False, POS_INF, False),), discrete)
-
-    @property
-    def is_empty(self) -> bool:
-        return not self.members
-
-    def __iter__(self) -> Iterator[Interval1D]:
-        return iter(self.members)
-
-    def contains(self, x) -> bool:
-        return any(iv.contains(x) for iv in self.members)
-
-    def intersect(self, other: "IntervalSet") -> "IntervalSet":
-        self._check_peer(other)
-        out: list[Interval1D] = []
-        i = j = 0
-        a, b = self.members, other.members
-        while i < len(a) and j < len(b):
-            piece = a[i].intersect(b[j])
-            if piece is not None:
-                out.append(piece)
-            # advance whichever interval ends first
-            if (a[i].hi, a[i].hi_closed) < (b[j].hi, b[j].hi_closed):
-                i += 1
-            else:
-                j += 1
-        return IntervalSet.build(out, self.discrete)
-
-    def _check_peer(self, other: "IntervalSet") -> None:
-        if self.discrete != other.discrete:
-            raise ValueError("cannot combine discrete and continuous sets")
+def intersect_sets(a: tuple[Interval1D, ...], b: tuple[Interval1D, ...]
+                   ) -> tuple[Interval1D, ...]:
+    """The intersection of two canonical sets, itself canonical: two of
+    its pieces that touched would lie inside one member of each set."""
+    out: list[Interval1D] = []
+    i = j = 0
+    while i < len(a) and j < len(b):
+        piece = a[i].intersect(b[j])
+        if piece is not None:
+            out.append(piece)
+        # advance whichever interval ends first
+        if (a[i].hi, a[i].hi_closed) < (b[j].hi, b[j].hi_closed):
+            i += 1
+        else:
+            j += 1
+    return tuple(out)

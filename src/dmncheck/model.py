@@ -32,6 +32,7 @@ from typing import TYPE_CHECKING, Optional, Union
 
 from .errors import EvalError, SchemaError, SFeelSyntaxError, SFeelTypeError
 from .geometry import lower_condition
+from .intervals import intersect_sets
 from .sfeel import (ANY, AnyValue, Condition, Kind, Match, format_literal,
                     is_finite_number, kind_of, lower_to_intervals,
                     parse_condition, render_condition)
@@ -140,7 +141,7 @@ def _parse_attribute(entry, index: int, role: str) -> Attribute:
         facet = parse_condition(facet_text, kind)
     except _CONDITION_ERRORS as exc:
         raise _located(exc, f"facet of {role} column {name!r}") from exc
-    if kind.is_numeric and lower_to_intervals(facet, kind).is_empty:
+    if kind.is_numeric and not lower_to_intervals(facet, kind):
         raise SchemaError(f"facet of {role} column {name!r} permits no value")
     return Attribute(name, kind, facet)
 
@@ -210,10 +211,11 @@ def load_table(document) -> DecisionTable:
         raise SchemaError("table needs a non-empty name")
 
     hit_text = document.get("hitPolicy", "U")
-    if hit_text not in _HIT_POLICIES:
+    if not isinstance(hit_text, str) or hit_text not in _HIT_POLICIES:
         raise SchemaError(f"unknown hit policy {hit_text!r}")
     completeness_text = document.get("completeness", "C")
-    if completeness_text not in _COMPLETENESS:
+    if not isinstance(completeness_text, str) \
+            or completeness_text not in _COMPLETENESS:
         raise SchemaError(f"unknown completeness flag {completeness_text!r}")
 
     raw_inputs = document.get("inputs")
@@ -356,8 +358,8 @@ def validate_structure(table: DecisionTable) -> list[Diagnostic]:
                 table.outputs, output_facets, rule.output_entries)):
             bad = violates.get((o, value))
             if bad is None:
-                bad = violates[o, value] = lower_condition(
-                    Match(value), attr, codec).intersect(facet).is_empty
+                bad = violates[o, value] = not intersect_sets(
+                    lower_condition(Match(value), attr, codec), facet)
             if bad:
                 diagnostics.append(Diagnostic(
                     severity="error",

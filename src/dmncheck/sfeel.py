@@ -32,7 +32,7 @@ from enum import Enum
 from typing import Optional, Sequence, Union
 
 from .errors import CodecError, EvalError, SFeelSyntaxError, SFeelTypeError
-from .intervals import NEG_INF, POS_INF, IntervalSet, interval
+from .intervals import FULL, NEG_INF, POS_INF, Interval1D, canonical, interval
 
 
 class Kind(str, Enum):
@@ -610,7 +610,8 @@ def category_index(categories: Sequence, literal) -> int:
 
 
 def lower_to_intervals(cond: Condition, kind: Kind,
-                       categories: Optional[Sequence] = None) -> IntervalSet:
+                       categories: Optional[Sequence] = None
+                       ) -> tuple[Interval1D, ...]:
     """Geometric image of a condition as a canonical interval set.
 
     Numeric kinds map directly (integer sets use the closed-bound
@@ -620,7 +621,7 @@ def lower_to_intervals(cond: Condition, kind: Kind,
     are present and merge.
     """
     if isinstance(cond, Alternative):
-        return IntervalSet.build(
+        return canonical(
             [iv for part in cond.parts
              for iv in lower_to_intervals(part, kind, categories)],
             kind is Kind.INTEGER)
@@ -629,41 +630,38 @@ def lower_to_intervals(cond: Condition, kind: Kind,
             raise CodecError(f"no categories known for {kind.value} column")
         k = len(categories)
         if isinstance(cond, AnyValue):
-            return IntervalSet.build([interval(0, True, k, False)])
+            return canonical([interval(0, True, k, False)])
         if isinstance(cond, Match):
             i = category_index(categories, cond.value)
-            return IntervalSet.build([interval(i, True, i + 1, False)])
+            return canonical([interval(i, True, i + 1, False)])
         if isinstance(cond, Not):
             i = category_index(categories, cond.value)
-            return IntervalSet.build(
-                [interval(0, True, i, False),
-                 interval(i + 1, True, k, False)])
+            return canonical([interval(0, True, i, False),
+                              interval(i + 1, True, k, False)])
         raise SFeelTypeError(f"condition {cond!r} is not defined for "
                              f"{kind.value} columns")
 
     discrete = kind is Kind.INTEGER
     if isinstance(cond, AnyValue):
-        return IntervalSet.full(discrete)
+        return FULL
     if isinstance(cond, Match):
         v = _numeric_literal(cond.value, kind)
-        return IntervalSet.build([interval(v, True, v, True)], discrete)
+        return canonical([interval(v, True, v, True)], discrete)
     if isinstance(cond, Not):
         v = _numeric_literal(cond.value, kind)
-        return IntervalSet.build(
+        return canonical(
             [interval(NEG_INF, False, v, False),
              interval(v, False, POS_INF, False)], discrete)
     if isinstance(cond, Comparison):
         v = _numeric_literal(cond.value, kind)
         closed = cond.op in ("<=", ">=")
         if cond.op.startswith("<"):
-            return IntervalSet.build([interval(NEG_INF, False, v, closed)],
-                                     discrete)
-        return IntervalSet.build([interval(v, closed, POS_INF, False)],
-                                 discrete)
+            return canonical([interval(NEG_INF, False, v, closed)], discrete)
+        return canonical([interval(v, closed, POS_INF, False)], discrete)
     if isinstance(cond, Interval):
         lo = _numeric_literal(cond.lo, kind)
         hi = _numeric_literal(cond.hi, kind)
-        return IntervalSet.build(
+        return canonical(
             [interval(lo, cond.lo_closed, hi, cond.hi_closed)], discrete)
     raise SFeelTypeError(f"not a condition: {cond!r}")
 

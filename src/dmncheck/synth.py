@@ -37,6 +37,7 @@ from typing import Optional, Sequence
 from .analysis import (OverlapGroup, find_missing_rules,
                        find_overlapping_rules)
 from .errors import SpecError
+from .intervals import intersect_sets
 from .model import DecisionTable, dump_table, load_table
 from .sfeel import Kind
 
@@ -299,10 +300,10 @@ def pairwise_overlap_fragments(table: DecisionTable,
     touch have no intersection and count 0, so no other pair needs a
     look.
 
-    In each column the two rules' canonical sets meet in one piece per
-    intersecting member pair, and those pieces are disjoint and
-    non-contiguous.  The intersection is the product of the columns'
-    pieces, so its components number the product of the piece counts.
+    In each column the two rules' canonical sets meet in a canonical
+    set, one piece per intersecting member pair.  The intersection is
+    the product of the columns' pieces, so its components number the
+    product of the piece counts.
     """
     columns_of = table.geometry.columns_of
     pairs = {pair for group in groups
@@ -310,7 +311,7 @@ def pairwise_overlap_fragments(table: DecisionTable,
     total = 0
     for id_a, id_b in pairs:
         total += math.prod(
-            sum(a.intersect(b) is not None for a in set_a for b in set_b)
+            len(intersect_sets(set_a, set_b))
             for set_a, set_b in zip(columns_of[id_a], columns_of[id_b]))
     return total
 

@@ -12,7 +12,7 @@ from dmncheck import (FACET_INCOMPAT, CapacityError, Interval1D,
                       lower_to_intervals, oracle_missing, oracle_overlaps,
                       pairwise_overlap_fragments, validate_structure)
 from dmncheck.analysis import build_grid, grid_cells_of_boxes, table_rects
-from dmncheck.intervals import contiguous
+from dmncheck.intervals import contiguous, intersect_sets
 
 from conftest import loan_doc, random_table, region_contained, rule_boxes
 
@@ -239,6 +239,23 @@ class TestSmallCases:
         assert {r.conditions for r in regions} \
             == {("Refinancing",), ("Leasing",)}
 
+    def test_single_category_column_renders_any(self):
+        # A column naming no category codes one placeholder.  The
+        # oracle's witness there is a grid cell such as [0..0], not the
+        # whole unit [0..1); a cell meeting every category renders "-".
+        table = load_table({
+            "name": "one-cat", "hitPolicy": "U", "completeness": "I",
+            "inputs": [{"name": "s", "type": "string"},
+                       {"name": "x", "type": "integer"}],
+            "outputs": [{"name": "y", "type": "boolean"}],
+            "rules": [{"id": "a", "in": ["-", "[0..5]"], "out": ["true"]},
+                      {"id": "b", "in": ["-", "[3..9]"], "out": ["false"]}],
+        })
+        assert [g.conditions for g in find_overlapping_rules(table)] \
+            == [("-", "[3..5]")]
+        assert [g.conditions for g in oracle_overlaps(table)] \
+            == [("-", "3")]
+
     def test_capacity_cap(self, table1):
         with pytest.raises(CapacityError):
             oracle_missing(table1, cell_cap=3)
@@ -350,16 +367,16 @@ def _entry_in_facet(cond, attr, codec):
         else None
     entry = lower_to_intervals(cond, attr.kind, categories)
     facet = lower_to_intervals(attr.facet, attr.kind, categories)
-    return entry.intersect(facet)
+    return intersect_sets(entry, facet)
 
 
 def _incompatible(cond, attr, codec) -> bool:
-    return _entry_in_facet(cond, attr, codec).is_empty
+    return not _entry_in_facet(cond, attr, codec)
 
 
 def _rule_columns(rule, table, codec) -> tuple:
     # The rule's entry ∩ facet members, one tuple per input column.
-    return tuple(_entry_in_facet(cond, attr, codec).members
+    return tuple(_entry_in_facet(cond, attr, codec)
                  for attr, cond in zip(table.inputs, rule.input_entries))
 
 

@@ -7,8 +7,10 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import dmncheck
+from dmncheck import DecisionTableError, load_table
 from dmncheck.cli import main
 
 from conftest import loan_doc
@@ -94,7 +96,7 @@ class TestCheck:
     def test_missing_file_exits_two(self, capsys):
         assert main(["check", "/nonexistent/nowhere.json"]) == 2
 
-    @pytest.mark.parametrize("column,entry", [
+    @pytest.mark.parametrize("field,value", [
         ("a", ">=1e400"),
         ("a", "[0..1e400]"),
         ("a", "1e200*1e200"),
@@ -104,10 +106,14 @@ class TestCheck:
         ("n", "+".join(["1"] * 5000)),
         ("n", "1/0"),
         ("a", "1/0"),
+        ("hitPolicy", [1]),
+        ("completeness", {"a": 1}),
     ], ids=["ge-1e400", "interval-1e400", "product-overflow",
             "400-digits-real", "unary-minus", "parentheses", "long-sum",
-            "integer-div-zero", "real-div-zero"])
-    def test_hostile_entry_exits_two(self, column, entry, tmp_path, capsys):
+            "integer-div-zero", "real-div-zero", "hit-policy-list",
+            "completeness-object"])
+    def test_hostile_entry_exits_two(self, field, value, tmp_path, capsys):
+        # Fields a and n are the rule's entries; others are table keys.
         doc = {
             "name": "hostile", "hitPolicy": "U", "completeness": "I",
             "inputs": [{"name": "a", "type": "real"},
@@ -115,13 +121,18 @@ class TestCheck:
             "outputs": [{"name": "o", "type": "string"}],
             "rules": [{"id": "r", "in": ["-", "-"], "out": ["x"]}],
         }
-        doc["rules"][0]["in"][0 if column == "a" else 1] = entry
+        if field in ("a", "n"):
+            doc["rules"][0]["in"][0 if field == "a" else 1] = value
+            where = "rule 'r'"
+        else:
+            doc[field] = value
+            where = "unknown"
         path = tmp_path / "hostile.json"
         path.write_text(json.dumps(doc), encoding="utf-8")
         assert main(["check", str(path)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "error: rule 'r'" in captured.err
+        assert f"error: {where}" in captured.err
 
     def test_long_entry_error_is_short(self, tmp_path, capsys):
         doc = {
@@ -341,3 +352,77 @@ class TestBench:
         suite = tmp_path / "suite.json"
         suite.write_text(json.dumps({"rows": [3]}), encoding="utf-8")
         assert main(["bench", "--suite", str(suite)]) == 2
+
+    @pytest.mark.parametrize("key,value", [
+        ("runs", "abc"), ("runs", 3.7), ("runs", True),
+        ("columnCounts", ["a"]), ("ruleCounts", [2.5]),
+        ("columnCounts", 3), ("ruleCounts", []), ("noiseFraction", "x"),
+        ("noiseFraction", False), ("seed", [1]), ("numericRange", None),
+        ("arity", "4"),
+    ])
+    def test_malformed_suite_value_exits_two(self, key, value, tmp_path,
+                                             capsys):
+        suite = tmp_path / "suite.json"
+        suite.write_text(json.dumps({key: value}), encoding="utf-8")
+        assert main(["bench", "--suite", str(suite)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"error: suite key {key} must be" in captured.err
+
+
+def _field_doc() -> dict:
+    return {
+        "name": "fields", "hitPolicy": "P", "completeness": "I",
+        "inputs": [{"name": "x", "type": "integer", "facet": "[0..9]"},
+                   {"name": "s", "type": "string", "facet": "red,blue"}],
+        "outputs": [{"name": "o", "type": "string", "facet": "hi,lo"}],
+        "rules": [{"id": "r1", "in": ["<5", "red"], "out": ["hi"],
+                   "priority": 2},
+                  {"id": "r2", "in": ["[3..9]", "-"], "out": ["lo"],
+                   "priority": 1}],
+    }
+
+
+def _paths(node, prefix=()):
+    # Every position in a JSON document, the root included.
+    yield prefix
+    items = node.items() if isinstance(node, dict) \
+        else enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield from _paths(child, prefix + (key,))
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers()
+    | st.floats(allow_nan=False, allow_infinity=False) | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6)
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(path=st.sampled_from(list(_paths(_field_doc()))), value=json_values)
+@example(path=("hitPolicy",), value=[1])
+@example(path=("completeness",), value={"a": 1})
+def test_any_field_value_loads_or_exits_cleanly(path, value, tmp_path_factory):
+    """One field of a valid document replaced by arbitrary JSON either
+    still loads or raises DecisionTableError, and the CLI answers with
+    an exit code rather than a traceback."""
+    doc = _field_doc()
+    if path:
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = value
+    else:
+        doc = value
+    text = json.dumps(doc)
+    try:
+        load_table(text)
+    except DecisionTableError:
+        pass
+    target = tmp_path_factory.getbasetemp() / "field.json"
+    target.write_text(text, encoding="utf-8")
+    assert main(["check", str(target)]) in (0, 1, 2)
+    assert main(["eval", str(target), "--input",
+                 '{"x": 4, "s": "red"}']) in (0, 1, 2)

@@ -6,11 +6,12 @@ import random
 import pytest
 
 from dmncheck import (COMPLETENESS_MISMATCH, MASKED_RULE, MISSING_RULE,
-                      OUTPUT_DISAGREEMENT, OVERLAP, IntervalSet, Outcome,
+                      OUTPUT_DISAGREEMENT, OVERLAP, Outcome,
                       check_correct, evaluate, load_table, masked_by,
                       parse_condition)
 from dmncheck.analysis import build_grid
 from dmncheck.geometry import lower_condition
+from dmncheck.intervals import canonical, intersect_sets
 
 from conftest import (loan_doc, permuted_doc, random_table,
                       random_table_doc, region_contained, rule_boxes)
@@ -270,8 +271,8 @@ def test_findings_paste_back_as_rows():
                 universe = geometry.universe[d]
                 pasted = lower_condition(parse_condition(text, attr.kind),
                                          attr, geometry.codec)
-                assert pasted.intersect(universe) == IntervalSet.build(
-                    [box[d]], universe.discrete).intersect(universe), \
+                assert intersect_sets(pasted, universe) == intersect_sets(
+                    canonical([box[d]], geometry.discrete[d]), universe), \
                     (attr.name, text, box[d])
                 checked += 1
     assert checked > 1000

@@ -124,12 +124,12 @@ class TestIntersect:
 class TestUniverse:
     def test_facet_lowering(self, table1):
         universe = build_universe(table1, build_codec(table1))
-        assert universe[0].members == (iv(0, True, float("inf"), False),)
+        assert universe[0] == (iv(0, True, float("inf"), False),)
 
     def test_categorical_component(self):
         table = load_table(categorical_doc())
         universe = build_universe(table, build_codec(table))
-        assert universe[0].members == (iv(0, True, 3, False),)
+        assert universe[0] == (iv(0, True, 3, False),)
 
 
 def test_rects_semantically_faithful():
