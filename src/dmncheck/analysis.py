@@ -19,23 +19,23 @@ suffixes: rules whose sets agree from column d onward, and which carry
 the same tag, share one suffix id there, so each sub-sweep over a set
 of suffix ids runs once and is memoised.  The overlap sweep tags each
 rule with its own bit; the missing sweep tags them all alike.
-``_events`` lists one column's bound events as ``(value, tie rank,
-suffix id)`` tuples, one pair per member of each suffix's set, sorted
-by value and, at equal values, by the tie rank from
-:mod:`dmncheck.intervals`, so closed-touching intervals count as
-overlapping while open-touching ones do not.  A canonical set's
-members are disjoint and non-contiguous, so a suffix is active at most
-once at any point.  ``_span`` gives the stretch between two
-consecutive events.  Each sweep keeps its own per-event loop.
+``_walk`` is the one per-event loop.  It sorts one column's bound
+events, one pair per member of each suffix's set, by value and, at
+equal values, by the tie rank from :mod:`dmncheck.intervals`, so
+closed-touching intervals count as overlapping while open-touching
+ones do not.  It yields each non-empty stretch between consecutive
+events, both unbounded ends included, with the suffixes active there.
+A canonical set's members are disjoint and non-contiguous, so a suffix
+is active at most once at any point.
 
-Overlaps: sweeping one dimension, every span between consecutive
-events recurses into the next dimension over the suffixes active
-there; at the last dimension the active rule set is reported.
-Reported groups form an antichain: a candidate that is a subset of an
-existing group is dropped, and inserting a new group purges its
-subsets.  The witness of a group is the joint intersection, folded
-with ``intersect_boxes``, of one box per rule: per column, the member
-of the rule's set that holds the reported cell.
+Overlaps: sweeping one dimension, every stretch where two or more
+suffixes are active recurses into the next dimension over their tails;
+at the last dimension the active rules' bits form a mask.  Reported
+masks form an antichain: a candidate that is a subset of an existing
+mask is dropped, and inserting a new mask purges its subsets.  A
+group's witness is a function of the group alone: the least corner of
+its region, per column the first member of the ``intersect_sets`` fold
+of the group's column sets.
 
 Missing values: sweeping one dimension, spans where no rule is active
 are uncovered for every legal deeper value; spans with active rules
@@ -54,15 +54,17 @@ sweeps and refuse to run past a configurable cell cap.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from itertools import product, repeat
-from typing import TYPE_CHECKING, Iterable, NamedTuple, Optional, Sequence
+from typing import (TYPE_CHECKING, Iterable, Iterator, NamedTuple, Optional,
+                    Sequence)
 
 from .errors import CapacityError
 from .geometry import (CategoryCodec, build_codec, build_universe,
                        lower_condition)
 from .intervals import (LOWER_CLOSED, LOWER_OPEN, NEG_INF, POS_INF,
                         UPPER_CLOSED, UPPER_OPEN, Interval1D, canonical,
-                        interval, intersect_boxes, intersect_sets)
+                        interval, intersect_sets)
 from .sfeel import (ANY, Comparison, Interval, Kind, Match, format_literal,
                     render_condition)
 
@@ -179,21 +181,6 @@ def _suffix_forest(rows: Iterable[tuple], tags: Iterable[int],
     return heads, tails, tags_at, frozenset(top_ids)
 
 
-def _events(suffix_ids: Iterable[int],
-            head: list[tuple[Interval1D, ...]]) -> list:
-    """The bound events ``(value, tie rank, suffix id)`` of every member
-    of the given suffixes' sets at one column, in sweep order."""
-    events = []
-    for sid in suffix_ids:
-        for lo, lo_closed, hi, hi_closed in head[sid]:
-            events.append((lo, LOWER_CLOSED if lo_closed else LOWER_OPEN,
-                           sid))
-            events.append((hi, UPPER_CLOSED if hi_closed else UPPER_OPEN,
-                           sid))
-    events.sort()
-    return events
-
-
 def _span(last: Optional[tuple], current: Optional[tuple],
           discrete: bool) -> Optional[Interval1D]:
     # The stretch strictly between two consecutive events; None stands
@@ -209,6 +196,37 @@ def _span(last: Optional[tuple], current: Optional[tuple],
     return interval(lo, lo_closed, hi, hi_closed, discrete)
 
 
+def _walk(suffix_ids: Iterable[int], head: list[tuple[Interval1D, ...]],
+          discrete: bool) -> Iterator[tuple[Interval1D, set[int]]]:
+    """Yield ``(stretch, active)`` for each non-empty stretch between
+    consecutive bound events of the given suffixes' sets at one column,
+    both unbounded ends included.  ``active`` holds the suffix ids
+    active over the stretch; it is updated in place, so read it before
+    resuming the walk."""
+    events = []
+    for sid in suffix_ids:
+        for lo, lo_closed, hi, hi_closed in head[sid]:
+            events.append((lo, LOWER_CLOSED if lo_closed else LOWER_OPEN,
+                           sid))
+            events.append((hi, UPPER_CLOSED if hi_closed else UPPER_OPEN,
+                           sid))
+    events.sort()
+    events.append(None)  # the virtual bound at +infinity
+    active: set[int] = set()
+    last: Optional[tuple] = None
+    for event in events:
+        stretch = _span(last, event, discrete)
+        if stretch is not None:
+            yield stretch, active
+        if event is not None:
+            _value, rank, sid = event
+            if rank & 1:
+                active.add(sid)
+            else:
+                active.discard(sid)
+        last = event
+
+
 def _nonempty_rules(geometry: TableGeometry) -> list[str]:
     # Rules that cover some point: no column set is empty.
     return [rid for rid, sets in geometry.columns_of.items() if all(sets)]
@@ -218,22 +236,21 @@ def _nonempty_rules(geometry: TableGeometry) -> list[str]:
 # Overlap sweep
 
 
-def _insert_antichain(chain: list, mask: int, box: tuple) -> None:
-    # Keep only set-maximal masks; first witness for a mask wins.
-    for other, _ in chain:
+def _insert_antichain(chain: list[int], mask: int) -> None:
+    # Keep only set-maximal masks.
+    for other in chain:
         if mask & other == mask:
             return
-    chain[:] = [(other, b) for other, b in chain
-                if other & mask != other]
-    chain.append((mask, box))
+    chain[:] = [other for other in chain if other & mask != other]
+    chain.append(mask)
 
 
 def find_overlapping_rules(table: "DecisionTable") -> list[OverlapGroup]:
     """Maximal groups of rules with a common point, as an antichain.
 
-    Each group carries a witness: the joint intersection of one box per
-    rule of the group, made of the rule's members that hold the cell
-    where the sweep found the group.
+    Each group carries a witness: the least corner of the group's
+    region, per column the first member of the intersection of the
+    group's column sets.
     """
     geometry = table.geometry
     columns_of, discrete = geometry.columns_of, geometry.discrete
@@ -243,44 +260,34 @@ def find_overlapping_rules(table: "DecisionTable") -> list[OverlapGroup]:
         return []
 
     # Tagging suffixes with their rule's bit keeps rules apart.  A rule
-    # has one suffix per column and its members are disjoint, so at any
-    # point its bit is active at most once.
+    # has one suffix per column and its members are disjoint, so
+    # ``len(active)`` counts the rules active over a stretch.
     heads, tails, bits, top_ids = _suffix_forest(
         (columns_of[rid] for rid in rule_order),
         (1 << i for i in range(len(rule_order))), n_dims)
-    memo: dict[tuple, tuple] = {}
+    bit_of = bits[n_dims - 1]
+    memo: dict[tuple, tuple[int, ...]] = {}
 
-    def sweep(suffix_ids: frozenset[int], dim: int) -> tuple:
-        # Antichain of (rule mask, witness cell over dims dim..) pairs.
+    def sweep(suffix_ids: frozenset[int], dim: int) -> tuple[int, ...]:
+        # Antichain of the rule masks realised over dims dim..
         key = (suffix_ids, dim)
         cached = memo.get(key)
         if cached is not None:
             return cached
-        tail, bit_of = tails[dim], bits[dim]
-        disc = discrete[dim]
-        chain: list[tuple[int, tuple]] = []
-        active: set[int] = set()
-        rule_mask = 0
-        last: Optional[tuple] = None
-        for event in _events(suffix_ids, heads[dim]):
-            if rule_mask.bit_count() >= 2:
-                stretch = _span(last, event, disc)
-                if stretch is not None:
-                    if dim + 1 == n_dims:
-                        _insert_antichain(chain, rule_mask, (stretch,))
-                    else:
-                        sub = sweep(frozenset(tail[sid] for sid in active),
-                                    dim + 1)
-                        for mask, cell in sub:
-                            _insert_antichain(chain, mask,
-                                              (stretch,) + cell)
-            _value, rank, sid = event
-            if rank & 1:
-                active.add(sid)
+        tail = tails[dim]
+        chain: list[int] = []
+        for _stretch, active in _walk(suffix_ids, heads[dim], discrete[dim]):
+            if len(active) < 2:
+                continue
+            if dim + 1 == n_dims:
+                mask = 0
+                for sid in active:
+                    mask |= bit_of[sid]
+                _insert_antichain(chain, mask)
             else:
-                active.discard(sid)
-            rule_mask ^= bit_of[sid]
-            last = event
+                for mask in sweep(frozenset(tail[sid] for sid in active),
+                                  dim + 1):
+                    _insert_antichain(chain, mask)
         result = tuple(chain)
         memo[key] = result
         return result
@@ -291,14 +298,17 @@ def find_overlapping_rules(table: "DecisionTable") -> list[OverlapGroup]:
     del sweep
 
     groups = []
-    for mask, cell in found:
-        ids = [rid for i, rid in enumerate(rule_order) if mask >> i & 1]
-        witness: Optional[tuple] = None
-        for rid in ids:
-            box = tuple(next(m for m in members if m.covers(part))
-                        for members, part in zip(columns_of[rid], cell))
-            witness = box if witness is None \
-                else intersect_boxes(witness, box)
+    for mask in found:
+        ids = []
+        while mask:
+            low = mask & -mask
+            ids.append(rule_order[low.bit_length() - 1])
+            mask ^= low
+        # The least corner of the group's region, which is where the
+        # depth-first sweep first meets the group.
+        witness = tuple(
+            reduce(intersect_sets, (columns_of[rid][d] for rid in ids))[0]
+            for d in range(n_dims))
         groups.append(OverlapGroup(frozenset(ids), witness,
                                    render_box(table, witness)))
     groups.sort(key=lambda g: g.sorted_ids())
@@ -371,37 +381,16 @@ def find_missing_rules(table: "DecisionTable") -> list[MissingRegion]:
         if cached is not None:
             return cached
         tail = tails[dim]
-        disc = discrete[dim]
-        uni = universe[dim]
         out: list[tuple] = []
-        active: set[int] = set()
-        last: Optional[tuple] = None
-
-        def flush(current: Optional[tuple]) -> None:
-            stretch = _span(last, current, disc)
-            if stretch is None:
-                return
-            if active:
-                if dim + 1 < n_dims:
-                    sub = gaps(frozenset(tail[sid] for sid in active),
-                               dim + 1)
-                    for box in sub:
-                        out.append((stretch,) + box)
-            else:
-                for frag in intersect_sets(uni, (stretch,)):
+        for stretch, active in _walk(suffix_ids, heads[dim], discrete[dim]):
+            if not active:
+                for frag in intersect_sets(universe[dim], (stretch,)):
                     for ubox in universe_tails[dim + 1]:
                         out.append((frag,) + ubox)
-
-        for event in _events(suffix_ids, heads[dim]):
-            flush(event)
-            _value, rank, sid = event
-            if rank & 1:
-                active.add(sid)
-            else:
-                active.discard(sid)
-            last = event
-        flush(None)
-
+            elif dim + 1 < n_dims:
+                for box in gaps(frozenset(tail[sid] for sid in active),
+                                dim + 1):
+                    out.append((stretch,) + box)
         result = tuple(_merge_boxes(out, discrete[dim:]))
         memo[key] = result
         return result

@@ -28,7 +28,8 @@ from typing import Optional, Sequence
 from .correctness import (CorrectnessReport, check_correct,
                           located_conditions)
 from .errors import DecisionTableError
-from .model import Diagnostic, DecisionTable, dump_table, load_table
+from .model import (Diagnostic, DecisionTable, decode_json, dump_table,
+                    load_table)
 from .semantics import Outcome, evaluate
 from .sfeel import format_literal
 from .synth import (GenSpec, bench_columns, benchmark_grid, generate_table,
@@ -154,10 +155,14 @@ def _cmd_check(args) -> int:
 
 
 def _parse_value(text: str):
+    # Text that is not JSON is a plain string, but JSON nested too deep
+    # or with too long an integer to decode is an error.
     try:
-        return json.loads(text)
-    except json.JSONDecodeError:
-        return text.strip()
+        return decode_json(text, "bad input value")
+    except DecisionTableError as exc:
+        if isinstance(exc.__cause__, json.JSONDecodeError):
+            return text.strip()
+        raise
 
 
 def _parse_config(args) -> dict:
@@ -168,10 +173,7 @@ def _parse_config(args) -> dict:
     if args.input:
         text = args.input.strip()
         if text.startswith("{"):
-            try:
-                doc = json.loads(text)
-            except json.JSONDecodeError as exc:
-                raise DecisionTableError(f"bad --input JSON: {exc}") from exc
+            doc = decode_json(text, "bad --input JSON")
             if not isinstance(doc, dict):
                 raise DecisionTableError("--input must be a JSON object")
             config.update(doc)
@@ -264,10 +266,7 @@ _SUITE_KEYS = {
 
 
 def _load_suite(path: str) -> dict:
-    try:
-        doc = json.loads(_read_document(path))
-    except json.JSONDecodeError as exc:
-        raise DecisionTableError(f"bad suite document: {exc}") from exc
+    doc = decode_json(_read_document(path), "bad suite document")
     if not isinstance(doc, dict):
         raise DecisionTableError("suite document must be a JSON object")
     extra = set(doc) - set(_SUITE_KEYS)

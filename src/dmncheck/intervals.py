@@ -7,7 +7,7 @@ unpack intervals as plain tuples and no second representation exists.
 A canonical set is a sorted, disjoint, non-contiguous tuple of
 ``Interval1D``, built by :func:`canonical` and met by
 :func:`intersect_sets`.  A box is a tuple of ``Interval1D``, one per
-input column, and :func:`intersect_boxes` is its one intersection.
+input column.
 
 All geometric reasoning in this package is symbolic over interval
 endpoints.  Endpoint values come from parsed literals (64-bit-ish ints,
@@ -85,19 +85,6 @@ class Interval1D(NamedTuple):
 
 # The whole line, as a canonical set.
 FULL = (Interval1D(NEG_INF, False, POS_INF, False),)
-
-
-def intersect_boxes(a: tuple[Interval1D, ...], b: tuple[Interval1D, ...]
-                    ) -> Optional[tuple[Interval1D, ...]]:
-    """The common part of two boxes, each one interval per column in
-    the same column order, or None when they share no point."""
-    pieces = []
-    for x, y in zip(a, b):
-        piece = x.intersect(y)
-        if piece is None:
-            return None
-        pieces.append(piece)
-    return tuple(pieces)
 
 
 def canonical_key(iv: Interval1D) -> tuple:

@@ -30,7 +30,8 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import TYPE_CHECKING, Optional, Union
 
-from .errors import EvalError, SchemaError, SFeelSyntaxError, SFeelTypeError
+from .errors import (DecisionTableError, EvalError, SchemaError,
+                     SFeelSyntaxError, SFeelTypeError)
 from .geometry import lower_condition
 from .intervals import intersect_sets
 from .sfeel import (ANY, AnyValue, Condition, Kind, Match, format_literal,
@@ -90,12 +91,6 @@ class DecisionTable:
     priority: dict[str, int] = field(default_factory=dict)
     completeness: str = "c"  # "c" or "i"
     hit_policy: str = "u"  # "u", "a", "p", or "f"
-
-    def rule_by_id(self, rule_id: str) -> Rule:
-        for rule in self.rules:
-            if rule.id == rule_id:
-                return rule
-        raise KeyError(rule_id)
 
     def input_names(self) -> tuple[str, ...]:
         return tuple(a.name for a in self.inputs)
@@ -185,6 +180,21 @@ def _parse_output_literal(text, attr: Attribute, rule_id: str,
     return value
 
 
+def decode_json(text, what: str,
+                error: type[DecisionTableError] = DecisionTableError):
+    """Decode a JSON text, or raise ``error`` naming ``what``.
+
+    Besides bad syntax, ``json.loads`` raises ValueError for an integer
+    of more digits than ``int()`` takes and RecursionError for nesting
+    deeper than the interpreter's recursion limit; all three become
+    ``error``, chained to the decoder's exception.
+    """
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise error(f"{what}: {exc}") from exc
+
+
 def load_table(document) -> DecisionTable:
     """Build a DecisionTable from an interchange document.
 
@@ -198,11 +208,8 @@ def load_table(document) -> DecisionTable:
     dropped on return, so nothing is shared between documents.
     """
     if isinstance(document, (str, bytes)):
-        try:
-            document = json.loads(document)
-        # JSONDecodeError, or ValueError for more digits than int() takes.
-        except ValueError as exc:
-            raise SchemaError(f"document is not valid JSON: {exc}") from exc
+        document = decode_json(document, "document is not valid JSON",
+                               SchemaError)
     if not isinstance(document, dict):
         raise SchemaError("document root must be an object")
 

@@ -1,20 +1,22 @@
 """The two sweep analyses against frozen expectations and the
 brute-force grid oracles."""
 
+import copy
 import gc
 import random
 
 import pytest
 
 from dmncheck import (FACET_INCOMPAT, CapacityError, Interval1D,
-                      build_codec, find_missing_rules,
+                      build_codec, check_correct, find_missing_rules,
                       find_overlapping_rules, load_table,
                       lower_to_intervals, oracle_missing, oracle_overlaps,
                       pairwise_overlap_fragments, validate_structure)
 from dmncheck.analysis import build_grid, grid_cells_of_boxes, table_rects
 from dmncheck.intervals import contiguous, intersect_sets
 
-from conftest import loan_doc, random_table, region_contained, rule_boxes
+from conftest import (loan_doc, random_table, random_table_doc,
+                      region_contained, rule_boxes)
 
 INF = float("inf")
 
@@ -292,8 +294,14 @@ def test_sweeps_match_oracles_on_random_tables():
         table = random_table(rng)
         groups = find_overlapping_rules(table)
         assert _antichain(groups)
-        assert {g.rule_ids for g in groups} \
-            == {g.rule_ids for g in oracle_overlaps(table)}
+        oracle = oracle_overlaps(table)
+        assert {g.rule_ids for g in groups} == {g.rule_ids for g in oracle}
+        # The oracle's witness is its first grid cell in walk order, and
+        # the sweep's is the least corner of the group's region.
+        witness_of = {g.rule_ids: g.witness for g in groups}
+        for g in oracle:
+            assert all(big.covers(small) for big, small
+                       in zip(witness_of[g.rule_ids], g.witness))
 
         regions = find_missing_rules(table)
         grid = build_grid(table)
@@ -312,6 +320,30 @@ def test_sweeps_match_oracles_on_random_tables():
                 differ = [d for d in range(len(a)) if a[d] != b[d]]
                 assert not (len(differ) == 1 and contiguous(
                     a[differ[0]], b[differ[0]], discrete[differ[0]]))
+
+
+def test_column_permutation_permutes_the_reports():
+    # Permuting the input columns permutes each overlap witness and each
+    # uncovered grid cell, and keeps the groups and the verdict.
+    rng = random.Random(737373)
+    for _ in range(300):
+        doc = random_table_doc(rng)
+        perm = list(range(len(doc["inputs"])))
+        rng.shuffle(perm)
+        moved = copy.deepcopy(doc)
+        moved["inputs"] = [doc["inputs"][p] for p in perm]
+        for rule, old in zip(moved["rules"], doc["rules"]):
+            rule["in"] = [old["in"][p] for p in perm]
+        table, permuted = load_table(doc), load_table(moved)
+
+        expected = {g.rule_ids: tuple(g.conditions[p] for p in perm)
+                    for g in find_overlapping_rules(table)}
+        assert {g.rule_ids: g.conditions
+                for g in find_overlapping_rules(permuted)} == expected
+        assert oracle_missing(permuted) == {
+            tuple(cell[p] for p in perm) for cell in oracle_missing(table)}
+        assert check_correct(permuted).correct \
+            == check_correct(table).correct
 
 
 def test_sweeps_leave_no_reference_cycles():

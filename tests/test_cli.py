@@ -271,6 +271,50 @@ class TestEval:
         assert "error:" in captured.err
 
 
+# JSON that json.loads cannot decode: nesting past the recursion limit,
+# and an integer of more digits than int() takes.  Both are far longer
+# than a subprocess argument may be, so main() runs in-process.
+DEEP = "[" * 100_000 + "]" * 100_000
+LONG_INT = "1" * 5000
+
+
+class TestUndecodableJson:
+    @pytest.mark.parametrize("argv", [
+        ["--input", '{"x": ' + DEEP + "}"],
+        ["--input", '{"x": ' + LONG_INT + "}"],
+        ["--set", "x=" + DEEP],
+        ["--set", "x=" + LONG_INT],
+    ], ids=["input-deep", "input-long-int", "set-deep", "set-long-int"])
+    def test_eval_value_exits_two(self, argv, table1_path, capsys):
+        assert main(["eval", table1_path] + argv) == 2
+        self.assert_one_error_line(capsys)
+
+    def test_check_deep_document_exits_two(self, tmp_path, capsys):
+        path = tmp_path / "deep.json"
+        path.write_text('{"name": "deep", "inputs": ' + DEEP + "}",
+                        encoding="utf-8")
+        assert main(["check", str(path)]) == 2
+        self.assert_one_error_line(capsys)
+
+    @pytest.mark.parametrize("text", [
+        '{"columnCounts": ' + DEEP + "}",
+        '{"runs": ' + LONG_INT + "}",
+    ], ids=["deep", "long-int"])
+    def test_bench_suite_exits_two(self, text, tmp_path, capsys):
+        suite = tmp_path / "suite.json"
+        suite.write_text(text, encoding="utf-8")
+        assert main(["bench", "--suite", str(suite)]) == 2
+        self.assert_one_error_line(capsys)
+
+    @staticmethod
+    def assert_one_error_line(capsys):
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
+        assert len(captured.err) < 300
+
+
 class TestGenerate:
     def test_clean_table_checks_correct(self, tmp_path, capsys):
         out_path = str(tmp_path / "gen.json")

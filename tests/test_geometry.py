@@ -4,7 +4,7 @@ import random
 
 from dmncheck import (Interval1D, build_codec, build_universe, load_table,
                       triggered_by)
-from dmncheck.intervals import intersect_boxes
+from dmncheck.intervals import intersect_sets
 
 from conftest import loan_doc, random_input, random_table, rule_boxes
 
@@ -99,26 +99,25 @@ class TestRuleToRects:
 
 
 class TestIntersect:
+    @staticmethod
+    def meet(table, a, b):
+        # Per input column, the intersection of two rules' column sets.
+        columns_of = table.geometry.columns_of
+        return tuple(intersect_sets(x, y)
+                     for x, y in zip(columns_of[a], columns_of[b]))
+
     def test_reference_a_c(self, table1):
-        (box_a,), (box_c,) = (rule_boxes(table1.geometry, rid)
-                              for rid in "AC")
-        assert intersect_boxes(box_a, box_c) \
-            == (iv(500, True, 1000, True), iv(500, True, 1000, True))
+        assert self.meet(table1, "A", "C") \
+            == ((iv(500, True, 1000, True),), (iv(500, True, 1000, True),))
 
     def test_idempotent(self, table1):
-        (box,) = rule_boxes(table1.geometry, "A")
-        assert intersect_boxes(box, box) == box
+        assert self.meet(table1, "A", "A") == table1.geometry.columns_of["A"]
 
     def test_disjoint_absent(self, table1):
-        (box_b,), (box_c,) = (rule_boxes(table1.geometry, rid)
-                              for rid in "BC")
-        assert intersect_boxes(box_b, box_c) is None
+        assert () in self.meet(table1, "B", "C")
 
     def test_commutative(self, table1):
-        (box_a,), (box_c,) = (rule_boxes(table1.geometry, rid)
-                              for rid in "AC")
-        assert intersect_boxes(box_a, box_c) \
-            == intersect_boxes(box_c, box_a)
+        assert self.meet(table1, "A", "C") == self.meet(table1, "C", "A")
 
 
 class TestUniverse:

@@ -37,8 +37,9 @@ class TestMatchesValue:
 class TestTriggeredBy:
     def test_reference_pairs(self, table1):
         config = {"Annual Income": 500, "Loan Size": 4230}
-        assert triggered_by(table1.rule_by_id("B"), table1, config)
-        assert not triggered_by(table1.rule_by_id("A"), table1, config)
+        rules = {r.id: r for r in table1.rules}
+        assert triggered_by(rules["B"], table1, config)
+        assert not triggered_by(rules["A"], table1, config)
 
     def test_uncovered_point_triggers_nothing(self, table1):
         config = {"Annual Income": 200, "Loan Size": 2000}
@@ -148,12 +149,14 @@ class TestMaskedBy:
 
     def test_containment_with_higher_priority(self):
         table = self.one_column()
-        lo, hi = table.rule_by_id("lo"), table.rule_by_id("hi")
+        rules = {r.id: r for r in table.rules}
+        lo, hi = rules["lo"], rules["hi"]
         assert masked_by(lo, hi, table)
 
     def test_priority_direction(self):
         table = self.one_column()
-        lo, hi = table.rule_by_id("lo"), table.rule_by_id("hi")
+        rules = {r.id: r for r in table.rules}
+        lo, hi = rules["lo"], rules["hi"]
         assert not masked_by(hi, lo, table)
 
     def test_identical_entries_lower_priority_no_mask(self):
@@ -168,14 +171,14 @@ class TestMaskedBy:
             ],
         }
         table = load_table(doc)
-        assert masked_by(table.rule_by_id("q"), table.rule_by_id("p"),
-                         table)
-        assert not masked_by(table.rule_by_id("p"), table.rule_by_id("q"),
-                             table)
+        rules = {r.id: r for r in table.rules}
+        assert masked_by(rules["q"], rules["p"], table)
+        assert not masked_by(rules["p"], rules["q"], table)
 
     def test_reference_a_not_masked_by_c(self, table1):
         # [0..1000] is not contained in [500..1500]
-        a, c = table1.rule_by_id("A"), table1.rule_by_id("C")
+        rules = {r.id: r for r in table1.rules}
+        a, c = rules["A"], rules["C"]
         assert not masked_by(a, c, table1)
         assert not masked_by(c, a, table1)
 
@@ -193,8 +196,8 @@ class TestMaskedBy:
                  "priority": 2},
             ],
         })
-        assert masked_by(table.rule_by_id("r1"), table.rule_by_id("r2"),
-                         table)
+        rules = {r.id: r for r in table.rules}
+        assert masked_by(rules["r1"], rules["r2"], table)
 
 
 # --- property tests --------------------------------------------------------

@@ -11,7 +11,7 @@ from dmncheck import (GenSpec, Kind, SpecError, bench_columns,
                       find_missing_rules, find_overlapping_rules,
                       generate_table, inject_noise, load_table,
                       pairwise_overlap_fragments, run_benchmark)
-from dmncheck.intervals import contiguous, intersect_boxes
+from dmncheck.intervals import contiguous
 from dmncheck.synth import ColumnSpec, _shrink, _widen
 
 from conftest import loan_doc, random_table, rule_boxes
@@ -245,8 +245,8 @@ class TestFragments:
                 pieces = []
                 for ra in rule_boxes(geometry, a.id):
                     for rb in rule_boxes(geometry, b.id):
-                        got = intersect_boxes(ra, rb)
-                        if got is not None:
+                        got = tuple(x.intersect(y) for x, y in zip(ra, rb))
+                        if None not in got:
                             pieces.append(got)
                 expected += _component_count(pieces, geometry.discrete)
             overlapping += expected > 0
