@@ -14,37 +14,37 @@ check and the grid oracles share a single build.  Each distinct
 ``entry ∩ facet`` is lowered once per column.
 
 Both analyses are N-dimensional line sweeps in table column order over
-one skeleton.  ``_suffix_forest`` hash-conses the rules' column-set
-suffixes: rules whose sets agree from column d onward, and which carry
-the same tag, share one suffix id there, so each sub-sweep over a set
-of suffix ids runs once and is memoised.  The overlap sweep tags each
-rule with its own bit; the missing sweep tags them all alike.
-``_walk`` is the one per-event loop.  It sorts one column's bound
-events, one pair per member of each suffix's set, by value and, at
-equal values, by the tie rank from :mod:`dmncheck.intervals`, so
-closed-touching intervals count as overlapping while open-touching
+one skeleton.  ``_walk`` is the one per-event loop.  It sorts one
+column's bound events, one pair per member of each swept set, by value
+and, at equal values, by the tie rank from :mod:`dmncheck.intervals`,
+so closed-touching intervals count as overlapping while open-touching
 ones do not.  It yields each non-empty stretch between consecutive
-events, both unbounded ends included, with the suffixes active there.
-A canonical set's members are disjoint and non-contiguous, so a suffix
-is active at most once at any point.
+events, both unbounded ends included, with the ids active there.  A
+canonical set's members are disjoint and non-contiguous, so an id is
+active at most once at any point.
 
-Overlaps: sweeping one dimension, every stretch where two or more
-suffixes are active recurses into the next dimension over their tails;
-at the last dimension the active rules' bits form a mask.  Reported
-masks form an antichain: a candidate that is a subset of an existing
-mask is dropped, and inserting a new mask purges its subsets.  A
-group's witness is a function of the group alone: the least corner of
-its region, per column the first member of the ``intersect_sets`` fold
-of the group's column sets.
+Overlaps: the sweep recurses over rule indices.  Sweeping one
+dimension, every stretch where two or more rules are active recurses
+into the next dimension over those rules; at the last dimension the
+active rules' bits form a mask.  Each sub-sweep over a set of rules
+runs once and is memoised.  Reported masks form an antichain: a
+candidate that is a subset of an existing mask is dropped, and
+inserting a new mask purges its subsets.  A group's witness is a
+function of the group alone: the least corner of its region, per
+column the first member of the ``intersect_sets`` fold of the group's
+column sets.
 
-Missing values: sweeping one dimension, spans where no rule is active
-are uncovered for every legal deeper value; spans with active rules
-recurse over them.  Discovered gap boxes merge when exactly one
-column's intervals are contiguous and all other columns agree, repeated
-to a fixpoint, so no two reported boxes could still merge.  Each merge
-is ``canonical``, which orders a column's intervals canonically, so a
-closed point such as ``[1..1]`` meets the open stretch ``(1..2]`` that
-follows it.
+Missing values: ``_suffix_forest`` hash-conses the rules' column-set
+suffixes, so rules whose sets agree from column d onward share one
+suffix id there and each sub-sweep over a set of suffix ids runs once
+and is memoised.  Sweeping one dimension, spans where no suffix is
+active are uncovered for every legal deeper value; spans with active
+suffixes recurse over their tails.  Discovered gap boxes merge when
+exactly one column's intervals are contiguous and all other columns
+agree, repeated to a fixpoint, so no two reported boxes could still
+merge.  Each merge is ``canonical``, which orders a column's intervals
+canonically, so a closed point such as ``[1..1]`` meets the open
+stretch ``(1..2]`` that follows it.
 
 The module also carries deliberately naive oracles that enumerate the
 compressed endpoint grid cell by cell.  They exist to cross-check the
@@ -55,7 +55,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
-from itertools import product, repeat
+from itertools import product
 from typing import (TYPE_CHECKING, Iterable, Iterator, NamedTuple, Optional,
                     Sequence)
 
@@ -110,7 +110,7 @@ def table_rects(table: "DecisionTable") -> TableGeometry:
     ``table.geometry`` instead of calling this again."""
     codec = build_codec(table)
     universe = build_universe(table, codec)
-    discrete = tuple(attr.kind is Kind.INTEGER for attr in table.inputs)
+    discrete = tuple(attr.kind is not Kind.REAL for attr in table.inputs)
     # Literals in one column share its kind (load_table folds real
     # literals to floats), so equal conditions lower alike there.
     lowered: dict[tuple, tuple[Interval1D, ...]] = {}
@@ -149,36 +149,33 @@ def columns_contained(inner: Sequence[tuple[Interval1D, ...]],
 # Sweep skeleton shared by both analyses
 
 
-def _suffix_forest(rows: Iterable[tuple], tags: Iterable[int],
-                   n_dims: int) -> tuple[list, list, list, frozenset[int]]:
-    """Hash-cons the tagged suffixes of rows of column sets, column by
-    column.
+def _suffix_forest(rows: Iterable[tuple],
+                   n_dims: int) -> tuple[list, list, frozenset[int]]:
+    """Hash-cons the suffixes of rows of column sets, column by column.
 
-    Two rows with equal tags that agree from column d onward share one
-    suffix id at d, so sub-sweeps over equal suffix sets are computed
-    once.  Returns, per column, the column set (head), the suffix id at
-    the next column (tail; 0 past the last column) and the tag of each
-    suffix id, and the suffix ids at column 0.
+    Rows that agree from column d onward share one suffix id at d, so
+    sub-sweeps over equal suffix sets are computed once.  Returns, per
+    column, the column set (head) and the suffix id at the next column
+    (tail; 0 past the last column) of each suffix id, and the suffix
+    ids at column 0.
     """
     heads: list[list[tuple[Interval1D, ...]]] = [[] for _ in range(n_dims)]
     tails: list[list[int]] = [[] for _ in range(n_dims)]
-    tags_at: list[list[int]] = [[] for _ in range(n_dims)]
     intern: list[dict] = [{} for _ in range(n_dims)]
     top_ids: set[int] = set()
-    for row, tag in zip(rows, tags):
+    for row in rows:
         tid = 0
         for d in range(n_dims - 1, -1, -1):
-            key = (row[d], tag, tid)
+            key = (row[d], tid)
             got = intern[d].get(key)
             if got is None:
                 got = len(heads[d])
                 heads[d].append(row[d])
                 tails[d].append(tid)
-                tags_at[d].append(tag)
                 intern[d][key] = got
             tid = got
         top_ids.add(tid)
-    return heads, tails, tags_at, frozenset(top_ids)
+    return heads, tails, frozenset(top_ids)
 
 
 def _span(last: Optional[tuple], current: Optional[tuple],
@@ -196,20 +193,18 @@ def _span(last: Optional[tuple], current: Optional[tuple],
     return interval(lo, lo_closed, hi, hi_closed, discrete)
 
 
-def _walk(suffix_ids: Iterable[int], head: list[tuple[Interval1D, ...]],
+def _walk(ids: Iterable[int], head: list[tuple[Interval1D, ...]],
           discrete: bool) -> Iterator[tuple[Interval1D, set[int]]]:
     """Yield ``(stretch, active)`` for each non-empty stretch between
-    consecutive bound events of the given suffixes' sets at one column,
-    both unbounded ends included.  ``active`` holds the suffix ids
-    active over the stretch; it is updated in place, so read it before
-    resuming the walk."""
+    consecutive bound events of the sets ``head[i]`` for ``i`` in
+    ``ids`` (rule indices or suffix ids), both unbounded ends included.
+    ``active`` holds the ids active over the stretch; it is updated in
+    place, so read it before resuming the walk."""
     events = []
-    for sid in suffix_ids:
-        for lo, lo_closed, hi, hi_closed in head[sid]:
-            events.append((lo, LOWER_CLOSED if lo_closed else LOWER_OPEN,
-                           sid))
-            events.append((hi, UPPER_CLOSED if hi_closed else UPPER_OPEN,
-                           sid))
+    for i in ids:
+        for lo, lo_closed, hi, hi_closed in head[i]:
+            events.append((lo, LOWER_CLOSED if lo_closed else LOWER_OPEN, i))
+            events.append((hi, UPPER_CLOSED if hi_closed else UPPER_OPEN, i))
     events.sort()
     events.append(None)  # the virtual bound at +infinity
     active: set[int] = set()
@@ -219,11 +214,11 @@ def _walk(suffix_ids: Iterable[int], head: list[tuple[Interval1D, ...]],
         if stretch is not None:
             yield stretch, active
         if event is not None:
-            _value, rank, sid = event
+            _value, rank, i = event
             if rank & 1:
-                active.add(sid)
+                active.add(i)
             else:
-                active.discard(sid)
+                active.discard(i)
         last = event
 
 
@@ -259,40 +254,35 @@ def find_overlapping_rules(table: "DecisionTable") -> list[OverlapGroup]:
     if not rule_order:
         return []
 
-    # Tagging suffixes with their rule's bit keeps rules apart.  A rule
-    # has one suffix per column and its members are disjoint, so
-    # ``len(active)`` counts the rules active over a stretch.
-    heads, tails, bits, top_ids = _suffix_forest(
-        (columns_of[rid] for rid in rule_order),
-        (1 << i for i in range(len(rule_order))), n_dims)
-    bit_of = bits[n_dims - 1]
+    # A rule's column set is canonical, so it is active at most once
+    # over a stretch and ``len(active)`` counts the rules there.
+    rows = [columns_of[rid] for rid in rule_order]
+    heads = [[row[d] for row in rows] for d in range(n_dims)]
     memo: dict[tuple, tuple[int, ...]] = {}
 
-    def sweep(suffix_ids: frozenset[int], dim: int) -> tuple[int, ...]:
+    def sweep(rules: frozenset[int], dim: int) -> tuple[int, ...]:
         # Antichain of the rule masks realised over dims dim..
-        key = (suffix_ids, dim)
+        key = (rules, dim)
         cached = memo.get(key)
         if cached is not None:
             return cached
-        tail = tails[dim]
         chain: list[int] = []
-        for _stretch, active in _walk(suffix_ids, heads[dim], discrete[dim]):
+        for _stretch, active in _walk(rules, heads[dim], discrete[dim]):
             if len(active) < 2:
                 continue
             if dim + 1 == n_dims:
                 mask = 0
-                for sid in active:
-                    mask |= bit_of[sid]
+                for i in active:
+                    mask |= 1 << i
                 _insert_antichain(chain, mask)
             else:
-                for mask in sweep(frozenset(tail[sid] for sid in active),
-                                  dim + 1):
+                for mask in sweep(frozenset(active), dim + 1):
                     _insert_antichain(chain, mask)
         result = tuple(chain)
         memo[key] = result
         return result
 
-    found = sweep(top_ids, 0)
+    found = sweep(frozenset(range(len(rows))), 0)
     # sweep refers to itself through its closure; dropping the name
     # frees the memo now rather than at the next cyclic collection.
     del sweep
@@ -358,10 +348,11 @@ def find_missing_rules(table: "DecisionTable") -> list[MissingRegion]:
     universe = geometry.universe
     n_dims = len(table.inputs)
 
-    # Every suffix carries the same tag: only the rules' union matters.
-    heads, tails, _, top_ids = _suffix_forest(
+    # Only the rules' union matters, so rules that agree from a column
+    # onward are swept there as one suffix.
+    heads, tails, top_ids = _suffix_forest(
         (geometry.columns_of[rid] for rid in _nonempty_rules(geometry)),
-        repeat(0), n_dims)
+        n_dims)
 
     # Per-column products of universe member intervals: the tail of a
     # gap box when no rule is active at some column.
@@ -416,11 +407,7 @@ def _render_region_condition(iv: Interval1D, attr, codec: CategoryCodec,
     if canonical([iv], discrete) == universe_set:
         return "-"
     if attr.kind.is_categorical:
-        cats = codec.decode(attr.name, iv)
-        # All categories: e.g. an oracle grid cell of a one-category column.
-        if len(cats) == len(codec.categories(attr.name)):
-            return "-"
-        return ",".join(format_literal(c) for c in cats)
+        return ",".join(format_literal(c) for c in codec.decode(attr.name, iv))
     lo, lo_closed, hi, hi_closed = iv
     if lo == NEG_INF and hi == POS_INF:
         cond = ANY

@@ -27,7 +27,7 @@ from typing import Optional, Sequence
 
 from .correctness import (CorrectnessReport, check_correct,
                           located_conditions)
-from .errors import DecisionTableError
+from .errors import DecisionTableError, echo
 from .model import (Diagnostic, DecisionTable, decode_json, dump_table,
                     load_table)
 from .semantics import Outcome, evaluate
@@ -245,7 +245,7 @@ def _parse_int_list(value) -> tuple[int, ...]:
         return tuple(int(part) for part in str(value).split(","))
     except ValueError as exc:
         raise DecisionTableError(f"expected comma-separated integers, "
-                                 f"got {value!r}") from exc
+                                 f"got {echo(value)}") from exc
 
 
 def _is_int(value) -> bool:
@@ -277,7 +277,7 @@ def _load_suite(path: str) -> dict:
         expected, accepts = _SUITE_KEYS[key]
         if not accepts(value):
             raise DecisionTableError(
-                f"suite key {key} must be {expected}, got {value!r}")
+                f"suite key {key} must be {expected}, got {echo(value)}")
     return doc
 
 

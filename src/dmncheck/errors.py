@@ -1,4 +1,19 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one rule for
+repeating a value in an error message."""
+
+# Characters of a value that an error message repeats.
+ECHO_LIMIT = 60
+
+
+def echo(value) -> str:
+    """A value quoted for an error message, cut after ``ECHO_LIMIT``
+    characters so hostile values give short errors.  A string is cut
+    before it is quoted; any other value is shown by its ``repr``."""
+    text = value if isinstance(value, str) else repr(value)
+    shown = text[:ECHO_LIMIT]
+    if isinstance(value, str):
+        shown = repr(shown)
+    return shown + "..." if len(text) > ECHO_LIMIT else shown
 
 
 class DecisionTableError(Exception):

@@ -5,9 +5,9 @@ set per column, a tuple of ``Interval1D``, whose product is the region.
 ``analysis.table_rects`` builds every rule's sets from the codec and
 universe defined here.  Numeric columns map onto the number line
 directly.  Categorical columns are coded: the k-th known category of a
-column occupies the half-open unit interval [k..k+1), so distinct
-categories never share a point and a multi-valued entry such as
-``VG,G`` becomes [0..2).
+column is the integer point [k..k], and the column is discrete like an
+integer column, so a multi-valued entry such as ``VG,G`` becomes
+[0..1] and ``-`` over k categories becomes [0..k-1].
 
 The category order is deterministic: facet declaration order first,
 then first appearance scanning the rules top to bottom.  Boolean
@@ -56,15 +56,10 @@ class CategoryCodec:
     def encode(self, column: str, literal) -> int:
         return category_index(self.categories(column), literal)
 
-    def decode(self, column: str, iv: Interval1D) -> list:
-        """Categories whose unit intervals meet the given interval."""
-        cats = self.categories(column)
-        out = []
-        for i, cat in enumerate(cats):
-            unit = Interval1D(i, True, i + 1, False)
-            if unit.intersect(iv) is not None:
-                out.append(cat)
-        return out
+    def decode(self, column: str, iv: Interval1D) -> tuple:
+        """The categories whose codes lie in the given closed integer
+        interval."""
+        return self.categories(column)[iv.lo:iv.hi + 1]
 
 
 def build_codec(table: "DecisionTable") -> CategoryCodec:

@@ -16,9 +16,12 @@ arithmetic, so exact comparison is safe.
 
 Two endpoint disciplines exist:
 
-* continuous ("real") intervals keep their open/closed flags;
-* discrete ("integer") intervals are normalised to closed finite bounds,
-  e.g. ``(0..5]`` becomes ``[1..5]`` and ``< 5`` becomes ``(-inf..4]``.
+* continuous intervals, those of real columns, keep their open/closed
+  flags;
+* discrete intervals, those of integer and categorical columns, are
+  normalised to closed finite bounds, e.g. ``(0..5]`` becomes
+  ``[1..5]`` and ``< 5`` becomes ``(-inf..4]``; a category is coded
+  as an integer point.
 
 Intervals order canonically by :func:`canonical_key`: lower bound first,
 a closed lower bound before an open one at the same value.  Raw tuple

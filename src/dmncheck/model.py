@@ -31,7 +31,7 @@ from functools import cached_property
 from typing import TYPE_CHECKING, Optional, Union
 
 from .errors import (DecisionTableError, EvalError, SchemaError,
-                     SFeelSyntaxError, SFeelTypeError)
+                     SFeelSyntaxError, SFeelTypeError, echo)
 from .geometry import lower_condition
 from .intervals import intersect_sets
 from .sfeel import (ANY, AnyValue, Condition, Kind, Match, format_literal,
@@ -128,7 +128,7 @@ def _parse_attribute(entry, index: int, role: str) -> Attribute:
         kind = Kind(type_text)
     except ValueError:
         raise SchemaError(f"{role} column {name!r} has unknown type "
-                          f"{type_text!r}") from None
+                          f"{echo(type_text)}") from None
     facet_text = entry.get("facet")
     if facet_text is None:
         return Attribute(name, kind)
@@ -170,7 +170,7 @@ def _parse_output_literal(text, attr: Attribute, rule_id: str,
             raise _located(exc, where) from exc
         if not isinstance(cond, Match):
             raise SchemaError(f"{where}: output entry must be a single "
-                              f"literal, got {text!r}")
+                              f"literal, got {echo(text)}")
         value = cond.value
     else:
         raise SchemaError(f"{where}: output entry must be a literal text")
@@ -219,11 +219,12 @@ def load_table(document) -> DecisionTable:
 
     hit_text = document.get("hitPolicy", "U")
     if not isinstance(hit_text, str) or hit_text not in _HIT_POLICIES:
-        raise SchemaError(f"unknown hit policy {hit_text!r}")
+        raise SchemaError(f"unknown hit policy {echo(hit_text)}")
     completeness_text = document.get("completeness", "C")
     if not isinstance(completeness_text, str) \
             or completeness_text not in _COMPLETENESS:
-        raise SchemaError(f"unknown completeness flag {completeness_text!r}")
+        raise SchemaError(
+            f"unknown completeness flag {echo(completeness_text)}")
 
     raw_inputs = document.get("inputs")
     raw_outputs = document.get("outputs")

@@ -31,7 +31,8 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Sequence, Union
 
-from .errors import CodecError, EvalError, SFeelSyntaxError, SFeelTypeError
+from .errors import (CodecError, EvalError, SFeelSyntaxError, SFeelTypeError,
+                     echo)
 from .intervals import FULL, NEG_INF, POS_INF, Interval1D, canonical, interval
 
 
@@ -208,19 +209,9 @@ _TOKEN_RE = re.compile(
 # operation, unary minus included.
 _MAX_NESTING = 32
 _MAX_OPERATORS = 100
-# Characters of an entry text that an error message repeats.
-_ECHO_LIMIT = 60
 
 _QUOTED_RE = re.compile(r'"([^"]*)"')
 _BARE_STRING_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_ .\-]*")
-
-
-def _echo(text: str) -> str:
-    """An entry text quoted for an error message, cut after
-    ``_ECHO_LIMIT`` characters so hostile entries give short errors."""
-    if len(text) <= _ECHO_LIMIT:
-        return repr(text)
-    return f"{text[:_ECHO_LIMIT]!r}..."
 
 
 def _lex_numeric(text: str) -> list[tuple[str, object]]:
@@ -234,7 +225,7 @@ def _lex_numeric(text: str) -> list[tuple[str, object]]:
             if not rest:
                 break
             raise SFeelSyntaxError(f"unexpected character {rest[0]!r} "
-                                   f"in {_echo(text)}")
+                                   f"in {echo(text)}")
         pos = m.end()
         kind = m.lastgroup
         value = m.group(kind)
@@ -245,7 +236,7 @@ def _lex_numeric(text: str) -> list[tuple[str, object]]:
                 number = math.inf
             if not is_finite_number(number):
                 raise SFeelTypeError(f"numeric literal out of range "
-                                     f"in {_echo(text)}")
+                                     f"in {echo(text)}")
             tokens.append(("num", number))
         else:
             tokens.append((kind, value))
@@ -270,7 +261,7 @@ class _NumericParser:
         tok = self.peek()
         if tok is None:
             raise SFeelSyntaxError(f"unexpected end of condition "
-                                   f"in {_echo(self.text)}")
+                                   f"in {echo(self.text)}")
         self.pos += 1
         return tok
 
@@ -278,7 +269,7 @@ class _NumericParser:
         tok = self.take()
         if tok[0] != kind:
             raise SFeelSyntaxError(f"expected {kind} but found {tok[1]!r} "
-                                   f"in {_echo(self.text)}")
+                                   f"in {echo(self.text)}")
         return tok
 
     def nest(self) -> None:
@@ -286,13 +277,13 @@ class _NumericParser:
         if self.depth > _MAX_NESTING:
             raise SFeelSyntaxError(f"more than {_MAX_NESTING} nested "
                                    f"parentheses or signs "
-                                   f"in {_echo(self.text)}")
+                                   f"in {echo(self.text)}")
 
     def operator(self) -> None:
         self.operators += 1
         if self.operators > _MAX_OPERATORS:
             raise SFeelSyntaxError(f"more than {_MAX_OPERATORS} arithmetic "
-                                   f"operators in {_echo(self.text)}")
+                                   f"operators in {echo(self.text)}")
 
     def at_end(self) -> bool:
         return self.pos >= len(self.tokens)
@@ -300,7 +291,7 @@ class _NumericParser:
     def require_end(self) -> None:
         if not self.at_end():
             raise SFeelSyntaxError(f"trailing input after condition "
-                                   f"in {_echo(self.text)}")
+                                   f"in {echo(self.text)}")
 
     # term grammar: addsub -> muldiv -> unary -> atom
 
@@ -348,16 +339,16 @@ class _NumericParser:
             self.depth -= 1
             return node
         if tok[0] == "word":
-            raise SFeelTypeError(f"{_echo(tok[1])} is not a {self.kind.value} "
-                                 f"literal in {_echo(self.text)}")
-        raise SFeelSyntaxError(f"unexpected {tok[1]!r} in {_echo(self.text)}")
+            raise SFeelTypeError(f"{echo(tok[1])} is not a {self.kind.value} "
+                                 f"literal in {echo(self.text)}")
+        raise SFeelSyntaxError(f"unexpected {tok[1]!r} in {echo(self.text)}")
 
     def _literal(self, value):
         if isinstance(value, int):
             return float(value) if self.kind is Kind.REAL else value
         if self.kind is Kind.INTEGER:
             raise SFeelTypeError(f"real literal in integer condition "
-                                 f"{_echo(self.text)}")
+                                 f"{echo(self.text)}")
         return value
 
     # condition elements
@@ -365,7 +356,7 @@ class _NumericParser:
     def element(self) -> Condition:
         tok = self.peek()
         if tok is None:
-            raise SFeelSyntaxError(f"empty condition in {_echo(self.text)}")
+            raise SFeelSyntaxError(f"empty condition in {echo(self.text)}")
         if tok[0] == "word" and tok[1] == "not":
             self.take()
             self.expect("lpar")
@@ -399,7 +390,7 @@ class _NumericParser:
         if not is_interval:
             if bracketed:
                 raise SFeelSyntaxError(f"expected '..' inside interval "
-                                       f"in {_echo(self.text)}")
+                                       f"in {echo(self.text)}")
             # plain parenthesised arithmetic
             self.pos, self.depth, self.operators = mark
             return Match(fold_term(self.term()))
@@ -408,7 +399,7 @@ class _NumericParser:
         closer = self.take()
         if closer[0] not in ("rbrack", "rpar"):
             raise SFeelSyntaxError(f"unterminated interval "
-                                   f"in {_echo(self.text)}")
+                                   f"in {echo(self.text)}")
         return Interval(bracketed, fold_term(lo), fold_term(hi),
                         closer[0] == "rbrack")
 
@@ -433,7 +424,7 @@ def _split_alternatives(text: str) -> list[str]:
             start = i + 1
     if in_quote:
         raise SFeelSyntaxError(f"unterminated string literal "
-                               f"in {_echo(text)}")
+                               f"in {echo(text)}")
     parts.append(text[start:])
     return parts
 
@@ -443,7 +434,7 @@ def _parse_string_literal(text: str) -> str:
     if m is not None:
         return m.group(1)
     if '"' in text:
-        raise SFeelSyntaxError(f"malformed string literal {_echo(text)}")
+        raise SFeelSyntaxError(f"malformed string literal {echo(text)}")
     return text
 
 
@@ -457,17 +448,17 @@ def _parse_categorical_element(text: str, kind: Kind) -> Condition:
                 return True
             if raw == "false":
                 return False
-            raise SFeelTypeError(f"{_echo(raw)} is not a boolean literal")
+            raise SFeelTypeError(f"{echo(raw)} is not a boolean literal")
         return _parse_string_literal(raw)
 
     if text.startswith("not(") and text.endswith(")"):
         return Not(literal(text[4:-1]))
     if text[0] in "<>[" or text.startswith(("<=", ">=")):
         raise SFeelTypeError(f"comparisons and intervals are not defined "
-                             f"for {kind.value} columns: {_echo(text)}")
+                             f"for {kind.value} columns: {echo(text)}")
     if kind is Kind.STRING and text[0] == "(":
         raise SFeelTypeError(f"intervals are not defined for string "
-                             f"columns: {_echo(text)}")
+                             f"columns: {echo(text)}")
     return Match(literal(text))
 
 
@@ -482,7 +473,7 @@ def parse_condition(text: str, kind: Kind) -> Condition:
                                f"{type(text).__name__}")
     parts = [p.strip() for p in _split_alternatives(text)]
     if any(not p for p in parts):
-        raise SFeelSyntaxError(f"empty condition branch in {_echo(text)}")
+        raise SFeelSyntaxError(f"empty condition branch in {echo(text)}")
     conditions = [_parse_element(p, kind) for p in parts]
     if len(conditions) == 1:
         return conditions[0]
@@ -614,30 +605,29 @@ def lower_to_intervals(cond: Condition, kind: Kind,
                        ) -> tuple[Interval1D, ...]:
     """Geometric image of a condition as a canonical interval set.
 
-    Numeric kinds map directly (integer sets use the closed-bound
-    discrete form).  Categorical kinds need the column's ordered
-    category list: the k-th category occupies the half-open unit
-    interval [k..k+1), so adjacent categories never touch unless both
-    are present and merge.
+    Numeric kinds map directly.  Categorical kinds need the column's
+    ordered category list: the k-th category is the integer point
+    [k..k].  Integer and categorical sets use the closed-bound discrete
+    form, so adjacent categories merge when both are present.
     """
     if isinstance(cond, Alternative):
         return canonical(
             [iv for part in cond.parts
              for iv in lower_to_intervals(part, kind, categories)],
-            kind is Kind.INTEGER)
+            kind is not Kind.REAL)
     if kind.is_categorical:
         if categories is None or len(categories) == 0:
             raise CodecError(f"no categories known for {kind.value} column")
         k = len(categories)
         if isinstance(cond, AnyValue):
-            return canonical([interval(0, True, k, False)])
+            return canonical([interval(0, True, k - 1, True)], True)
         if isinstance(cond, Match):
             i = category_index(categories, cond.value)
-            return canonical([interval(i, True, i + 1, False)])
+            return canonical([interval(i, True, i, True)], True)
         if isinstance(cond, Not):
             i = category_index(categories, cond.value)
-            return canonical([interval(0, True, i, False),
-                              interval(i + 1, True, k, False)])
+            return canonical([interval(0, True, i - 1, True),
+                              interval(i + 1, True, k - 1, True)], True)
         raise SFeelTypeError(f"condition {cond!r} is not defined for "
                              f"{kind.value} columns")
 

@@ -307,12 +307,52 @@ class TestUndecodableJson:
         self.assert_one_error_line(capsys)
 
     @staticmethod
-    def assert_one_error_line(capsys):
+    def assert_one_error_line(capsys, limit=300):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ")
         assert captured.err.count("\n") == 1
-        assert len(captured.err) < 300
+        assert len(captured.err) < limit
+
+
+# A list nested 900 deep: JSON decodes it, and its repr is 1,800 long.
+NESTED_900 = "[" * 900 + "]" * 900
+
+
+class TestBoundedEcho:
+    """A hostile value named in an error line is cut short."""
+
+    @pytest.mark.parametrize("path,value", [
+        (("completeness",), json.dumps("x" * 100_000)),
+        (("hitPolicy",), NESTED_900),
+        (("inputs", 0, "type"), NESTED_900),
+        (("rules", 0, "out", 0),
+         json.dumps(",".join(f'"v{i}"' for i in range(20_000)))),
+    ], ids=["long-completeness", "nested-hit-policy", "nested-type",
+            "long-output-entry"])
+    def test_check_field(self, path, value, tmp_path, capsys):
+        # The value goes in as raw JSON text, spliced over a placeholder.
+        doc = loan_doc()
+        node = doc
+        for step in path[:-1]:
+            node = node[step]
+        node[path[-1]] = "<hostile>"
+        text = json.dumps(doc).replace('"<hostile>"', value)
+        doc_path = tmp_path / "hostile.json"
+        doc_path.write_text(text, encoding="utf-8")
+        assert main(["check", str(doc_path)]) == 2
+        TestUndecodableJson.assert_one_error_line(capsys, limit=200)
+
+    @pytest.mark.parametrize("text", [
+        '{"columnCounts": [' + NESTED_900 + "]}",
+        '{"runs": ' + json.dumps("y" * 50_000) + "}",
+        '{"columnCounts": ' + json.dumps("z" * 50_000) + "}",
+    ], ids=["nested-count", "long-runs", "long-counts"])
+    def test_bench_suite(self, text, tmp_path, capsys):
+        suite = tmp_path / "suite.json"
+        suite.write_text(text, encoding="utf-8")
+        assert main(["bench", "--suite", str(suite)]) == 2
+        TestUndecodableJson.assert_one_error_line(capsys, limit=200)
 
 
 class TestGenerate:

@@ -54,10 +54,9 @@ class TestCodec:
 
     def test_decode_subinterval(self, table1):
         codec = build_codec(table1)
-        assert codec.decode("Grade", iv(1, True, 2, False)) == ["G"]
-        assert codec.decode("Grade", iv(0, True, 3, False)) \
-            == ["VG", "G", "F"]
-        assert codec.decode("Grade", iv(1.25, True, 1.75, False)) == ["G"]
+        assert codec.decode("Grade", iv(1, True, 1, True)) == ("G",)
+        assert codec.decode("Grade", iv(0, True, 2, True)) \
+            == ("VG", "G", "F")
 
     def test_deterministic(self):
         doc = categorical_doc()
@@ -75,14 +74,14 @@ class TestRuleToRects:
         boxes = rule_boxes(table.geometry, "r1")
         assert len(boxes) == 2
         assert {box[0] for box in boxes} \
-            == {iv(0, True, 1, False), iv(2, True, 3, False)}
+            == {iv(0, True, 0, True), iv(2, True, 2, True)}
 
     def test_adjacent_categories_merge(self):
         doc = categorical_doc()
         doc["rules"][0]["in"] = ["Refinancing,CardPayoff"]
         table = load_table(doc)
         assert [box[0] for box in rule_boxes(table.geometry, "r1")] \
-            == [iv(0, True, 2, False)]
+            == [iv(0, True, 1, True)]
 
     def test_facet_incompatible_entry_is_empty(self):
         doc = loan_doc()
@@ -128,7 +127,29 @@ class TestUniverse:
     def test_categorical_component(self):
         table = load_table(categorical_doc())
         universe = build_universe(table, build_codec(table))
-        assert universe[0] == (iv(0, True, 3, False),)
+        assert universe[0] == (iv(0, True, 2, True),)
+
+
+def test_categories_are_closed_integer_points():
+    """Category k is the point [k..k]: a categorical column is discrete,
+    and each member of its column sets is a closed integer interval
+    inside [0..k-1]."""
+    rng = random.Random(2024)
+    for _ in range(300):
+        table = random_table(rng)
+        geometry = table.geometry
+        for d, attr in enumerate(table.inputs):
+            if not attr.kind.is_categorical:
+                continue
+            assert geometry.discrete[d]
+            last = len(geometry.codec.categories(attr.name)) - 1
+            sets = [geometry.universe[d]] + [
+                row[d] for row in geometry.columns_of.values()]
+            for member in (m for members in sets for m in members):
+                assert member.lo_closed and member.hi_closed
+                assert isinstance(member.lo, int)
+                assert isinstance(member.hi, int)
+                assert 0 <= member.lo <= member.hi <= last
 
 
 def test_rects_semantically_faithful():

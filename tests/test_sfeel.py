@@ -212,13 +212,13 @@ class TestLower:
     def test_match_category(self):
         got = lower_to_intervals(Match("Refinancing"), Kind.STRING,
                                  categories=("Refinancing", "CardPayoff"))
-        assert got == (iv(0, True, 1, False),)
+        assert got == (iv(0, True, 0, True),)
 
     def test_not_category_is_codec_complement(self):
         got = lower_to_intervals(Not("Refinancing"), Kind.STRING,
                                  categories=("Refinancing", "CardPayoff",
                                              "Leasing"))
-        assert got == (iv(1, True, 3, False),)
+        assert got == (iv(1, True, 2, True),)
 
     def test_integer_comparison_normalizes_closed(self):
         got = lower_to_intervals(parse_condition("<5", Kind.INTEGER),
