@@ -37,9 +37,11 @@ column sets.
 Missing values: ``_suffix_forest`` hash-conses the rules' column-set
 suffixes, so rules whose sets agree from column d onward share one
 suffix id there and each sub-sweep over a set of suffix ids runs once
-and is memoised.  Sweeping one dimension, spans where no suffix is
-active are uncovered for every legal deeper value; spans with active
-suffixes recurse over their tails.  Discovered gap boxes merge when
+and is memoised.  Sweeping one dimension, a span recurses over the
+tails of the suffixes active there; a span where none is active is cut
+to the column's universe and recurses over no suffixes, which yields
+the universe's members in every deeper column.  A span still active at
+the last column is covered.  Discovered gap boxes merge when
 exactly one column's intervals are contiguous and all other columns
 agree, repeated to a fixpoint, so no two reported boxes could still
 merge.  Each merge is ``canonical``, which orders a column's intervals
@@ -354,19 +356,13 @@ def find_missing_rules(table: "DecisionTable") -> list[MissingRegion]:
         (geometry.columns_of[rid] for rid in _nonempty_rules(geometry)),
         n_dims)
 
-    # Per-column products of universe member intervals: the tail of a
-    # gap box when no rule is active at some column.
-    universe_tails: list[list[tuple]] = [[] for _ in range(n_dims + 1)]
-    universe_tails[n_dims] = [()]
-    for d in range(n_dims - 1, -1, -1):
-        universe_tails[d] = [(m,) + tail for m in universe[d]
-                             for tail in universe_tails[d + 1]]
-
     memo: dict[tuple, tuple[tuple, ...]] = {}
 
     def gaps(suffix_ids: frozenset[int], dim: int) -> tuple[tuple, ...]:
+        # Only a stretch where no suffix is active reaches past the
+        # last column.
         if dim == n_dims:
-            return ()
+            return ((),)
         key = (suffix_ids, dim)
         cached = memo.get(key)
         if cached is not None:
@@ -375,13 +371,15 @@ def find_missing_rules(table: "DecisionTable") -> list[MissingRegion]:
         out: list[tuple] = []
         for stretch, active in _walk(suffix_ids, heads[dim], discrete[dim]):
             if not active:
-                for frag in intersect_sets(universe[dim], (stretch,)):
-                    for ubox in universe_tails[dim + 1]:
-                        out.append((frag,) + ubox)
+                frags = intersect_sets(universe[dim], (stretch,))
             elif dim + 1 < n_dims:
+                frags = (stretch,)
+            else:
+                continue  # covered in every column
+            for frag in frags:
                 for box in gaps(frozenset(tail[sid] for sid in active),
                                 dim + 1):
-                    out.append((stretch,) + box)
+                    out.append((frag,) + box)
         result = tuple(_merge_boxes(out, discrete[dim:]))
         memo[key] = result
         return result

@@ -182,12 +182,13 @@ def _parse_config(args) -> dict:
                 name, sep, value = pair.partition("=")
                 if not sep:
                     raise DecisionTableError(
-                        f"--input needs name=value pairs, got {pair!r}")
+                        f"--input needs name=value pairs, got {echo(pair)}")
                 config[name.strip()] = _parse_value(value)
     for pair in args.set or ():
         name, sep, value = pair.partition("=")
         if not sep:
-            raise DecisionTableError(f"--set needs name=value, got {pair!r}")
+            raise DecisionTableError(f"--set needs name=value, got "
+                                     f"{echo(pair)}")
         config[name.strip()] = _parse_value(value)
     if not config:
         raise DecisionTableError("no input configuration; use --input or "

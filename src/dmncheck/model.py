@@ -127,7 +127,7 @@ def _parse_attribute(entry, index: int, role: str) -> Attribute:
     try:
         kind = Kind(type_text)
     except ValueError:
-        raise SchemaError(f"{role} column {name!r} has unknown type "
+        raise SchemaError(f"{role} column {echo(name)} has unknown type "
                           f"{echo(type_text)}") from None
     facet_text = entry.get("facet")
     if facet_text is None:
@@ -135,9 +135,10 @@ def _parse_attribute(entry, index: int, role: str) -> Attribute:
     try:
         facet = parse_condition(facet_text, kind)
     except _CONDITION_ERRORS as exc:
-        raise _located(exc, f"facet of {role} column {name!r}") from exc
+        raise _located(exc, f"facet of {role} column {echo(name)}") from exc
     if kind.is_numeric and not lower_to_intervals(facet, kind):
-        raise SchemaError(f"facet of {role} column {name!r} permits no value")
+        raise SchemaError(f"facet of {role} column {echo(name)} permits no "
+                          f"value")
     return Attribute(name, kind, facet)
 
 
@@ -155,7 +156,7 @@ def _parse_cell(memo: dict, text, kind: Kind) -> Condition:
 
 def _parse_output_literal(text, attr: Attribute, rule_id: str,
                           memo: dict) -> Literal:
-    where = f"rule {rule_id!r}, output column {attr.name!r}"
+    where = f"rule {echo(rule_id)}, output column {echo(attr.name)}"
     if isinstance(text, bool):
         value: Literal = text
     elif isinstance(text, (int, float)):
@@ -255,30 +256,31 @@ def load_table(document) -> DecisionTable:
         if not isinstance(rule_id, str) or not rule_id:
             raise SchemaError(f"rule {index} needs a non-empty id")
         if rule_id in seen_ids:
-            raise SchemaError(f"duplicate rule id {rule_id!r}")
+            raise SchemaError(f"duplicate rule id {echo(rule_id)}")
         seen_ids.add(rule_id)
         in_texts = raw.get("in")
         out_texts = raw.get("out")
         if not isinstance(in_texts, list) or len(in_texts) != len(inputs):
-            raise SchemaError(f"rule {rule_id!r} needs {len(inputs)} input "
-                              f"entries")
+            raise SchemaError(f"rule {echo(rule_id)} needs {len(inputs)} "
+                              f"input entries")
         if not isinstance(out_texts, list) or len(out_texts) != len(outputs):
-            raise SchemaError(f"rule {rule_id!r} needs {len(outputs)} output "
-                              f"entries")
+            raise SchemaError(f"rule {echo(rule_id)} needs {len(outputs)} "
+                              f"output entries")
         entries = []
         for attr, text in zip(inputs, in_texts):
             try:
                 entries.append(_parse_cell(parsed, text, attr.kind))
             except _CONDITION_ERRORS as exc:
                 raise _located(
-                    exc, f"rule {rule_id!r}, column {attr.name!r}") from exc
+                    exc, f"rule {echo(rule_id)}, column {echo(attr.name)}"
+                ) from exc
         out_values = tuple(_parse_output_literal(text, attr, rule_id, parsed)
                            for attr, text in zip(outputs, out_texts))
         rules.append(Rule(rule_id, tuple(entries), out_values))
         if "priority" in raw:
             rank = raw["priority"]
             if not isinstance(rank, int) or isinstance(rank, bool):
-                raise SchemaError(f"rule {rule_id!r} priority must be an "
+                raise SchemaError(f"rule {echo(rule_id)} priority must be an "
                                   f"integer")
             explicit[rule_id] = rank
 

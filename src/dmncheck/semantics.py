@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional
 
-from .errors import SchemaError, SFeelTypeError
+from .errors import SchemaError, SFeelTypeError, echo
 from .model import Attribute, DecisionTable, Rule
 from .sfeel import Condition, Kind, is_finite_number, kind_of, satisfies
 from .analysis import columns_contained
@@ -51,27 +51,27 @@ def _check_config(table: DecisionTable, config: dict) -> dict:
     clean = {}
     for attr in table.inputs:
         if attr.name not in config:
-            raise SchemaError(f"missing input value for '{attr.name}'")
+            raise SchemaError(f"missing input value for {echo(attr.name)}")
         value = config[attr.name]
         got = kind_of(value)
         # Integral literals are legal real values.
         if got is not attr.kind and not (attr.kind is Kind.REAL
                                          and got is Kind.INTEGER):
             raise SFeelTypeError(
-                f"input '{attr.name}' expects {attr.kind.value}, "
+                f"input {echo(attr.name)} expects {attr.kind.value}, "
                 f"got {got.value}")
         if attr.kind is Kind.REAL:
             # No rule region holds NaN, an infinity or a number beyond
             # float range, so the evaluator must not match them either.
             if not is_finite_number(value):
                 raise SFeelTypeError(
-                    f"input '{attr.name}' must be a finite number within "
+                    f"input {echo(attr.name)} must be a finite number within "
                     f"float range")
             value = float(value)
         clean[attr.name] = value
     extra = set(config) - {attr.name for attr in table.inputs}
     if extra:
-        raise SchemaError(f"unknown input columns: {sorted(extra)}")
+        raise SchemaError(f"unknown input columns: {echo(sorted(extra))}")
     return clean
 
 

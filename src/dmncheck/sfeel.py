@@ -12,8 +12,8 @@ A condition text is one of::
 
 Terms are literals or arithmetic over literals (``+ - * /``, with the
 multiplication-dot and division-sign accepted as spellings of ``*`` and
-``/``).  Terms are folded to a single literal while parsing, so every
-AST node carries plain literal values.
+``/``).  Each operation is folded as soon as it is parsed, so no term
+tree exists and every AST node carries plain literal values.
 
 Four value kinds exist: string, boolean, integer, real.  Their domains
 are treated as pairwise disjoint; equality is defined for all kinds,
@@ -77,63 +77,6 @@ def is_finite_number(value) -> bool:
     are rejected where they enter.
     """
     return -_FLOAT_MAX <= value <= _FLOAT_MAX
-
-
-# ---------------------------------------------------------------------------
-# Terms
-
-
-@dataclass(frozen=True)
-class BinOp:
-    """Binary arithmetic application over two sub-terms."""
-
-    op: str  # one of + - * /
-    left: "Term"
-    right: "Term"
-
-
-Term = Union[bool, int, float, str, BinOp]
-
-
-def fold_term(term: Term):
-    """Reduce a ground term to its literal value.
-
-    Arithmetic requires both operands to share a numeric kind.  Integer
-    division truncates toward zero; division by zero raises EvalError,
-    and a result outside the range of a finite float SFeelTypeError.
-    """
-    if not isinstance(term, BinOp):
-        kind_of(term)  # reject exotic literal types
-        return term
-    left = fold_term(term.left)
-    right = fold_term(term.right)
-    lk, rk = kind_of(left), kind_of(right)
-    if not (lk.is_numeric and rk.is_numeric):
-        raise SFeelTypeError(f"arithmetic over non-numeric operands "
-                             f"({lk.value}, {rk.value})")
-    if lk != rk:
-        raise SFeelTypeError(f"mixed numeric kinds in arithmetic "
-                             f"({lk.value} {term.op} {rk.value})")
-    op = term.op
-    if op == "+":
-        result = left + right
-    elif op == "-":
-        result = left - right
-    elif op == "*":
-        result = left * right
-    elif op == "/":
-        if right == 0:
-            raise EvalError("division by zero")
-        if lk is Kind.INTEGER:
-            q = abs(left) // abs(right)
-            return -q if (left < 0) != (right < 0) else q
-        result = left / right
-    else:
-        raise SFeelTypeError(f"unknown operator {op!r}")
-    if not is_finite_number(result):
-        raise SFeelTypeError(f"arithmetic result of {op!r} is not a finite "
-                             f"number")
-    return result
 
 
 # ---------------------------------------------------------------------------
@@ -203,10 +146,10 @@ _TOKEN_RE = re.compile(
     re.X,
 )
 
-# Bounds on one numeric condition element, which keep parsing and
-# folding within the interpreter's recursion limit.  Nesting counts
-# open parentheses and unary signs; operators count every arithmetic
-# operation, unary minus included.
+# Bounds on one numeric condition element, which keep parsing within
+# the interpreter's recursion limit.  Nesting counts open parentheses
+# and unary signs; operators count every arithmetic operation, unary
+# minus included.
 _MAX_NESTING = 32
 _MAX_OPERATORS = 100
 
@@ -243,8 +186,40 @@ def _lex_numeric(text: str) -> list[tuple[str, object]]:
     return tokens
 
 
+def _apply(op: str, left, right):
+    """One arithmetic step over two operands of one numeric kind.
+
+    Integer division truncates toward zero; division by zero raises
+    EvalError, and a result outside the range of a finite float
+    SFeelTypeError.
+    """
+    if op == "+":
+        result = left + right
+    elif op == "-":
+        result = left - right
+    elif op == "*":
+        result = left * right
+    else:
+        if right == 0:
+            raise EvalError("division by zero")
+        if isinstance(left, int):
+            q = abs(left) // abs(right)
+            return -q if (left < 0) != (right < 0) else q
+        result = left / right
+    if not is_finite_number(result):
+        raise SFeelTypeError(f"arithmetic result of {op!r} is not a finite "
+                             f"number")
+    return result
+
+
 class _NumericParser:
-    """Recursive-descent parser for numeric condition elements."""
+    """Recursive-descent parser for numeric condition elements.
+
+    Each arithmetic operation is folded by ``_apply`` as soon as both
+    operands are parsed, so a term yields its literal value and no term
+    tree is built.  Every leaf takes the column's kind in ``_literal``,
+    so both operands of an operation share it.
+    """
 
     def __init__(self, text: str, kind: Kind):
         self.text = text
@@ -295,24 +270,21 @@ class _NumericParser:
 
     # term grammar: addsub -> muldiv -> unary -> atom
 
-    def term(self):
-        return self.addsub()
-
     def addsub(self):
-        node = self.muldiv()
+        value = self.muldiv()
         while (tok := self.peek()) and tok[0] == "op" and tok[1] in "+-":
             self.take()
             self.operator()
-            node = BinOp(str(tok[1]), node, self.muldiv())
-        return node
+            value = _apply(str(tok[1]), value, self.muldiv())
+        return value
 
     def muldiv(self):
-        node = self.unary()
+        value = self.unary()
         while (tok := self.peek()) and tok[0] == "op" and tok[1] in "*/":
             self.take()
             self.operator()
-            node = BinOp(str(tok[1]), node, self.unary())
-        return node
+            value = _apply(str(tok[1]), value, self.unary())
+        return value
 
     def unary(self):
         tok = self.peek()
@@ -324,8 +296,10 @@ class _NumericParser:
             if tok[1] == "+":
                 return operand
             self.operator()
+            # 0 - x rather than -x, so -0 folds to 0.0 under a real
+            # column, not to -0.0.
             zero = 0 if self.kind is Kind.INTEGER else 0.0
-            return BinOp("-", zero, operand)
+            return _apply("-", zero, operand)
         return self.atom()
 
     def atom(self):
@@ -334,10 +308,10 @@ class _NumericParser:
             return self._literal(tok[1])
         if tok[0] == "lpar":
             self.nest()
-            node = self.addsub()
+            value = self.addsub()
             self.expect("rpar")
             self.depth -= 1
-            return node
+            return value
         if tok[0] == "word":
             raise SFeelTypeError(f"{echo(tok[1])} is not a {self.kind.value} "
                                  f"literal in {echo(self.text)}")
@@ -360,48 +334,36 @@ class _NumericParser:
         if tok[0] == "word" and tok[1] == "not":
             self.take()
             self.expect("lpar")
-            value = fold_term(self.term())
+            cond = Not(self.addsub())
             self.expect("rpar")
-            self.require_end()
-            return Not(value)
-        if tok[0] == "cmp":
+        elif tok[0] == "cmp":
             self.take()
-            value = fold_term(self.term())
-            self.require_end()
-            return Comparison(str(tok[1]), value)
-        if tok[0] in ("lbrack", "lpar"):
-            cond = self._interval_or_term(tok[0] == "lbrack")
-            self.require_end()
-            return cond
-        value = fold_term(self.term())
+            cond = Comparison(str(tok[1]), self.addsub())
+        elif tok[0] == "lbrack" or (tok[0] == "lpar"
+                                    and ("dots", "..") in self.tokens):
+            # No term holds '..', so a '(' element holding one is an
+            # interval, and any other '(' opens a parenthesised term.
+            cond = self._interval()
+        else:
+            cond = Match(self.addsub())
         self.require_end()
-        return Match(value)
+        return cond
 
-    def _interval_or_term(self, bracketed: bool) -> Condition:
-        mark = self.pos, self.depth, self.operators
-        self.take()  # opening bracket or paren
-        try:
-            lo = self.term()
-            is_interval = (tok := self.peek()) is not None and tok[0] == "dots"
-        except (SFeelSyntaxError, SFeelTypeError):
-            if bracketed:
-                raise
-            is_interval = False
-        if not is_interval:
-            if bracketed:
-                raise SFeelSyntaxError(f"expected '..' inside interval "
-                                       f"in {echo(self.text)}")
-            # plain parenthesised arithmetic
-            self.pos, self.depth, self.operators = mark
-            return Match(fold_term(self.term()))
-        self.take()  # '..'
-        hi = self.term()
+    def _interval(self) -> Interval:
+        # The opening bracket or paren is not a nesting level.
+        opener = self.take()
+        lo = self.addsub()
+        tok = self.peek()
+        if tok is None or tok[0] != "dots":
+            raise SFeelSyntaxError(f"expected '..' inside interval "
+                                   f"in {echo(self.text)}")
+        self.take()
+        hi = self.addsub()
         closer = self.take()
         if closer[0] not in ("rbrack", "rpar"):
             raise SFeelSyntaxError(f"unterminated interval "
                                    f"in {echo(self.text)}")
-        return Interval(bracketed, fold_term(lo), fold_term(hi),
-                        closer[0] == "rbrack")
+        return Interval(opener[0] == "lbrack", lo, hi, closer[0] == "rbrack")
 
 
 def _split_alternatives(text: str) -> list[str]:

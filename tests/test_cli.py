@@ -317,6 +317,17 @@ class TestUndecodableJson:
 
 # A list nested 900 deep: JSON decodes it, and its repr is 1,800 long.
 NESTED_900 = "[" * 900 + "]" * 900
+LONG_NAME = "n" * 100_000
+
+
+def _edited(doc: dict, edits: dict) -> dict:
+    # Each key is a path of keys and indices into the document.
+    for path, value in edits.items():
+        node = doc
+        for step in path[:-1]:
+            node = node[step]
+        node[path[-1]] = value
+    return doc
 
 
 class TestBoundedEcho:
@@ -341,6 +352,40 @@ class TestBoundedEcho:
         doc_path = tmp_path / "hostile.json"
         doc_path.write_text(text, encoding="utf-8")
         assert main(["check", str(doc_path)]) == 2
+        TestUndecodableJson.assert_one_error_line(capsys, limit=200)
+
+    @pytest.mark.parametrize("edits", [
+        {("rules", 0, "id"): LONG_NAME, ("rules", 1, "id"): LONG_NAME},
+        {("rules", 0, "id"): LONG_NAME, ("rules", 0, "in"): ["-"]},
+        {("rules", 0, "id"): LONG_NAME, ("rules", 0, "priority"): "high"},
+        {("inputs", 0, "name"): LONG_NAME, ("inputs", 0, "type"): "decimal"},
+        {("inputs", 0, "name"): LONG_NAME, ("inputs", 0, "facet"): "[["},
+        {("inputs", 0, "name"): LONG_NAME, ("rules", 0, "in", 0): "[["},
+        {("outputs", 0, "name"): LONG_NAME, ("rules", 0, "out", 0): "<1"},
+    ], ids=["duplicate-rule-id", "entry-count", "priority", "column-type",
+            "facet", "input-cell", "output-literal"])
+    def test_check_long_name(self, edits, tmp_path, capsys):
+        doc_path = tmp_path / "long.json"
+        doc_path.write_text(json.dumps(_edited(loan_doc(), edits)),
+                            encoding="utf-8")
+        assert main(["check", str(doc_path)]) == 2
+        TestUndecodableJson.assert_one_error_line(capsys, limit=200)
+
+    @pytest.mark.parametrize("edits,argv", [
+        ({("inputs", 0, "name"): LONG_NAME}, ["--set", "Loan Size=5"]),
+        ({("inputs", 0, "name"): LONG_NAME},
+         ["--set", LONG_NAME + "=high", "--set", "Loan Size=5"]),
+        ({}, ["--input", json.dumps({"Annual Income": 1, "Loan Size": 2,
+                                     LONG_NAME: 3})]),
+        ({}, ["--set", LONG_NAME]),
+        ({}, ["--input", "Loan Size=5," + LONG_NAME]),
+    ], ids=["missing-input", "input-kind", "unknown-inputs", "set-pair",
+            "input-pair"])
+    def test_eval_long_name(self, edits, argv, tmp_path, capsys):
+        doc_path = tmp_path / "long.json"
+        doc_path.write_text(json.dumps(_edited(loan_doc(), edits)),
+                            encoding="utf-8")
+        assert main(["eval", str(doc_path)] + argv) == 2
         TestUndecodableJson.assert_one_error_line(capsys, limit=200)
 
     @pytest.mark.parametrize("text", [

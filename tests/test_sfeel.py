@@ -1,5 +1,7 @@
 """Condition parsing, constant folding, satisfaction, and lowering."""
 
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -157,6 +159,15 @@ class TestHostileLiterals:
             == Match(101)
         with pytest.raises(SFeelSyntaxError):
             parse_condition("+".join(["1"] * 102), Kind.INTEGER)
+        # An interval's opener is not a nesting level.
+        for opener, closer in (("[", "]"), ("(", ")")):
+            def text(depth):
+                return f"{opener}{'(' * depth}1{')' * depth}..2{closer}"
+
+            assert parse_condition(text(32), Kind.INTEGER) \
+                == Interval(opener == "[", 1, 2, closer == "]")
+            with pytest.raises(SFeelSyntaxError):
+                parse_condition(text(33), Kind.INTEGER)
 
 
 class TestSatisfies:
@@ -289,3 +300,88 @@ def test_alternatives_flattened(texts):
     cond = parse_condition(",".join(texts), Kind.INTEGER)
     if isinstance(cond, Alternative):
         assert all(not isinstance(p, Alternative) for p in cond.parts)
+
+
+# --- one-pass folding against a reference fold -----------------------------
+#
+# A term tree is an int leaf, ("sign", s, t), ("paren", t) or
+# (op, left, right).  It is rendered with the fewest parentheses that
+# keep its shape under left-associative precedence, plus the explicit
+# "paren" nodes, and folded here independently of the parser.
+
+_PRECEDENCE = {"+": 1, "-": 1, "*": 2, "/": 2}
+
+term_trees = st.recursive(
+    st.integers(0, 9),
+    lambda sub: st.one_of(
+        st.tuples(st.just("sign"), st.sampled_from("+-"), sub),
+        st.tuples(st.just("paren"), sub),
+        st.tuples(st.sampled_from("+-*"), sub, sub),
+        st.tuples(st.just("/"), sub, st.integers(1, 9)),
+    ),
+    max_leaves=10,
+)
+
+
+def _precedence(tree) -> int:
+    return _PRECEDENCE.get(tree[0], 3) if isinstance(tree, tuple) else 3
+
+
+def _render_term(tree) -> str:
+    if not isinstance(tree, tuple):
+        return str(tree)
+    if tree[0] == "paren":
+        return f"({_render_term(tree[1])})"
+    if tree[0] == "sign":
+        operand = _render_term(tree[2])
+        if _precedence(tree[2]) < 3:
+            operand = f"({operand})"
+        return tree[1] + operand
+    op, left, right = tree
+    left_text, right_text = _render_term(left), _render_term(right)
+    if _precedence(left) < _PRECEDENCE[op]:
+        left_text = f"({left_text})"
+    if _precedence(right) <= _PRECEDENCE[op]:
+        right_text = f"({right_text})"
+    return f"{left_text}{op}{right_text}"
+
+
+def _reference_fold(tree, kind: Kind):
+    if not isinstance(tree, tuple):
+        return float(tree) if kind is Kind.REAL else tree
+    if tree[0] == "paren":
+        return _reference_fold(tree[1], kind)
+    if tree[0] == "sign":
+        value = _reference_fold(tree[2], kind)
+        return value if tree[1] == "+" else -value
+    op, left, right = tree
+    a, b = _reference_fold(left, kind), _reference_fold(right, kind)
+    if op == "+":
+        return a + b
+    if op == "-":
+        return a - b
+    if op == "*":
+        return a * b
+    return a / b if kind is Kind.REAL else int(Fraction(a, b))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(t=term_trees, u=term_trees,
+       kind=st.sampled_from((Kind.INTEGER, Kind.REAL)))
+def test_folding_matches_reference(t, u, kind):
+    tt, ut = _render_term(t), _render_term(u)
+    v, w = _reference_fold(t, kind), _reference_fold(u, kind)
+    cases = [
+        (tt, Match(v)),
+        (f"not({tt})", Not(v)),
+        (f">={tt}", Comparison(">=", v)),
+        (f"[{tt}..{ut}]", Interval(True, v, w, True)),
+        (f"({tt}..{ut})", Interval(False, v, w, False)),
+    ]
+    literal_type = float if kind is Kind.REAL else int
+    for text, expected in cases:
+        got = parse_condition(text, kind)
+        assert got == expected, text
+        values = (got.lo, got.hi) if isinstance(got, Interval) \
+            else (got.value,)
+        assert all(type(x) is literal_type for x in values), text
