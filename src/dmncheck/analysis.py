@@ -14,39 +14,41 @@ check and the grid oracles share a single build.  Each distinct
 ``entry ∩ facet`` is lowered once per column.
 
 Both analyses are N-dimensional line sweeps in table column order over
-one skeleton.  ``_walk`` is the one per-event loop.  It sorts one
-column's bound events, one pair per member of each swept set, by value
-and, at equal values, by the tie rank from :mod:`dmncheck.intervals`,
-so closed-touching intervals count as overlapping while open-touching
-ones do not.  It yields each non-empty stretch between consecutive
-events, both unbounded ends included, with the ids active there.  A
-canonical set's members are disjoint and non-contiguous, so an id is
-active at most once at any point.
+one event encoding.  ``_events`` sorts one column's bound events, one
+pair per member of each swept set, by value and, at equal values, by the
+tie rank from :mod:`dmncheck.intervals`, so closed-touching intervals
+count as overlapping while open-touching ones do not.  A canonical set's
+members are disjoint and non-contiguous, so an id is active at most once
+at any point.
 
-Overlaps: the sweep recurses over rule indices.  Sweeping one
-dimension, every stretch where two or more rules are active recurses
-into the next dimension over those rules; at the last dimension the
-active rules' bits form a mask.  Each sub-sweep over a set of rules
-runs once and is memoised.  Reported masks form an antichain: a
-candidate that is a subset of an existing mask is dropped, and
-inserting a new mask purges its subsets.  A group's witness is a
-function of the group alone: the least corner of its region, per
-column the first member of the ``intersect_sets`` fold of the group's
-column sets.
+Overlaps: the sweep recurses over rule indices at each column's maximal
+cliques, where a lower bound event is directly followed by an upper
+bound event (Gupta, Lee & Leung, 1982); any other stretch's active rules
+are a subset of a clique's.  The tie ranks let a lower and an upper bound
+at one value meet only as ``[v..v]``, and discrete sets have closed
+finite bounds, so no clique is empty.  A clique of two or more rules
+recurses into the next dimension over them; past the last dimension
+their bits form a mask.  Each sub-sweep over a set of rules runs once and
+is memoised.  Reported masks form an antichain: a candidate that is a
+subset of an existing mask is dropped, and inserting a new mask purges
+its subsets.  A group's witness is a function of the group alone: the
+least corner of its region, per column the first member of the
+``intersect_sets`` fold of the group's column sets.
 
-Missing values: ``_suffix_forest`` hash-conses the rules' column-set
-suffixes, so rules whose sets agree from column d onward share one
-suffix id there and each sub-sweep over a set of suffix ids runs once
-and is memoised.  Sweeping one dimension, a span recurses over the
-tails of the suffixes active there; a span where none is active is cut
-to the column's universe and recurses over no suffixes, which yields
-the universe's members in every deeper column.  A span still active at
-the last column is covered.  Discovered gap boxes merge when
-exactly one column's intervals are contiguous and all other columns
-agree, repeated to a fixpoint, so no two reported boxes could still
-merge.  Each merge is ``canonical``, which orders a column's intervals
-canonically, so a closed point such as ``[1..1]`` meets the open
-stretch ``(1..2]`` that follows it.
+Missing values: ``_walk`` yields each non-empty stretch between events,
+both unbounded ends included, with the suffix ids active there.
+``_suffix_forest`` hash-conses the rules' column-set suffixes, so rules
+whose sets agree from column d onward share one suffix id there and each
+sub-sweep over a set of suffix ids runs once and is memoised.  Sweeping
+one dimension, a span recurses over the tails of the suffixes active
+there; a span where none is active is cut to the column's universe and
+recurses over no suffixes, which yields the universe's members in every
+deeper column.  A span still active at the last column is covered.
+Discovered gap boxes merge when exactly one column's intervals are
+contiguous and all other columns agree, repeated to a fixpoint, so no
+two reported boxes could still merge.  Each merge is ``canonical``, which
+orders a column's intervals canonically, so a closed point such as
+``[1..1]`` meets the open stretch ``(1..2]`` that follows it.
 
 The module also carries deliberately naive oracles that enumerate the
 compressed endpoint grid cell by cell.  They exist to cross-check the
@@ -195,23 +197,27 @@ def _span(last: Optional[tuple], current: Optional[tuple],
     return interval(lo, lo_closed, hi, hi_closed, discrete)
 
 
-def _walk(ids: Iterable[int], head: list[tuple[Interval1D, ...]],
-          discrete: bool) -> Iterator[tuple[Interval1D, set[int]]]:
-    """Yield ``(stretch, active)`` for each non-empty stretch between
-    consecutive bound events of the sets ``head[i]`` for ``i`` in
-    ``ids`` (rule indices or suffix ids), both unbounded ends included.
-    ``active`` holds the ids active over the stretch; it is updated in
-    place, so read it before resuming the walk."""
+def _events(ids: Iterable[int], head: list[tuple[Interval1D, ...]]) -> list:
+    """The sorted bound events ``(value, rank, id)`` of the sets
+    ``head[i]`` for ``i`` in ``ids``; lower bounds have odd ranks."""
     events = []
     for i in ids:
         for lo, lo_closed, hi, hi_closed in head[i]:
             events.append((lo, LOWER_CLOSED if lo_closed else LOWER_OPEN, i))
             events.append((hi, UPPER_CLOSED if hi_closed else UPPER_OPEN, i))
     events.sort()
-    events.append(None)  # the virtual bound at +infinity
+    return events
+
+
+def _walk(ids: Iterable[int], head: list[tuple[Interval1D, ...]],
+          discrete: bool) -> Iterator[tuple[Interval1D, set[int]]]:
+    """Yield ``(stretch, active)`` for each non-empty stretch between the
+    events of the suffix sets ``head[i]``, ``i`` in ``ids``, both
+    unbounded ends included; ``active``, the suffix ids active there, is
+    updated in place, so read it before resuming the walk."""
     active: set[int] = set()
     last: Optional[tuple] = None
-    for event in events:
+    for event in _events(ids, head) + [None]:  # None: the bound at +inf
         stretch = _span(last, event, discrete)
         if stretch is not None:
             yield stretch, active
@@ -250,36 +256,40 @@ def find_overlapping_rules(table: "DecisionTable") -> list[OverlapGroup]:
     group's column sets.
     """
     geometry = table.geometry
-    columns_of, discrete = geometry.columns_of, geometry.discrete
+    columns_of = geometry.columns_of
     n_dims = len(table.inputs)
     rule_order = _nonempty_rules(geometry)
     if not rule_order:
         return []
 
     # A rule's column set is canonical, so it is active at most once
-    # over a stretch and ``len(active)`` counts the rules there.
+    # at any point and ``len(active)`` counts the rules there.
     rows = [columns_of[rid] for rid in rule_order]
     heads = [[row[d] for row in rows] for d in range(n_dims)]
     memo: dict[tuple, tuple[int, ...]] = {}
 
     def sweep(rules: frozenset[int], dim: int) -> tuple[int, ...]:
         # Antichain of the rule masks realised over dims dim..
+        if dim == n_dims:
+            return (sum(1 << i for i in rules),)
         key = (rules, dim)
         cached = memo.get(key)
         if cached is not None:
             return cached
         chain: list[int] = []
-        for _stretch, active in _walk(rules, heads[dim], discrete[dim]):
-            if len(active) < 2:
-                continue
-            if dim + 1 == n_dims:
-                mask = 0
-                for i in active:
-                    mask |= 1 << i
-                _insert_antichain(chain, mask)
-            else:
+        active: set[int] = set()
+        rising = False
+        for _value, rank, i in _events(rules, heads[dim]):
+            # A lower bound directly followed by an upper bound closes a
+            # maximal clique of the column's intervals.
+            if rising and not rank & 1 and len(active) >= 2:
                 for mask in sweep(frozenset(active), dim + 1):
                     _insert_antichain(chain, mask)
+            rising = rank & 1
+            if rising:
+                active.add(i)
+            else:
+                active.discard(i)
         result = tuple(chain)
         memo[key] = result
         return result

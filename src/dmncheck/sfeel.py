@@ -558,8 +558,8 @@ def category_index(categories: Sequence, literal) -> int:
     for i, cat in enumerate(categories):
         if cat == literal and type(cat) is type(literal):
             return i
-    raise CodecError(f"literal {literal!r} is not among the known "
-                     f"categories {list(categories)!r}")
+    raise CodecError(f"literal {echo(literal)} is not among the column's "
+                     f"{len(categories)} known categories")
 
 
 def lower_to_intervals(cond: Condition, kind: Kind,

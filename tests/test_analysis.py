@@ -288,10 +288,29 @@ def _antichain(groups):
     return True
 
 
+# Real columns whose intervals nest, stair-step and meet at 5 with every
+# open/closed mix, and an outer [0..10] holding two disjoint inner rules:
+# maximal cliques begin and end at shared endpoints.
+SHARED_ENDPOINTS_DOC = {
+    "name": "shared-endpoints", "hitPolicy": "U", "completeness": "I",
+    "inputs": [{"name": "x", "type": "real"},
+               {"name": "y", "type": "real", "facet": "[0..10]"}],
+    "outputs": [{"name": "o", "type": "string"}],
+    "rules": [{"id": f"r{k}", "in": [x, y], "out": ["a"]}
+              for k, (x, y) in enumerate(zip(
+                  ["<5", "<=5", "[5..5]", "(5..9]", ">=5", "[0..10]",
+                   "[1..3]", "[6..8]", "[2..6]", "[4..8)", "(6..10]"],
+                  ["[0..10]", ">=5", "<=5", "<5", "(5..9]", "[5..5]",
+                   "[2..6]", "[6..8]", "[1..3]", "(6..10]", "[4..8)"]))],
+}
+
+
 def test_sweeps_match_oracles_on_random_tables():
     rng = random.Random(424242)
-    for _ in range(250):
-        table = random_table(rng)
+    tables = [random_table(rng) for _ in range(250)]
+    tables += [random_table(rng, max_rules=14) for _ in range(250)]
+    tables.append(load_table(SHARED_ENDPOINTS_DOC))
+    for table in tables:
         groups = find_overlapping_rules(table)
         assert _antichain(groups)
         oracle = oracle_overlaps(table)
@@ -426,6 +445,13 @@ def test_cached_geometry_matches_per_rule_lowering():
                     for rule in table.rules}
         assert geometry.columns_of == expected
         assert list(geometry.columns_of) == [rule.id for rule in table.rules]
+        # The overlap sweep's clique rule needs closed finite bounds in
+        # discrete columns.
+        for sets in geometry.columns_of.values():
+            for members, discrete in zip(sets, geometry.discrete):
+                if discrete:
+                    assert all(m.lo_closed or m.lo == -INF for m in members)
+                    assert all(m.hi_closed or m.hi == INF for m in members)
 
         cells = {(rule.id, d) for rule in table.rules
                  for d, (attr, cond) in enumerate(zip(table.inputs,

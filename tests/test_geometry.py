@@ -2,8 +2,10 @@
 
 import random
 
-from dmncheck import (Interval1D, build_codec, build_universe, load_table,
-                      triggered_by)
+import pytest
+
+from dmncheck import (CodecError, Interval1D, build_codec, build_universe,
+                      encode_point, load_table, triggered_by)
 from dmncheck.intervals import intersect_sets
 
 from conftest import loan_doc, random_input, random_table, rule_boxes
@@ -62,6 +64,17 @@ class TestCodec:
         doc = categorical_doc()
         assert build_codec(load_table(doc)).categories("Purpose") \
             == build_codec(load_table(doc)).categories("Purpose")
+
+    @pytest.mark.parametrize("literal", ["zzz", "z" * 100_000])
+    def test_unknown_category_error_is_short(self, literal):
+        # The message gives the category count, not the category list.
+        doc = categorical_doc(",".join(f"k{i}" for i in range(5000)))
+        doc["rules"] = [{"id": "r", "in": ["k0"], "out": ["true"]}]
+        table = load_table(doc)
+        with pytest.raises(CodecError) as caught:
+            encode_point(table, table.geometry.codec, {"Purpose": literal})
+        assert "5000 known categories" in str(caught.value)
+        assert len(str(caught.value)) < 200
 
 
 class TestRuleToRects:
