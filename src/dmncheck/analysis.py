@@ -306,7 +306,7 @@ def find_overlapping_rules(table: "DecisionTable") -> list[OverlapGroup]:
             low = mask & -mask
             ids.append(rule_order[low.bit_length() - 1])
             mask ^= low
-        # The least corner of the group's region, which is where the
+        # The least corner of the group's region, inside which the
         # depth-first sweep first meets the group.
         witness = tuple(
             reduce(intersect_sets, (columns_of[rid][d] for rid in ids))[0]
