@@ -22,7 +22,7 @@ from .analysis import (MissingRegion, OverlapGroup, find_missing_rules,
                        find_overlapping_rules, oracle_missing,
                        oracle_overlaps, render_box)
 from .semantics import (EvalResult, Outcome, evaluate, masked_by,
-                        matches_value, triggered_by)
+                        triggered_by)
 from .correctness import (CompletenessVerdict, CorrectnessReport,
                           check_correct)
 from .synth import (BenchCell, BenchReport, ColumnSpec, GenSpec,
@@ -47,7 +47,7 @@ __all__ = [
     "find_missing_rules", "find_overlapping_rules", "format_literal",
     "generate_table", "inject_noise", "interval",
     "load_table",
-    "lower_to_intervals", "masked_by", "matches_value",
+    "lower_to_intervals", "masked_by",
     "oracle_missing",
     "oracle_overlaps", "pairwise_overlap_fragments", "parse_condition",
     "render_box", "render_condition", "run_benchmark",

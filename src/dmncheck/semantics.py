@@ -1,9 +1,12 @@
 """Decision table evaluation under the four single-hit policies.
 
 A value matches a cell when it is legal for the column (satisfies the
-facet) and satisfies the cell's condition.  A rule is triggered by an
-input configuration when every input cell matches.  The hit policy
-then determines the verdict:
+facet) and satisfies the cell's condition.  Each input is checked once
+per call, before any rule's cells are tested: its presence, its kind,
+its range (a real column takes finite numbers only) and its column
+facet.  A value outside its facet triggers no rule.  A rule is then
+triggered when its own cells all hold the checked values.  The hit
+policy determines the verdict:
 
 * unique: at most one rule may trigger; two triggered rules are a fault.
 * any: several rules may trigger only if they agree on every output.
@@ -25,8 +28,8 @@ from enum import Enum
 from typing import Optional
 
 from .errors import SchemaError, SFeelTypeError, echo
-from .model import Attribute, DecisionTable, Rule
-from .sfeel import Condition, Kind, is_finite_number, kind_of, satisfies
+from .model import DecisionTable, Rule
+from .sfeel import Kind, is_finite_number, kind_of, satisfies
 from .analysis import columns_contained
 
 
@@ -47,8 +50,10 @@ class EvalResult:
     detail: str = ""
 
 
-def _check_config(table: DecisionTable, config: dict) -> dict:
-    clean = {}
+def _point(table: DecisionTable, config: dict) -> Optional[tuple]:
+    """The configuration's values in input-column order, or None when
+    some value lies outside its column facet, where no rule fires."""
+    values = []
     for attr in table.inputs:
         if attr.name not in config:
             raise SchemaError(f"missing input value for {echo(attr.name)}")
@@ -68,45 +73,32 @@ def _check_config(table: DecisionTable, config: dict) -> dict:
                     f"input {echo(attr.name)} must be a finite number within "
                     f"float range")
             value = float(value)
-        clean[attr.name] = value
+        values.append(value)
     extra = set(config) - {attr.name for attr in table.inputs}
     if extra:
         raise SchemaError(f"unknown input columns: {echo(sorted(extra))}")
-    return clean
+    if all(satisfies(attr.facet, value)
+           for attr, value in zip(table.inputs, values)):
+        return tuple(values)
+    return None
 
 
-def matches_value(attr: Attribute, cond: Condition, value) -> bool:
-    """Legal-and-satisfies: the value meets both the column facet and
-    the cell condition."""
-    return (satisfies(attr.facet, value, attr.kind)
-            and satisfies(cond, value, attr.kind))
+def _fires(rule: Rule, point: tuple) -> bool:
+    return all(satisfies(cond, value)
+               for cond, value in zip(rule.input_entries, point))
 
 
 def triggered_by(rule: Rule, table: DecisionTable, config: dict) -> bool:
     """True when every input cell of the rule matches the configuration."""
-    clean = _check_config(table, config)
-    return all(matches_value(attr, cond, clean[attr.name])
-               for attr, cond in zip(table.inputs, rule.input_entries))
-
-
-def _triggered_rules(table: DecisionTable, clean: dict) -> list[Rule]:
-    hits = []
-    for rule in table.rules:
-        if all(matches_value(attr, cond, clean[attr.name])
-               for attr, cond in zip(table.inputs, rule.input_entries)):
-            hits.append(rule)
-    return hits
-
-
-def _outputs_of(table: DecisionTable, rule: Rule) -> dict:
-    return {attr.name: value
-            for attr, value in zip(table.outputs, rule.output_entries)}
+    point = _point(table, config)
+    return point is not None and _fires(rule, point)
 
 
 def evaluate(table: DecisionTable, config: dict) -> EvalResult:
     """Apply the table to one input configuration."""
-    clean = _check_config(table, config)
-    hits = _triggered_rules(table, clean)
+    point = _point(table, config)
+    hits = ([] if point is None
+            else [rule for rule in table.rules if _fires(rule, point)])
     ids = tuple(rule.id for rule in hits)
     if not hits:
         return EvalResult(Outcome.NO_MATCH, triggered=ids,
@@ -120,14 +112,13 @@ def evaluate(table: DecisionTable, config: dict) -> EvalResult:
                        + ", ".join(sorted(ids)) + " all match")
         winner = hits[0]
     elif policy == "a":
-        first = _outputs_of(table, hits[0])
-        for other in hits[1:]:
-            if _outputs_of(table, other) != first:
-                return EvalResult(
-                    Outcome.VIOLATION, triggered=ids,
-                    detail="any hit policy, but rules "
-                           + ", ".join(sorted(ids))
-                           + " disagree on outputs")
+        if any(other.output_entries != hits[0].output_entries
+               for other in hits[1:]):
+            return EvalResult(
+                Outcome.VIOLATION, triggered=ids,
+                detail="any hit policy, but rules "
+                       + ", ".join(sorted(ids))
+                       + " disagree on outputs")
         winner = hits[0]
     elif policy in ("p", "f"):
         # First is priority under the implicit ranking, which load_table
@@ -135,8 +126,10 @@ def evaluate(table: DecisionTable, config: dict) -> EvalResult:
         winner = max(hits, key=lambda rule: table.priority[rule.id])
     else:  # pragma: no cover - load_table rejects other policies
         raise SchemaError(f"unsupported hit policy '{policy}'")
-    return EvalResult(Outcome.MATCHED, rule=winner,
-                      outputs=_outputs_of(table, winner), triggered=ids)
+    outputs = {attr.name: value
+               for attr, value in zip(table.outputs, winner.output_entries)}
+    return EvalResult(Outcome.MATCHED, rule=winner, outputs=outputs,
+                      triggered=ids)
 
 
 def masked_by(r1: Rule, r2: Rule, table: DecisionTable) -> bool:

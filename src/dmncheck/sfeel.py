@@ -522,7 +522,10 @@ def format_literal(value) -> str:
         return repr(value)
     if not isinstance(value, str):
         raise SFeelTypeError(f"unsupported literal type {type(value).__name__}")
-    if _BARE_STRING_RE.fullmatch(value) and not value.startswith("not("):
+    # The parser strips whitespace around a bare literal, so a string
+    # that ends in a space keeps its quotes.
+    if (_BARE_STRING_RE.fullmatch(value) and not value.endswith(" ")
+            and not value.startswith("not(")):
         return value
     if '"' in value:
         raise SFeelSyntaxError(f"string literal {value!r} cannot be rendered")

@@ -216,6 +216,15 @@ class TestRoundTrip:
         table = load_table(table1_doc)
         assert load_table(dump_table(table)) == table
 
+    def test_round_trip_keeps_trailing_space_in_facet(self):
+        table = load_table({
+            "name": "t", "hitPolicy": "U", "completeness": "I",
+            "inputs": [{"name": "c", "type": "string", "facet": '"a ",b'}],
+            "outputs": [{"name": "y", "type": "boolean"}],
+            "rules": [{"id": "r", "in": ["-"], "out": ["true"]}],
+        })
+        assert load_table(dump_table(table)) == table
+
     def test_round_trip_random_tables(self):
         import random
         from conftest import random_table_doc
@@ -265,7 +274,7 @@ class TestValidateStructure:
     def test_flags_iff_no_witness_value(self):
         # brute-force check over a small discrete column
         import itertools
-        from dmncheck import matches_value
+        from dmncheck import satisfies
         entries = ["[0..3]", "[4..6]", "not(2)", "<0", ">6", "-", "5"]
         for entry, facet in itertools.product(entries, ["[0..6]", "[1..2]"]):
             doc = {
@@ -279,6 +288,6 @@ class TestValidateStructure:
                           for d in validate_structure(table))
             attr = table.inputs[0]
             cond = table.rules[0].input_entries[0]
-            has_witness = any(matches_value(attr, cond, v)
+            has_witness = any(satisfies(attr.facet, v) and satisfies(cond, v)
                               for v in range(-3, 10))
             assert flagged == (not has_witness), (entry, facet)

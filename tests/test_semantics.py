@@ -4,34 +4,42 @@ import random
 
 import pytest
 
+import dmncheck.semantics
 from dmncheck import (CodecError, Outcome, SchemaError, SFeelTypeError,
                       encode_point, evaluate, load_table, masked_by,
-                      matches_value, parse_condition, triggered_by)
-from dmncheck.model import Attribute
+                      triggered_by)
 from dmncheck.sfeel import Kind
 
 from conftest import (CATS, loan_doc, permuted_doc, random_input,
                       random_table, random_table_doc, rule_boxes)
 
 
-def income_attr():
-    return Attribute(name="Annual Income", kind=Kind.REAL,
-                     facet=parse_condition(">=0", Kind.REAL))
+def income_table(entry):
+    """One real column with the facet ``>=0`` and one rule ``entry``."""
+    return load_table({
+        "name": "income", "hitPolicy": "U", "completeness": "I",
+        "inputs": [{"name": "Annual Income", "type": "real",
+                    "facet": ">=0"}],
+        "outputs": [{"name": "y", "type": "boolean"}],
+        "rules": [{"id": "r", "in": [entry], "out": ["true"]}],
+    })
+
+
+def fires(table, value):
+    return triggered_by(table.rules[0], table, {"Annual Income": value})
 
 
 class TestMatchesValue:
     def test_inside_entry_and_facet(self):
-        cond = parse_condition("[250..750]", Kind.REAL)
-        assert matches_value(income_attr(), cond, 500.0)
+        assert fires(income_table("[250..750]"), 500.0)
 
     def test_facet_excludes_even_under_any(self):
-        cond = parse_condition("-", Kind.REAL)
-        assert not matches_value(income_attr(), cond, -5.0)
+        assert not fires(income_table("-"), -5.0)
 
     def test_closed_upper_bound(self):
-        cond = parse_condition("[250..750]", Kind.REAL)
-        assert matches_value(income_attr(), cond, 750.0)
-        assert not matches_value(income_attr(), cond, 751.0)
+        table = income_table("[250..750]")
+        assert fires(table, 750.0)
+        assert not fires(table, 751.0)
 
 
 class TestTriggeredBy:
@@ -64,12 +72,6 @@ class TestNonFiniteInputs:
     def test_rejected(self, table1, value):
         with pytest.raises(SFeelTypeError):
             evaluate(table1, {"Annual Income": value, "Loan Size": 10})
-
-    def test_matches_value_rejects_nan(self):
-        attr = Attribute("a", Kind.REAL)
-        with pytest.raises(SFeelTypeError):
-            matches_value(attr, parse_condition("[0..10]", Kind.REAL),
-                          float("nan"))
 
     def test_large_finite_integer_accepted(self, table1):
         result = evaluate(table1, {"Annual Income": 10 ** 300,
@@ -130,6 +132,34 @@ class TestEvaluate:
         table = load_table(table1_doc)
         result = evaluate(table, {"Annual Income": 600, "Loan Size": 600})
         assert result.outcome is Outcome.VIOLATION
+
+
+def test_each_facet_is_tested_once_per_evaluate(monkeypatch):
+    # No cell repeats a facet text, so no cell shares a facet's parsed
+    # condition and an identity test tells facet calls apart.
+    table = load_table({
+        "name": "f", "hitPolicy": "F", "completeness": "I",
+        "inputs": [{"name": "x", "type": "integer", "facet": "[0..100]"},
+                   {"name": "c", "type": "string", "facet": "a,b,c"}],
+        "outputs": [{"name": "y", "type": "integer"}],
+        "rules": [{"id": f"r{i}", "in": [entry, cat], "out": [str(i)]}
+                  for i, (entry, cat) in enumerate([
+                      ("[0..10]", "a"), (">=5", "-"), ("-", "not(c)"),
+                      ("[20..30]", "a,b")])],
+    })
+    facets = [attr.facet for attr in table.inputs]
+    calls = [0] * len(facets)
+    satisfies = dmncheck.semantics.satisfies
+
+    def counting(cond, value, kind=None):
+        for i, facet in enumerate(facets):
+            calls[i] += cond is facet
+        return satisfies(cond, value, kind)
+
+    monkeypatch.setattr(dmncheck.semantics, "satisfies", counting)
+    result = evaluate(table, {"x": 7, "c": "a"})
+    assert result.triggered == ("r0", "r1", "r2")
+    assert calls == [1, 1]
 
 
 class TestMaskedBy:

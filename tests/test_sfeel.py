@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dmncheck import (ANY, EvalError, Interval1D, Kind,
-                      SFeelSyntaxError, SFeelTypeError, lower_to_intervals,
-                      parse_condition, render_condition, satisfies)
+                      SFeelSyntaxError, SFeelTypeError, format_literal,
+                      lower_to_intervals, parse_condition, render_condition,
+                      satisfies)
 from dmncheck.sfeel import Alternative, Comparison, Interval, Match, Not
 
 
@@ -207,6 +208,12 @@ class TestSatisfies:
             satisfies(cond, value)
         with pytest.raises(SFeelTypeError):
             satisfies(cond, value, kind=Kind.REAL)
+
+
+@pytest.mark.parametrize("value", ["a ", "x  ", " a", "A b", "a,b", "-",
+                                   "not(a)"])
+def test_string_literal_round_trip(value):
+    assert parse_condition(format_literal(value), Kind.STRING) == Match(value)
 
 
 class TestLower:
