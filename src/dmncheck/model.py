@@ -154,29 +154,24 @@ def _parse_cell(memo: dict, text, kind: Kind) -> Condition:
     return cond
 
 
-def _parse_output_literal(text, attr: Attribute, rule_id: str,
-                          memo: dict) -> Literal:
-    where = f"rule {echo(rule_id)}, output column {echo(attr.name)}"
+def _parse_output_literal(text, attr: Attribute, memo: dict) -> Literal:
+    """The literal of one output cell; errors name no location."""
     if isinstance(text, bool):
         value: Literal = text
     elif isinstance(text, (int, float)):
         if not is_finite_number(text):
-            raise SFeelTypeError(f"{where}: output literal is not a "
-                                 f"finite number")
+            raise SFeelTypeError("output literal is not a finite number")
         value = text
     elif isinstance(text, str):
-        try:
-            cond = _parse_cell(memo, text, attr.kind)
-        except _CONDITION_ERRORS as exc:
-            raise _located(exc, where) from exc
+        cond = _parse_cell(memo, text, attr.kind)
         if not isinstance(cond, Match):
-            raise SchemaError(f"{where}: output entry must be a single "
-                              f"literal, got {echo(text)}")
+            raise SchemaError(f"output entry must be a single literal, got "
+                              f"{echo(text)}")
         value = cond.value
     else:
-        raise SchemaError(f"{where}: output entry must be a literal text")
+        raise SchemaError("output entry must be a literal text")
     if kind_of(value) != attr.kind:
-        raise SFeelTypeError(f"{where}: {kind_of(value).value} literal in a "
+        raise SFeelTypeError(f"{kind_of(value).value} literal in a "
                              f"{attr.kind.value} column")
     return value
 
@@ -274,9 +269,15 @@ def load_table(document) -> DecisionTable:
                 raise _located(
                     exc, f"rule {echo(rule_id)}, column {echo(attr.name)}"
                 ) from exc
-        out_values = tuple(_parse_output_literal(text, attr, rule_id, parsed)
-                           for attr, text in zip(outputs, out_texts))
-        rules.append(Rule(rule_id, tuple(entries), out_values))
+        out_values = []
+        for attr, text in zip(outputs, out_texts):
+            try:
+                out_values.append(_parse_output_literal(text, attr, parsed))
+            except _CONDITION_ERRORS + (SchemaError,) as exc:
+                raise _located(
+                    exc, f"rule {echo(rule_id)}, output column "
+                         f"{echo(attr.name)}") from exc
+        rules.append(Rule(rule_id, tuple(entries), tuple(out_values)))
         if "priority" in raw:
             rank = raw["priority"]
             if not isinstance(rank, int) or isinstance(rank, bool):

@@ -15,6 +15,14 @@ multiplication-dot and division-sign accepted as spellings of ``*`` and
 ``/``).  Each operation is folded as soon as it is parsed, so no term
 tree exists and every AST node carries plain literal values.
 
+A numeric element that holds no arithmetic (an optionally signed
+literal, a comparison against one, or an interval between two) is
+matched whole by one regular expression, with the lexer's numbers and
+whitespace, and builds the same condition the token parser would.  A
+literal that parser refuses (a real one under an integer column, or
+one out of range), and every other text, go to the token parser, which
+alone raises parse errors and folds arithmetic.
+
 Four value kinds exist: string, boolean, integer, real.  Their domains
 are treated as pairwise disjoint; equality is defined for all kinds,
 ordering and arithmetic only for the numeric ones.  Parsing is
@@ -153,8 +161,32 @@ _TOKEN_RE = re.compile(
 _MAX_NESTING = 32
 _MAX_OPERATORS = 100
 
+# A whole numeric element with no arithmetic: an optionally signed
+# literal, alone or after a comparison, or two as an interval's bounds.
+# Numbers are the lexer's, in ASCII digits only, written as one
+# pattern; whitespace is allowed where the lexer allows it.  Other texts
+# go to the token parser.
+_ASCII_NUM = r"(?:[0-9]+(?:\.[0-9]+)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?"
+_SIMPLE_NUMERIC_RE = re.compile(
+    rf"""\s*(?:
+      (?P<cmp><=|>=|<|>)?\s*(?:(?P<sign>[+-])\s*)?(?P<num>{_ASCII_NUM})
+    | (?P<open>[\[(])\s*(?:(?P<lo_sign>[+-])\s*)?(?P<lo>{_ASCII_NUM})
+      \s*\.\.\s*(?:(?P<hi_sign>[+-])\s*)?(?P<hi>{_ASCII_NUM})
+      \s*(?P<close>[\])])
+    )\s*""",
+    re.X,
+)
+
 _QUOTED_RE = re.compile(r'"([^"]*)"')
 _BARE_STRING_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_ .\-]*")
+
+
+def _number(text: str):
+    """Value of a number token; inf for more digits than int() converts."""
+    try:
+        return int(text) if text.isdigit() else float(text)
+    except ValueError:
+        return math.inf
 
 
 def _lex_numeric(text: str) -> list[tuple[str, object]]:
@@ -173,10 +205,7 @@ def _lex_numeric(text: str) -> list[tuple[str, object]]:
         kind = m.lastgroup
         value = m.group(kind)
         if kind == "num":
-            try:
-                number = int(value) if value.isdigit() else float(value)
-            except ValueError:  # more digits than int() converts
-                number = math.inf
+            number = _number(value)
             if not is_finite_number(number):
                 raise SFeelTypeError(f"numeric literal out of range "
                                      f"in {echo(text)}")
@@ -433,7 +462,10 @@ def parse_condition(text: str, kind: Kind) -> Condition:
     if not isinstance(text, str):
         raise SFeelSyntaxError(f"condition must be text, got "
                                f"{type(text).__name__}")
-    parts = [p.strip() for p in _split_alternatives(text)]
+    if "," in text or '"' in text:
+        parts = [p.strip() for p in _split_alternatives(text)]
+    else:  # nothing to split and no quote to close
+        parts = [text.strip()]
     if any(not p for p in parts):
         raise SFeelSyntaxError(f"empty condition branch in {echo(text)}")
     conditions = [_parse_element(p, kind) for p in parts]
@@ -447,8 +479,46 @@ def _parse_element(text: str, kind: Kind) -> Condition:
         return ANY
     if kind.is_categorical:
         return _parse_categorical_element(text, kind)
-    parser = _NumericParser(text, kind)
-    return parser.element()
+    cond = _parse_simple_numeric(text, kind)
+    if cond is None:
+        cond = _NumericParser(text, kind).element()
+    return cond
+
+
+def _parse_simple_numeric(text: str, kind: Kind) -> Optional[Condition]:
+    """The condition of a literal, a comparison against one or an
+    interval between two, each literal optionally signed, as
+    ``_NumericParser`` builds it; None for any other text and for a
+    literal it would refuse, so that the parser raises its own error."""
+    m = _SIMPLE_NUMERIC_RE.fullmatch(text)
+    if m is None:
+        return None
+    if m["num"] is not None:
+        value = _simple_literal(m["sign"], m["num"], kind)
+        if value is None:
+            return None
+        op = m["cmp"]
+        return Match(value) if op is None else Comparison(op, value)
+    lo = _simple_literal(m["lo_sign"], m["lo"], kind)
+    hi = _simple_literal(m["hi_sign"], m["hi"], kind)
+    if lo is None or hi is None:
+        return None
+    return Interval(m["open"] == "[", lo, hi, m["close"] == "]")
+
+
+def _simple_literal(sign: Optional[str], digits: str, kind: Kind):
+    number = _number(digits)
+    if not is_finite_number(number):
+        return None
+    if isinstance(number, float):
+        if kind is Kind.INTEGER:
+            return None
+    elif kind is Kind.REAL:
+        number = float(number)
+    if sign == "-":
+        # 0 - x, as the parser folds a unary minus.
+        return (0 if kind is Kind.INTEGER else 0.0) - number
+    return number
 
 
 # ---------------------------------------------------------------------------

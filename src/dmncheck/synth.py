@@ -2,7 +2,9 @@
 
 ``generate_table`` partitions the whole input space into exactly the
 requested number of rules by repeated guillotine cuts: pick a random
-splittable leaf region, cut one of its columns, recurse.  The split
+splittable leaf region, cut one of its columns, recurse.  The
+splittable leaves are kept in a list of their own, in leaf order, so a
+cut does not rescan every leaf.  The split
 column rotates with the leaf's depth, so every column participates and
 the cuts stay layered, which keeps the resulting tables friendly to
 sweep analysis at benchmark sizes.  By construction the result has no
@@ -107,39 +109,43 @@ def generate_table(spec: GenSpec) -> DecisionTable:
     n_cols = len(spec.columns)
     spans = [_column_span(c) for c in spec.columns]
 
-    # A leaf is (depth, ranges); ranges are inclusive integer bounds per
+    # A leaf is (path, ranges, column to cut): path is its 0/1 route
+    # from the root, so its length is the leaf's depth and sorting paths
+    # restores leaf order; ranges are inclusive integer bounds per
     # column (category indices for categorical columns).
-    leaves: list[tuple[int, tuple[tuple[int, int], ...]]] = [
-        (0, tuple(spans))]
-
-    def split_column(leaf) -> Optional[int]:
-        depth, ranges = leaf
+    def leaf(path, ranges):
         for offset in range(n_cols):
-            col = (depth + offset) % n_cols
+            col = (len(path) + offset) % n_cols
             lo, hi = ranges[col]
             if hi > lo:
-                return col
-        return None
+                return path, ranges, col
+        return path, ranges, None
 
-    while len(leaves) < spec.target_rules:
-        splittable = [i for i, leaf in enumerate(leaves)
-                      if split_column(leaf) is not None]
-        if not splittable:
+    # The draws pick among the leaves that can be cut, in leaf order, so
+    # those are kept apart; a cut replaces its leaf in place by its
+    # children that can be cut in turn.
+    root = leaf((), tuple(spans))
+    cuttable = [root] if root[2] is not None else []
+    uncuttable = [root] if root[2] is None else []
+    for count in range(1, spec.target_rules):
+        if not cuttable:
             raise SpecError(
-                f"input space holds only {len(leaves)} distinct regions, "
+                f"input space holds only {count} distinct regions, "
                 f"cannot make {spec.target_rules} rules")
-        index = splittable[rng.randrange(len(splittable))]
-        depth, ranges = leaves[index]
-        col = split_column(leaves[index])
+        index = rng.randrange(len(cuttable))
+        path, ranges, col = cuttable[index]
         lo, hi = ranges[col]
         cut = rng.randint(lo, hi - 1)
-        left = ranges[:col] + ((lo, cut),) + ranges[col + 1:]
-        right = ranges[:col] + ((cut + 1, hi),) + ranges[col + 1:]
-        leaves[index:index + 1] = [(depth + 1, left), (depth + 1, right)]
+        before, after = ranges[:col], ranges[col + 1:]
+        children = (leaf(path + (0,), before + ((lo, cut),) + after),
+                    leaf(path + (1,), before + ((cut + 1, hi),) + after))
+        cuttable[index:index + 1] = [c for c in children if c[2] is not None]
+        uncuttable += [c for c in children if c[2] is None]
+    leaves = sorted(cuttable + uncuttable)
 
     width = len(str(spec.target_rules))
     rules = []
-    for i, (_, ranges) in enumerate(leaves):
+    for i, (_, ranges, _) in enumerate(leaves):
         entries = [_render_leaf_entry(column, lo, hi)
                    for column, (lo, hi) in zip(spec.columns, ranges)]
         rules.append({

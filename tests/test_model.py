@@ -205,6 +205,73 @@ class TestParseOncePerText:
             assert str(err.value) == message
 
 
+def _one_output_doc(out_type: str, out, rule_id: str = "A",
+                    column: str = "Points") -> dict:
+    return {"name": "t", "inputs": [{"name": "x", "type": "integer"}],
+            "outputs": [{"name": column, "type": out_type}],
+            "rules": [{"id": rule_id, "in": ["-"], "out": [out]}]}
+
+
+_WHERE = "rule 'A', output column 'Points': "
+
+
+class TestOutputLiteralErrors:
+    """The full message of every way an output cell is refused; each
+    names its rule and column."""
+
+    @pytest.mark.parametrize("out_type,out,error,detail", [
+        # not a finite number
+        ("real", float("nan"), SFeelTypeError,
+         "output literal is not a finite number"),
+        ("real", float("-inf"), SFeelTypeError,
+         "output literal is not a finite number"),
+        ("integer", 10 ** 400, SFeelTypeError,
+         "output literal is not a finite number"),
+        # the text does not parse
+        ("integer", "[5..", SFeelSyntaxError,
+         "unexpected end of condition in '[5..'"),
+        ("integer", "1/0", EvalError, "division by zero"),
+        ("integer", "1.5", SFeelTypeError,
+         "real literal in integer condition '1.5'"),
+        ("string", '"a', SFeelSyntaxError,
+         "unterminated string literal in '\"a'"),
+        # the text parses, but not to one literal
+        ("integer", "[1..2]", SchemaError,
+         "output entry must be a single literal, got '[1..2]'"),
+        ("integer", "-", SchemaError,
+         "output entry must be a single literal, got '-'"),
+        ("boolean", "not(true)", SchemaError,
+         "output entry must be a single literal, got 'not(true)'"),
+        # neither a number, a boolean nor a text
+        ("integer", [1], SchemaError, "output entry must be a literal text"),
+        ("integer", None, SchemaError,
+         "output entry must be a literal text"),
+        # a literal of another kind than the column's
+        ("integer", 1.5, SFeelTypeError,
+         "real literal in a integer column"),
+        ("string", True, SFeelTypeError,
+         "boolean literal in a string column"),
+        ("real", 2, SFeelTypeError, "integer literal in a real column"),
+    ], ids=["nan", "-inf", "huge-int", "syntax", "div-zero",
+            "real-in-integer", "open-quote", "interval", "any", "not",
+            "list", "null", "float-in-integer", "bool-in-string",
+            "int-in-real"])
+    def test_message(self, out_type, out, error, detail):
+        with pytest.raises(error) as err:
+            load_table(_one_output_doc(out_type, out))
+        assert type(err.value) is error
+        assert str(err.value) == _WHERE + detail
+
+    def test_long_names_are_cut_in_the_location(self):
+        doc = _one_output_doc("integer", "<3", rule_id="r" * 100,
+                              column="c" * 100)
+        with pytest.raises(SchemaError) as err:
+            load_table(doc)
+        assert str(err.value) == (
+            f"rule {'r' * 60!r}..., output column {'c' * 60!r}...: "
+            "output entry must be a single literal, got '<3'")
+
+
 class TestRoundTrip:
     def test_load_dump_load(self, table1):
         again = load_table(dump_table(table1))

@@ -1,15 +1,20 @@
 """Condition parsing, constant folding, satisfaction, and lowering."""
 
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dmncheck import (ANY, EvalError, Interval1D, Kind,
+from dmncheck import (ANY, DecisionTableError, EvalError, Interval1D, Kind,
                       SFeelSyntaxError, SFeelTypeError, format_literal,
                       lower_to_intervals, parse_condition, render_condition,
                       satisfies)
-from dmncheck.sfeel import Alternative, Comparison, Interval, Match, Not
+from dmncheck import sfeel
+from dmncheck.errors import echo
+from dmncheck.sfeel import (Alternative, Comparison, Interval, Match, Not,
+                            _NumericParser, _parse_categorical_element,
+                            _split_alternatives)
 
 
 def iv(lo, lc, hi, hc):
@@ -392,3 +397,100 @@ def test_folding_matches_reference(t, u, kind):
         values = (got.lo, got.hi) if isinstance(got, Interval) \
             else (got.value,)
         assert all(type(x) is literal_type for x in values), text
+
+
+# ---------------------------------------------------------------------------
+# The one-regex path for simple numeric elements against the token parser
+
+
+def _reference_parse(text: str, kind: Kind):
+    """``parse_condition`` without its shortcuts: every text goes
+    through the quote-aware split, and every numeric element through
+    the token parser."""
+    parts = [p.strip() for p in _split_alternatives(text)]
+    if any(not p for p in parts):
+        raise SFeelSyntaxError(f"empty condition branch in {echo(text)}")
+    conditions = [ANY if p == "-"
+                  else _parse_categorical_element(p, kind)
+                  if kind.is_categorical
+                  else _NumericParser(p, kind).element()
+                  for p in parts]
+    if len(conditions) == 1:
+        return conditions[0]
+    return Alternative(tuple(conditions))
+
+
+def _outcome(parse, text: str, kind: Kind):
+    # repr tells 0.0 from -0.0 and 1 from 1.0, which == does not.
+    try:
+        return repr(parse(text, kind))
+    except DecisionTableError as exc:
+        return type(exc).__name__, str(exc)
+
+
+_PLAIN_NUMBERS = ("0", "3", "42", "007", "1.5", ".5", "0.0", "1e3", "1E-2",
+                  "2.5e+1")
+_ODD_NUMBERS = ("2.", "1e", "1e400", "9" * 400, "1" * 4400, "٣", "4٣")
+_NUMBERS = _PLAIN_NUMBERS + _ODD_NUMBERS
+_NUMERIC_TOKENS = _NUMBERS + (
+    "-0", "+5", "-", "+", "..", "...", "[", "]", "(", ")", "<", "<=", ">",
+    ">=", "≤", "≥", "−", "·", "÷", "*", "/", "\t", " ", "e", "x", "not",
+    "[5..1]", ",", '"')
+_CATEGORICAL_TOKENS = ("a", "b c", "true", "false", ",", ", ", '"', '"x,y"',
+                       '""', " ", "\t", "not(", ")", "-", "[", "<", "(", "1")
+
+
+def _simple_shape(rng) -> str:
+    """A literal, a comparison or an interval, with drawn spacing, signs
+    and numbers; each part is odd one time in ten."""
+    def pick(usual, odd):
+        return rng.choice(odd if rng.random() < 0.1 else usual)
+
+    def number():
+        space = ("", " ", "\t")
+        return (pick(space, (" \t ",)) + pick(("", "-", "+", "- "),
+                                              ("−", "--", "+-"))
+                + pick(_PLAIN_NUMBERS, _ODD_NUMBERS) + pick(space, (" \t ",)))
+
+    shape = rng.randrange(3)
+    if shape == 0:
+        return number()
+    if shape == 1:
+        return pick(("<", "<=", ">", ">="), ("≤", "≥", "< =", "=")) + number()
+    return (pick("[(", ("]", "")) + number() + pick(("..",), (". .", "..."))
+            + number() + pick("])", ("[", "", "]]")))
+
+
+def test_simple_numeric_path_matches_token_parser(monkeypatch):
+    taken = []
+    simple = sfeel._parse_simple_numeric
+
+    def counting(text, kind):
+        cond = simple(text, kind)
+        taken.append(cond is not None)
+        return cond
+
+    monkeypatch.setattr(sfeel, "_parse_simple_numeric", counting)
+    rng = random.Random(20161)
+    texts = [_simple_shape(rng) if rng.random() < 0.6
+             else "".join(rng.choice(_NUMERIC_TOKENS)
+                          for _ in range(rng.randint(1, 6)))
+             for _ in range(20_000)]
+    texts += ["-0", "+5", "[5..1]", "-0.0", "[-0..+0]", "1e400", "9" * 400,
+              "≤3", "−3", "٣", "\t[1\t..\t2\t)\t", "[1...2]", "(.5..5.)"]
+    for text in texts:
+        for kind in (Kind.INTEGER, Kind.REAL):
+            assert _outcome(parse_condition, text, kind) \
+                == _outcome(_reference_parse, text, kind), (text, kind)
+    # Both routes were exercised.
+    assert 8000 < sum(taken) < len(taken) - 8000
+
+
+def test_unsplit_text_matches_quote_aware_split():
+    rng = random.Random(20162)
+    for _ in range(2000):
+        text = "".join(rng.choice(_CATEGORICAL_TOKENS)
+                       for _ in range(rng.randint(1, 6)))
+        for kind in (Kind.STRING, Kind.BOOLEAN):
+            assert _outcome(parse_condition, text, kind) \
+                == _outcome(_reference_parse, text, kind), (text, kind)
