@@ -40,15 +40,20 @@ both unbounded ends included, with the suffix ids active there.
 ``_suffix_forest`` hash-conses the rules' column-set suffixes, so rules
 whose sets agree from column d onward share one suffix id there and each
 sub-sweep over a set of suffix ids runs once and is memoised.  Sweeping
-one dimension, a span recurses over the tails of the suffixes active
-there; a span where none is active is cut to the column's universe and
-recurses over no suffixes, which yields the universe's members in every
-deeper column.  A span still active at the last column is covered.
-Discovered gap boxes merge when exactly one column's intervals are
-contiguous and all other columns agree, repeated to a fixpoint, so no
-two reported boxes could still merge.  Each merge is ``canonical``, which
-orders a column's intervals canonically, so a closed point such as
-``[1..1]`` meets the open stretch ``(1..2]`` that follows it.
+one dimension, a stretch recurses over the tails of the suffixes active
+there; a stretch where none is active is cut to the column's universe
+and recurses over no suffixes, which yields the universe's members in
+every deeper column.  A stretch still active at the last column is
+covered.  Each level merges once, in its own column: the fragments of
+the stretches whose sub-sweeps yield one rest (a box over the deeper
+columns) are joined by ``canonical``, which orders them canonically, so
+a closed point such as ``[1..1]`` meets the open stretch ``(1..2]`` that
+follows it.  That one merge is the fixpoint, where no two boxes are
+contiguous in one column and equal in all others.  In column d no more
+can join.  Deeper, each sub-result is a fixpoint by induction, and the
+stretches of one walk are disjoint, so two boxes that share a merged
+interval F in column d hold rests that both lie in the sub-result of
+each stretch F is made of, and those never join.
 
 The module also carries deliberately naive oracles that enumerate the
 compressed endpoint grid cell by cell.  They exist to cross-check the
@@ -60,8 +65,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import reduce
 from itertools import product
-from typing import (TYPE_CHECKING, Iterable, Iterator, NamedTuple, Optional,
-                    Sequence)
+from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import CapacityError
 from .geometry import (CategoryCodec, build_codec, build_universe,
@@ -182,21 +186,6 @@ def _suffix_forest(rows: Iterable[tuple],
     return heads, tails, frozenset(top_ids)
 
 
-def _span(last: Optional[tuple], current: Optional[tuple],
-          discrete: bool) -> Optional[Interval1D]:
-    # The stretch strictly between two consecutive events; None stands
-    # for the virtual bound at either infinity.
-    if last is None:
-        lo, lo_closed = NEG_INF, False
-    else:
-        lo, lo_closed = last[0], last[1] <= LOWER_CLOSED
-    if current is None:
-        hi, hi_closed = POS_INF, False
-    else:
-        hi, hi_closed = current[0], current[1] >= UPPER_CLOSED
-    return interval(lo, lo_closed, hi, hi_closed, discrete)
-
-
 def _events(ids: Iterable[int], head: list[tuple[Interval1D, ...]]) -> list:
     """The sorted bound events ``(value, rank, id)`` of the sets
     ``head[i]`` for ``i`` in ``ids``; lower bounds have odd ranks."""
@@ -216,18 +205,24 @@ def _walk(ids: Iterable[int], head: list[tuple[Interval1D, ...]],
     unbounded ends included; ``active``, the suffix ids active there, is
     updated in place, so read it before resuming the walk."""
     active: set[int] = set()
-    last: Optional[tuple] = None
-    for event in _events(ids, head) + [None]:  # None: the bound at +inf
-        stretch = _span(last, event, discrete)
-        if stretch is not None:
-            yield stretch, active
-        if event is not None:
-            _value, rank, i = event
-            if rank & 1:
-                active.add(i)
-            else:
-                active.discard(i)
-        last = event
+    events = _events(ids, head)
+    events.append((POS_INF, UPPER_OPEN, -1))  # the bound at +inf
+    lo, lo_closed = NEG_INF, False
+    for hi, rank, i in events:
+        hi_closed = rank >= UPPER_CLOSED
+        # Between the closed bounds of a discrete column most stretches
+        # are empty: tightened to integers, their bounds cross.  An
+        # infinite bound stays infinite, and interval() judges the rest.
+        if (not discrete or (lo if lo_closed else lo + 1)
+                <= (hi if hi_closed else hi - 1)):
+            stretch = interval(lo, lo_closed, hi, hi_closed, discrete)
+            if stretch is not None:
+                yield stretch, active
+        if rank & 1:
+            active.add(i)
+        else:
+            active.discard(i)
+        lo, lo_closed = hi, rank <= LOWER_CLOSED
 
 
 def _nonempty_rules(geometry: TableGeometry) -> list[str]:
@@ -321,34 +316,6 @@ def find_overlapping_rules(table: "DecisionTable") -> list[OverlapGroup]:
 # Missing-rule sweep
 
 
-def _merge_boxes(boxes: list[tuple], discrete: Sequence[bool]) -> list[tuple]:
-    """Fixpoint merge: two boxes fuse when exactly one column is
-    contiguous and every other column is identical."""
-    if len(boxes) < 2:
-        return list(boxes)
-    n_dims = len(discrete)
-    changed = True
-    while changed:
-        changed = False
-        for d in range(n_dims):
-            groups: dict[tuple, list[Interval1D]] = {}
-            for box in boxes:
-                groups.setdefault((box[:d], box[d + 1:]), []).append(box[d])
-            rebuilt: list[tuple] = []
-            for (prefix, suffix), ivs in groups.items():
-                # Boxes of one group are disjoint, so the canonical
-                # merge fuses exactly the contiguous intervals.  Most
-                # groups hold one interval, which needs no merge.
-                if len(ivs) > 1:
-                    merged = canonical(ivs, discrete[d])
-                    changed = changed or len(merged) < len(ivs)
-                    ivs = merged
-                for iv in ivs:
-                    rebuilt.append(prefix + (iv,) + suffix)
-            boxes = rebuilt
-    return boxes
-
-
 def find_missing_rules(table: "DecisionTable") -> list[MissingRegion]:
     """Boxes of legal inputs not covered by any rule.
 
@@ -378,19 +345,29 @@ def find_missing_rules(table: "DecisionTable") -> list[MissingRegion]:
         if cached is not None:
             return cached
         tail = tails[dim]
-        out: list[tuple] = []
+        # Each rest (a box over the deeper columns) to its fragments in
+        # column dim.
+        frags_of: dict[tuple, list[Interval1D]] = {}
         for stretch, active in _walk(suffix_ids, heads[dim], discrete[dim]):
             if not active:
                 frags = intersect_sets(universe[dim], (stretch,))
+                if not frags:
+                    continue
             elif dim + 1 < n_dims:
                 frags = (stretch,)
             else:
                 continue  # covered in every column
-            for frag in frags:
-                for box in gaps(frozenset(tail[sid] for sid in active),
-                                dim + 1):
-                    out.append((frag,) + box)
-        result = tuple(_merge_boxes(out, discrete[dim:]))
+            for rest in gaps(frozenset(map(tail.__getitem__, active)),
+                             dim + 1):
+                frags_of.setdefault(rest, []).extend(frags)
+        # One merge in column dim is the fixpoint: see the module
+        # docstring.
+        out: list[tuple] = []
+        for rest, parts in frags_of.items():
+            if len(parts) > 1:
+                parts = canonical(parts, discrete[dim])
+            out.extend((frag,) + rest for frag in parts)
+        result = tuple(out)
         memo[key] = result
         return result
 

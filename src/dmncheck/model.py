@@ -161,7 +161,8 @@ def _parse_output_literal(text, attr: Attribute, memo: dict) -> Literal:
     elif isinstance(text, (int, float)):
         if not is_finite_number(text):
             raise SFeelTypeError("output literal is not a finite number")
-        value = text
+        # As in a text cell, an integer in a real column is a real.
+        value = float(text) if attr.kind is Kind.REAL else text
     elif isinstance(text, str):
         cond = _parse_cell(memo, text, attr.kind)
         if not isinstance(cond, Match):

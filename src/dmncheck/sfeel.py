@@ -139,9 +139,13 @@ Condition = Union[AnyValue, Match, Not, Comparison, Interval, Alternative]
 _CANON = str.maketrans({"·": "*", "÷": "/", "−": "-",
                         "≤": "<=", "≥": ">="})
 
+# A number literal, in ASCII digits only: another script's digits would
+# parse to a value whose text differs from the cell's.
+_ASCII_NUM = r"(?:[0-9]+(?:\.[0-9]+)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?"
+
 _TOKEN_RE = re.compile(
-    r"""\s*(?:
-      (?P<num>\d+\.\d+(?:[eE][+-]?\d+)?|\d+[eE][+-]?\d+|\.\d+(?:[eE][+-]?\d+)?|\d+)
+    rf"""\s*(?:
+      (?P<num>{_ASCII_NUM})
     | (?P<dots>\.\.)
     | (?P<cmp><=|>=|<|>)
     | (?P<op>[+\-*/])
@@ -163,10 +167,8 @@ _MAX_OPERATORS = 100
 
 # A whole numeric element with no arithmetic: an optionally signed
 # literal, alone or after a comparison, or two as an interval's bounds.
-# Numbers are the lexer's, in ASCII digits only, written as one
-# pattern; whitespace is allowed where the lexer allows it.  Other texts
-# go to the token parser.
-_ASCII_NUM = r"(?:[0-9]+(?:\.[0-9]+)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?"
+# Numbers are the lexer's, and whitespace is allowed where the lexer
+# allows it.  Other texts go to the token parser.
 _SIMPLE_NUMERIC_RE = re.compile(
     rf"""\s*(?:
       (?P<cmp><=|>=|<|>)?\s*(?:(?P<sign>[+-])\s*)?(?P<num>{_ASCII_NUM})

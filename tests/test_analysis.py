@@ -14,6 +14,8 @@ from dmncheck import (FACET_INCOMPAT, CapacityError, Interval1D,
                       pairwise_overlap_fragments, validate_structure)
 from dmncheck.analysis import build_grid, grid_cells_of_boxes, table_rects
 from dmncheck.intervals import contiguous, intersect_sets
+from dmncheck.sfeel import Kind
+from dmncheck.synth import ColumnSpec, GenSpec, generate_table, inject_noise
 
 from conftest import (loan_doc, random_table, random_table_doc,
                       region_contained, rule_boxes)
@@ -146,6 +148,34 @@ class TestSmallCases:
         assert [r.box for r in regions] \
             == [(iv(1.0, True, 2.0, True), iv(0.5, False, 1.0, True))]
         assert [r.conditions for r in regions] == [("[1..2]", "(0.5..1]")]
+
+    def test_gap_joins_across_two_sweep_levels(self):
+        # z in [5..7] is uncovered everywhere.  Under x in [0..5) the
+        # y-stretches of A and B each leave it, and one merge in column
+        # y joins them; the x-stretches [0..5) and [5..10] then leave
+        # the same rest, and one merge in column x joins those.
+        table = load_table({
+            "name": "two-levels", "hitPolicy": "U", "completeness": "I",
+            "inputs": [{"name": "x", "type": "real", "facet": "[0..10]"},
+                       {"name": "y", "type": "integer", "facet": "[0..9]"},
+                       {"name": "z", "type": "integer", "facet": "[0..9]"}],
+            "outputs": [{"name": "o", "type": "boolean"}],
+            "rules": [
+                {"id": "A", "in": ["[0..5)", "[0..4]", "[0..4]"],
+                 "out": ["true"]},
+                {"id": "B", "in": ["[0..5)", "[5..9]", "[0..4]"],
+                 "out": ["true"]},
+                {"id": "C", "in": ["[5..10]", "-", "[0..4]"],
+                 "out": ["true"]},
+                {"id": "D", "in": ["-", "-", "[8..9]"], "out": ["true"]},
+            ],
+        })
+        regions = find_missing_rules(table)
+        assert [r.box for r in regions] == [(iv(0.0, True, 10.0, True),
+                                             iv(0, True, 9, True),
+                                             iv(5, True, 7, True))]
+        assert [r.conditions for r in regions] == [("-", "-", "[5..7]")]
+        _assert_missing_matches_oracle(table)
 
     def test_nested_rules_overlap(self):
         table = load_table({
@@ -322,23 +352,40 @@ def test_sweeps_match_oracles_on_random_tables():
             assert all(big.covers(small) for big, small
                        in zip(witness_of[g.rule_ids], g.witness))
 
-        regions = find_missing_rules(table)
-        grid = build_grid(table)
-        cells = oracle_missing(table)
-        assert grid_cells_of_boxes(grid, [r.box for r in regions]) == cells
-        # pairwise disjoint boxes: per-box cell counts sum to the union
-        total = sum(len(grid_cells_of_boxes(grid, [r.box]))
-                    for r in regions)
-        assert total == len(cells)
-        # merged to a fixpoint: no two regions differ in one column
-        # only, where they are contiguous
-        discrete = table.geometry.discrete
-        boxes = [r.box for r in regions]
-        for i, a in enumerate(boxes):
-            for b in boxes[i + 1:]:
-                differ = [d for d in range(len(a)) if a[d] != b[d]]
-                assert not (len(differ) == 1 and contiguous(
-                    a[differ[0]], b[differ[0]], discrete[differ[0]]))
+        _assert_missing_matches_oracle(table)
+
+
+def _assert_missing_matches_oracle(table, cell_cap: int = 10 ** 6):
+    regions = find_missing_rules(table)
+    grid = build_grid(table, cell_cap)
+    cells = oracle_missing(table, cell_cap)
+    assert grid_cells_of_boxes(grid, [r.box for r in regions]) == cells
+    # pairwise disjoint boxes: per-box cell counts sum to the union
+    total = sum(len(grid_cells_of_boxes(grid, [r.box])) for r in regions)
+    assert total == len(cells)
+    # merged to a fixpoint: no two regions differ in one column only,
+    # where they are contiguous
+    discrete = table.geometry.discrete
+    boxes = [r.box for r in regions]
+    for i, a in enumerate(boxes):
+        for b in boxes[i + 1:]:
+            differ = [d for d in range(len(a)) if a[d] != b[d]]
+            assert not (len(differ) == 1 and contiguous(
+                a[differ[0]], b[differ[0]], discrete[differ[0]]))
+
+
+def test_missing_regions_merged_on_noised_synth_tables():
+    # Missing noise leaves gaps that span many slabs of each sweep
+    # level, so every level's one merge in its own column has work.
+    for n_cols, n_rules, hi, seed in ((3, 60, 20, 1), (3, 150, 30, 2),
+                                      (4, 100, 20, 3), (4, 150, 20, 4)):
+        columns = tuple(ColumnSpec(f"n{i}", Kind.INTEGER, lo=0, hi=hi)
+                        for i in range(n_cols - 1))
+        columns += (ColumnSpec("k", Kind.STRING, categories=("a", "b", "c")),)
+        table = inject_noise(
+            generate_table(GenSpec(columns, n_rules, seed=seed)), columns,
+            "missing", 0.2, seed=seed)
+        _assert_missing_matches_oracle(table, cell_cap=200_000)
 
 
 def test_column_permutation_permutes_the_reports():

@@ -108,10 +108,12 @@ class TestCheck:
         ("a", "1/0"),
         ("hitPolicy", [1]),
         ("completeness", {"a": 1}),
+        ("n", "\u0663"),
+        ("a", "[1..\uff12]"),
     ], ids=["ge-1e400", "interval-1e400", "product-overflow",
             "400-digits-real", "unary-minus", "parentheses", "long-sum",
             "integer-div-zero", "real-div-zero", "hit-policy-list",
-            "completeness-object"])
+            "completeness-object", "arabic-indic-digit", "fullwidth-digit"])
     def test_hostile_entry_exits_two(self, field, value, tmp_path, capsys):
         # Fields a and n are the rule's entries; others are table keys.
         doc = {
@@ -164,7 +166,10 @@ class TestCheck:
             assert done.stderr == "", module
             assert "table 'loan-grading': not correct" in done.stdout
 
-    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity",
+                                         "1" + "0" * 400],
+                             ids=["NaN", "Infinity", "-Infinity",
+                                  "huge-integer"])
     def test_non_finite_output_literal_exits_two(self, literal, tmp_path,
                                                  capsys):
         path = tmp_path / "nan.json"

@@ -251,11 +251,13 @@ class TestOutputLiteralErrors:
          "real literal in a integer column"),
         ("string", True, SFeelTypeError,
          "boolean literal in a string column"),
-        ("real", 2, SFeelTypeError, "integer literal in a real column"),
+        ("real", True, SFeelTypeError, "boolean literal in a real column"),
+        ("real", 10 ** 400, SFeelTypeError,
+         "output literal is not a finite number"),
     ], ids=["nan", "-inf", "huge-int", "syntax", "div-zero",
             "real-in-integer", "open-quote", "interval", "any", "not",
             "list", "null", "float-in-integer", "bool-in-string",
-            "int-in-real"])
+            "bool-in-real", "huge-int-in-real"])
     def test_message(self, out_type, out, error, detail):
         with pytest.raises(error) as err:
             load_table(_one_output_doc(out_type, out))
@@ -270,6 +272,14 @@ class TestOutputLiteralErrors:
         assert str(err.value) == (
             f"rule {'r' * 60!r}..., output column {'c' * 60!r}...: "
             "output entry must be a single literal, got '<3'")
+
+
+def test_integer_in_real_output_loads_as_float():
+    # A JSON integer loads as the text "2" does.
+    for out in (2, "2"):
+        table = load_table(_one_output_doc("real", out))
+        assert table.rules[0].output_entries == (2.0,)
+        assert type(table.rules[0].output_entries[0]) is float
 
 
 class TestRoundTrip:

@@ -65,6 +65,15 @@ class TestParse:
             # word literals are a kind mismatch in a numeric column
             parse_condition("[a..b]", Kind.INTEGER)
 
+    def test_digits_of_other_scripts_rejected(self):
+        # Only ASCII digits make numbers, so a cell never parses to a
+        # value whose text differs from its own.
+        for bad in ("\u0663", "4\u0663", "<\u0663", "[1..\uff12]",
+                    "\u0663 + 1"):
+            for kind in (Kind.INTEGER, Kind.REAL):
+                with pytest.raises(SFeelSyntaxError):
+                    parse_condition(bad, kind)
+
     def test_kind_errors(self):
         with pytest.raises(SFeelTypeError):
             parse_condition("[0..18]", Kind.STRING)
