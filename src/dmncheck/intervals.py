@@ -129,21 +129,6 @@ def _mergeable(a: Interval1D, b: Interval1D, discrete: bool) -> bool:
     return False
 
 
-def contiguous(a: Interval1D, b: Interval1D, discrete: bool) -> bool:
-    """True when a and b are disjoint but their union is one interval.
-
-    Discrete intervals are contiguous when ``a.hi + 1 == b.lo`` (or the
-    mirror image); continuous ones when they meet at an equal endpoint
-    with complementary openness, e.g. ``[0..2)`` followed by ``[2..5]``
-    or ``[1..1]`` followed by ``(1..2]``.
-    """
-    if canonical_key(a) > canonical_key(b):
-        a, b = b, a
-    if discrete:
-        return a.hi + 1 == b.lo
-    return a.hi == b.lo and (a.hi_closed != b.lo_closed)
-
-
 def canonical(parts: Iterable[Optional[Interval1D]],
               discrete: bool = False) -> tuple[Interval1D, ...]:
     """The canonical set of a union of intervals: sorted, disjoint and

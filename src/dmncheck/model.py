@@ -172,8 +172,8 @@ def _parse_output_literal(text, attr: Attribute, memo: dict) -> Literal:
     else:
         raise SchemaError("output entry must be a literal text")
     if kind_of(value) != attr.kind:
-        raise SFeelTypeError(f"{kind_of(value).value} literal in a "
-                             f"{attr.kind.value} column")
+        raise SFeelTypeError(f"{kind_of(value).value} literal in "
+                             f"{attr.kind.article} column")
     return value
 
 

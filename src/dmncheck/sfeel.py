@@ -60,6 +60,11 @@ class Kind(str, Enum):
     def is_categorical(self) -> bool:
         return self in (Kind.STRING, Kind.BOOLEAN)
 
+    @property
+    def article(self) -> str:
+        """The kind's name after its indefinite article: "an integer"."""
+        return ("an " if self is Kind.INTEGER else "a ") + self.value
+
 
 def kind_of(value) -> Kind:
     """Kind of a literal value; bool is checked before int on purpose."""
@@ -344,7 +349,7 @@ class _NumericParser:
             self.depth -= 1
             return value
         if tok[0] == "word":
-            raise SFeelTypeError(f"{echo(tok[1])} is not a {self.kind.value} "
+            raise SFeelTypeError(f"{echo(tok[1])} is not {self.kind.article} "
                                  f"literal in {echo(self.text)}")
         raise SFeelSyntaxError(f"unexpected {tok[1]!r} in {echo(self.text)}")
 
@@ -535,16 +540,14 @@ def _eq(value, literal) -> bool:
     return value == literal
 
 
-def satisfies(cond: Condition, value, kind: Optional[Kind] = None) -> bool:
+def satisfies(cond: Condition, value) -> bool:
     """True when the value meets the condition.
 
-    When ``kind`` is given, the value's kind is checked against it
-    first; mismatches raise SFeelTypeError rather than returning False.
-    So does a NaN or infinite real value, which no rule region holds.
+    A value that cannot be compared with the condition, such as a
+    string against an interval, raises SFeelTypeError rather than
+    returning False.  So does a NaN or infinite real value, which no
+    rule region holds.
     """
-    if kind is not None and kind_of(value) != kind:
-        raise SFeelTypeError(f"expected a {kind.value} value, got "
-                             f"{kind_of(value).value}")
     if isinstance(value, float) and not math.isfinite(value):
         raise SFeelTypeError(f"expected a finite number, got {value!r}")
     if isinstance(cond, AnyValue):
@@ -696,5 +699,6 @@ def lower_to_intervals(cond: Condition, kind: Kind,
 def _numeric_literal(value, kind: Kind):
     vk = kind_of(value)
     if vk != kind:
-        raise SFeelTypeError(f"{vk.value} literal in a {kind.value} condition")
+        raise SFeelTypeError(f"{vk.value} literal in {kind.article} "
+                             f"condition")
     return value

@@ -12,7 +12,11 @@ overlaps and no missing regions.
 
 ``inject_noise`` then plants defects: widening entries creates
 overlaps without uncovering anything, shrinking entries creates
-missing regions without introducing overlaps.
+missing regions without introducing overlaps.  It edits the parsed
+table it is given, reading each cell's bounds or categories from its
+condition and parsing only the cells it changes; a cell of a form the
+generator does not write, such as ``not(K1)`` or ``<5``, is never
+edited.
 
 ``pairwise_overlap_fragments`` counts, summed over rule pairs, the
 connected components of each pairwise intersection: per pair, the
@@ -40,8 +44,9 @@ from .analysis import (OverlapGroup, find_missing_rules,
                        find_overlapping_rules)
 from .errors import SpecError
 from .intervals import intersect_sets
-from .model import DecisionTable, dump_table, load_table
-from .sfeel import Kind
+from .model import DecisionTable, load_table
+from .sfeel import (Alternative, AnyValue, Condition, Interval, Kind, Match,
+                    parse_condition)
 
 GRADES = ("A", "B", "C", "D", "E", "F", "G")
 
@@ -60,11 +65,6 @@ class ColumnSpec:
     lo: int = 0
     hi: int = 1000
 
-    def width(self) -> int:
-        if self.kind.is_categorical:
-            return len(self.categories)
-        return self.hi - self.lo + 1
-
 
 @dataclass(frozen=True)
 class GenSpec:
@@ -72,7 +72,6 @@ class GenSpec:
     target_rules: int
     seed: int = 0
     table_name: str = "generated"
-    grades: tuple[str, ...] = GRADES
 
 
 def _column_span(column: ColumnSpec) -> tuple[int, int]:
@@ -151,7 +150,7 @@ def generate_table(spec: GenSpec) -> DecisionTable:
         rules.append({
             "id": f"r{i + 1:0{width}d}",
             "in": entries,
-            "out": [rng.choice(spec.grades)],
+            "out": [rng.choice(GRADES)],
         })
 
     def column_doc(column: ColumnSpec) -> dict:
@@ -167,7 +166,7 @@ def generate_table(spec: GenSpec) -> DecisionTable:
         "completeness": "C",
         "inputs": [column_doc(c) for c in spec.columns],
         "outputs": [{"name": "Grade", "type": "string",
-                     "facet": ",".join(spec.grades)}],
+                     "facet": ",".join(GRADES)}],
         "rules": rules,
     }
     return load_table(document)
@@ -177,41 +176,45 @@ def generate_table(spec: GenSpec) -> DecisionTable:
 # Defect injection
 
 
-def _entry_bounds(text: str, column: ColumnSpec) -> Optional[tuple[int, int]]:
-    # Generated numeric entries are "-", "k", or "[a..b]".
-    full_lo, full_hi = _column_span(column)
-    if text == "-":
-        return (full_lo, full_hi)
-    if text.startswith("["):
-        body = text[1:-1]
-        lo_text, hi_text = body.split("..")
-        return (int(lo_text), int(hi_text))
-    try:
-        point = int(text)
-    except ValueError:
-        return None
-    return (point, point)
+def _entry_bounds(cond: Condition,
+                  column: ColumnSpec) -> Optional[tuple[int, int]]:
+    # The generator writes a numeric cell as "-", "k" or "[a..b]".
+    if isinstance(cond, AnyValue):
+        return _column_span(column)
+    if isinstance(cond, Match):
+        return (cond.value, cond.value)
+    if isinstance(cond, Interval) and cond.lo_closed and cond.hi_closed:
+        return (cond.lo, cond.hi)
+    return None
 
 
-def _entry_categories(text: str, column: ColumnSpec) -> tuple[str, ...]:
-    if text == "-":
+def _entry_categories(cond: Condition,
+                      column: ColumnSpec) -> Optional[tuple[str, ...]]:
+    # The generator writes a categorical cell as "-" or "k1,k2,...".
+    if isinstance(cond, AnyValue):
         return column.categories
-    return tuple(p.strip() for p in text.split(","))
+    parts = cond.parts if isinstance(cond, Alternative) else (cond,)
+    if not all(isinstance(part, Match) for part in parts):
+        return None
+    return tuple(part.value for part in parts)
 
 
-def _widen(text: str, column: ColumnSpec, rng: random.Random) -> Optional[str]:
+def _widen(cond: Condition, column: ColumnSpec,
+           rng: random.Random) -> Optional[str]:
     full_lo, full_hi = _column_span(column)
     if column.kind.is_categorical:
-        present = set(_entry_categories(text, column))
+        present = _entry_categories(cond, column)
+        if present is None:
+            return None
         absent = [c for c in column.categories if c not in present]
         if not absent:
             return None
-        added = present | {rng.choice(absent)}
+        added = {*present, rng.choice(absent)}
         kept = [c for c in column.categories if c in added]
         if len(kept) == len(column.categories):
             return "-"
         return ",".join(kept)
-    bounds = _entry_bounds(text, column)
+    bounds = _entry_bounds(cond, column)
     if bounds is None:
         return None
     lo, hi = bounds
@@ -224,15 +227,16 @@ def _widen(text: str, column: ColumnSpec, rng: random.Random) -> Optional[str]:
     return _render_leaf_entry(column, lo, hi)
 
 
-def _shrink(text: str, column: ColumnSpec, rng: random.Random) -> Optional[str]:
+def _shrink(cond: Condition, column: ColumnSpec,
+            rng: random.Random) -> Optional[str]:
     if column.kind.is_categorical:
-        present = list(_entry_categories(text, column))
+        present = list(_entry_categories(cond, column) or ())
         if len(present) < 2:
             return None
         present.remove(rng.choice(present))
         kept = [c for c in column.categories if c in present]
         return ",".join(kept)
-    bounds = _entry_bounds(text, column)
+    bounds = _entry_bounds(cond, column)
     if bounds is None:
         return None
     lo, hi = bounds
@@ -261,32 +265,31 @@ def inject_noise(table: DecisionTable, columns: Sequence[ColumnSpec],
         raise SpecError(f"noise fraction must be in (0, 1], got {fraction}")
     mutate = _widen if mode == "overlap" else _shrink
     rng = random.Random(seed)
-    document = dump_table(table)
-    rules = document["rules"]
-    wanted = math.ceil(fraction * len(rules))
+    wanted = math.ceil(fraction * len(table.rules))
 
-    def mutable_columns(rule_doc) -> list[int]:
-        out = []
-        for c, column in enumerate(columns):
-            # Probe with a throwaway generator; rng stays untouched.
-            if mutate(rule_doc["in"][c], column, random.Random(0)) is not None:
-                out.append(c)
-        return out
-
-    pool = [i for i, rule_doc in enumerate(rules)
-            if mutable_columns(rule_doc)]
+    # Each edit returns None before its first draw, so whether a cell
+    # takes one does not depend on the generator: one scratch generator
+    # probes every cell, and rng stays untouched.
+    probe = random.Random(0)
+    pool = []
+    for i, rule in enumerate(table.rules):
+        options = [c for c, (cond, column)
+                   in enumerate(zip(rule.input_entries, columns))
+                   if mutate(cond, column, probe) is not None]
+        if options:
+            pool.append((i, options))
     if len(pool) < wanted:
         raise SpecError(f"only {len(pool)} rules can take {mode} noise, "
                         f"need {wanted}")
     rng.shuffle(pool)
-    for i in sorted(pool[:wanted]):
-        rule_doc = rules[i]
-        options = mutable_columns(rule_doc)
+    rules = list(table.rules)
+    for i, options in sorted(pool[:wanted]):
         col = options[rng.randrange(len(options))]
-        new_text = mutate(rule_doc["in"][col], columns[col], rng)
-        assert new_text is not None
-        rule_doc["in"][col] = new_text
-    return load_table(document)
+        entries = list(rules[i].input_entries)
+        entries[col] = parse_condition(
+            mutate(entries[col], columns[col], rng), table.inputs[col].kind)
+        rules[i] = replace(rules[i], input_entries=tuple(entries))
+    return replace(table, rules=tuple(rules))
 
 
 # ---------------------------------------------------------------------------

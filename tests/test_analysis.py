@@ -13,7 +13,7 @@ from dmncheck import (FACET_INCOMPAT, CapacityError, Interval1D,
                       lower_to_intervals, oracle_missing, oracle_overlaps,
                       pairwise_overlap_fragments, validate_structure)
 from dmncheck.analysis import build_grid, grid_cells_of_boxes, table_rects
-from dmncheck.intervals import contiguous, intersect_sets
+from dmncheck.intervals import canonical, intersect_sets
 from dmncheck.sfeel import Kind
 from dmncheck.synth import ColumnSpec, GenSpec, generate_table, inject_noise
 
@@ -370,8 +370,10 @@ def _assert_missing_matches_oracle(table, cell_cap: int = 10 ** 6):
     for i, a in enumerate(boxes):
         for b in boxes[i + 1:]:
             differ = [d for d in range(len(a)) if a[d] != b[d]]
-            assert not (len(differ) == 1 and contiguous(
-                a[differ[0]], b[differ[0]], discrete[differ[0]]))
+            if len(differ) == 1:
+                d, = differ
+                assert not (a[d].intersect(b[d]) is None and len(
+                    canonical([a[d], b[d]], discrete[d])) == 1)
 
 
 def test_missing_regions_merged_on_noised_synth_tables():

@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 from dmncheck import Interval1D, interval
 from dmncheck.intervals import (LOWER_CLOSED, LOWER_OPEN, NEG_INF, POS_INF,
                                 UPPER_CLOSED, UPPER_OPEN, canonical,
-                                contiguous, intersect_sets)
+                                intersect_sets)
 
 
 def iv(lo, lc, hi, hc):
@@ -16,6 +16,11 @@ def iv(lo, lc, hi, hc):
 
 def member(s, x) -> bool:
     return any(m.contains(x) for m in s)
+
+
+def contiguous(a, b, discrete) -> bool:
+    # Disjoint, yet canonical joins them into one interval.
+    return a.intersect(b) is None and len(canonical([a, b], discrete)) == 1
 
 
 class TestEventRank:
@@ -126,6 +131,6 @@ def test_union_and_intersection_pointwise(discrete, data):
 def test_canonical_members_disjoint_and_sorted(s):
     for left, right in zip(s, s[1:]):
         assert left.intersect(right) is None
-        assert not contiguous(left, right, discrete=False)
+        assert len(canonical([left, right], discrete=False)) == 2
         assert (left.lo, not left.lo_closed) <= (right.lo,
                                                  not right.lo_closed)

@@ -248,7 +248,7 @@ class TestOutputLiteralErrors:
          "output entry must be a literal text"),
         # a literal of another kind than the column's
         ("integer", 1.5, SFeelTypeError,
-         "real literal in a integer column"),
+         "real literal in an integer column"),
         ("string", True, SFeelTypeError,
          "boolean literal in a string column"),
         ("real", True, SFeelTypeError, "boolean literal in a real column"),

@@ -151,10 +151,10 @@ def test_each_facet_is_tested_once_per_evaluate(monkeypatch):
     calls = [0] * len(facets)
     satisfies = dmncheck.semantics.satisfies
 
-    def counting(cond, value, kind=None):
+    def counting(cond, value):
         for i, facet in enumerate(facets):
             calls[i] += cond is facet
-        return satisfies(cond, value, kind)
+        return satisfies(cond, value)
 
     monkeypatch.setattr(dmncheck.semantics, "satisfies", counting)
     result = evaluate(table, {"x": 7, "c": "a"})

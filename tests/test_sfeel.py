@@ -210,7 +210,7 @@ class TestSatisfies:
     def test_kind_mismatch(self):
         cond = parse_condition("[0..5]", Kind.INTEGER)
         with pytest.raises(SFeelTypeError):
-            satisfies(cond, "red", kind=Kind.INTEGER)
+            satisfies(cond, "red")
 
     @pytest.mark.parametrize("text", ["[0..10]", "not(5)", "-", "<3,>=4"])
     @pytest.mark.parametrize("value", [float("nan"), float("inf"),
@@ -220,8 +220,6 @@ class TestSatisfies:
         cond = parse_condition(text, Kind.REAL)
         with pytest.raises(SFeelTypeError):
             satisfies(cond, value)
-        with pytest.raises(SFeelTypeError):
-            satisfies(cond, value, kind=Kind.REAL)
 
 
 @pytest.mark.parametrize("value", ["a ", "x  ", " a", "A b", "a,b", "-",

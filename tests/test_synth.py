@@ -13,8 +13,9 @@ from dmncheck import (GenSpec, Kind, SpecError, bench_columns,
                       generate_table, inject_noise, load_table,
                       pairwise_overlap_fragments, run_benchmark)
 from dmncheck.cli import main
-from dmncheck.intervals import contiguous
-from dmncheck.synth import ColumnSpec, _shrink, _widen
+from dmncheck.intervals import canonical
+from dmncheck.sfeel import parse_condition
+from dmncheck.synth import ColumnSpec, _render_leaf_entry, _shrink, _widen
 
 from conftest import loan_doc, random_table, rule_boxes
 
@@ -90,32 +91,83 @@ class TestGenerate:
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+def cell(text, column):
+    return parse_condition(text, column.kind)
+
+
+# Every cell form the generator and the noise edits write, over a small
+# column: "-", "k" and "[a..b]"; "-" and any set of categories.
+NUM = ColumnSpec("n", Kind.INTEGER, lo=0, hi=10)
+CAT = ColumnSpec("c", Kind.STRING, categories=("K1", "K2", "K3"))
+GENERATED_CELLS = (
+    [(NUM, _render_leaf_entry(NUM, lo, hi))
+     for lo in range(11) for hi in range(lo, 11)]
+    + [(CAT, "-")]
+    + [(CAT, ",".join(kept)) for k in (1, 2, 3)
+       for kept in combinations(CAT.categories, k)])
+
+
 class TestNoise:
     def test_widen_one_step_each_side(self):
         col = ColumnSpec("n", Kind.INTEGER, lo=0, hi=10)
         rng = random.Random(0)
-        assert _widen("[3..6]", col, rng) == "[2..7]"
-        assert _widen("[0..4]", col, rng) == "[0..5]"
-        assert _widen("[7..10]", col, rng) == "[6..10]"
-        assert _widen("5", col, rng) == "[4..6]"
-        assert _widen("-", col, rng) is None
+        assert _widen(cell("[3..6]", col), col, rng) == "[2..7]"
+        assert _widen(cell("[0..4]", col), col, rng) == "[0..5]"
+        assert _widen(cell("[7..10]", col), col, rng) == "[6..10]"
+        assert _widen(cell("5", col), col, rng) == "[4..6]"
+        assert _widen(cell("-", col), col, rng) is None
 
     def test_widen_adds_absent_category(self):
         col = ColumnSpec("c", Kind.STRING, categories=("K1", "K2", "K3"))
-        got = _widen("K1", col, random.Random(1))
+        got = _widen(cell("K1", col), col, random.Random(1))
         assert got in ("K1,K2", "K1,K3")
-        assert _widen("K1,K2,K3", col, random.Random(1)) is None
-        assert _widen("K1,K2", col, random.Random(1)) == "-"
+        assert _widen(cell("K1,K2,K3", col), col, random.Random(1)) is None
+        assert _widen(cell("K1,K2", col), col, random.Random(1)) == "-"
 
     def test_shrink(self):
         col = ColumnSpec("n", Kind.INTEGER, lo=0, hi=10)
         rng = random.Random(0)
-        assert _shrink("[3..6]", col, rng) == "[4..5]"
-        assert _shrink("[3..4]", col, rng) in ("3", "4")
-        assert _shrink("5", col, rng) is None
+        assert _shrink(cell("[3..6]", col), col, rng) == "[4..5]"
+        assert _shrink(cell("[3..4]", col), col, rng) in ("3", "4")
+        assert _shrink(cell("5", col), col, rng) is None
         cat = ColumnSpec("c", Kind.STRING, categories=("K1", "K2", "K3"))
-        assert _shrink("K1,K2", cat, rng) in ("K1", "K2")
-        assert _shrink("K1", cat, rng) is None
+        assert _shrink(cell("K1,K2", cat), cat, rng) in ("K1", "K2")
+        assert _shrink(cell("K1", cat), cat, rng) is None
+
+    @pytest.mark.parametrize("mutate", [_widen, _shrink])
+    def test_editability_ignores_generator_state(self, mutate):
+        # inject_noise probes every cell with one scratch generator, which
+        # is exact only while an edit decides before its first draw.
+        for column, text in GENERATED_CELLS:
+            cond = cell(text, column)
+            verdicts = {mutate(cond, column, random.Random(seed)) is None
+                        for seed in range(20)}
+            assert len(verdicts) == 1, text
+
+    @pytest.mark.parametrize("column, text", [
+        (CAT, "not(K1)"), (CAT, "K1,not(K2)"), (NUM, "(3..7]"),
+        (NUM, "<5")])
+    def test_other_forms_never_edited(self, column, text):
+        cond = cell(text, column)
+        for seed in range(10):
+            assert _widen(cond, column, random.Random(seed)) is None
+            assert _shrink(cond, column, random.Random(seed)) is None
+
+    def test_edits_the_loaded_table(self):
+        # The noised table is the one its own document loads back to.
+        base = generate_table(GenSpec(columns=SMALL, target_rules=30,
+                                      seed=3))
+        for seed, modes in enumerate([("overlap",), ("missing",),
+                                      ("overlap", "missing"),
+                                      ("missing", "missing")]):
+            table = base
+            for mode in modes:
+                table = inject_noise(table, SMALL, mode, 0.3, seed)
+                again = load_table(dump_table(table))
+                assert table.rules == again.rules
+                assert table.priority == again.priority
+                assert (table.inputs, table.outputs) \
+                    == (again.inputs, again.outputs)
 
     def test_overlap_noise_effective(self):
         spec = GenSpec(columns=SMALL, target_rules=30, seed=11)
@@ -166,7 +218,7 @@ def _boxes_adjacent(a, b, discrete) -> bool:
     for d, disc in enumerate(discrete):
         if a[d].intersect(b[d]) is not None:
             continue
-        if contiguous(a[d], b[d], disc):
+        if len(canonical([a[d], b[d]], disc)) == 1:
             soft += 1
             if soft > 1:
                 return False
