@@ -302,9 +302,11 @@ def find_overlapping_rules(table: "DecisionTable") -> list[OverlapGroup]:
             ids.append(rule_order[low.bit_length() - 1])
             mask ^= low
         # The least corner of the group's region, inside which the
-        # depth-first sweep first meets the group.
+        # depth-first sweep first meets the group.  Meeting canonical
+        # sets gives one canonical set in any order, so each distinct
+        # column set is folded once.
         witness = tuple(
-            reduce(intersect_sets, (columns_of[rid][d] for rid in ids))[0]
+            reduce(intersect_sets, {columns_of[rid][d] for rid in ids})[0]
             for d in range(n_dims))
         groups.append(OverlapGroup(frozenset(ids), witness,
                                    render_box(table, witness)))
@@ -389,7 +391,10 @@ def render_box(table: "DecisionTable",
 def _render_region_condition(iv: Interval1D, attr, codec: CategoryCodec,
                              universe_set: tuple[Interval1D, ...],
                              discrete: bool) -> str:
-    if canonical([iv], discrete) == universe_set:
+    # canonical([iv], discrete) is the normal form of its one part, so
+    # a box that is not normalised still compares exactly.
+    whole = interval(*iv, discrete)
+    if universe_set == (() if whole is None else (whole,)):
         return "-"
     if attr.kind.is_categorical:
         return ",".join(format_literal(c) for c in codec.decode(attr.name, iv))

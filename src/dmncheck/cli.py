@@ -16,11 +16,18 @@ Structured output is JSON with sorted keys and stable list orders, so
 identical invocations produce byte-identical reports.  Diagnostics are
 sorted by code, then rule ids, then columns.  Reports for multiple
 ``check`` files are buffered and emitted in argument order.
+
+The argument parser is built on the first call to ``main`` and reused
+by every later call in the process, so a caller that runs ``main``
+many times (a test suite, a benchmark, an editor or service that
+embeds the checker) pays for it once; a one-shot ``dmncheck`` process
+builds it once either way.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import Optional, Sequence
@@ -309,7 +316,10 @@ def _cmd_bench(args) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    # Built once per process and shared by every call to main (see the
+    # module docstring), so no action may take a mutable default.
     parser = argparse.ArgumentParser(
         prog="dmncheck",
         description="Verify, evaluate, generate, and benchmark decision "
@@ -376,8 +386,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
     except DecisionTableError as exc:

@@ -4,6 +4,7 @@ brute-force grid oracles."""
 import copy
 import gc
 import random
+from functools import reduce
 
 import pytest
 
@@ -12,7 +13,8 @@ from dmncheck import (FACET_INCOMPAT, CapacityError, Interval1D,
                       find_overlapping_rules, load_table,
                       lower_to_intervals, oracle_missing, oracle_overlaps,
                       pairwise_overlap_fragments, validate_structure)
-from dmncheck.analysis import build_grid, grid_cells_of_boxes, table_rects
+from dmncheck.analysis import (build_grid, grid_cells_of_boxes, render_box,
+                               table_rects)
 from dmncheck.intervals import canonical, intersect_sets
 from dmncheck.sfeel import Kind
 from dmncheck.synth import ColumnSpec, GenSpec, generate_table, inject_noise
@@ -288,6 +290,22 @@ class TestSmallCases:
         assert [g.conditions for g in oracle_overlaps(table)] \
             == [("-", "3")]
 
+    def test_box_over_the_universe_renders_any(self):
+        # The discrete (-1..1001) is [0..1000] once normalised; the real
+        # [0..1000) misses the point 1000 of its universe.
+        table = load_table({
+            "name": "universe", "hitPolicy": "U", "completeness": "I",
+            "inputs": [{"name": "n", "type": "integer", "facet": "[0..1000]"},
+                       {"name": "x", "type": "real", "facet": "[0..1000]"}],
+            "outputs": [{"name": "y", "type": "boolean"}],
+            "rules": [{"id": "r", "in": ["-", "-"], "out": ["true"]}],
+        })
+        assert render_box(table, (iv(-1, False, 1001, False),
+                                  iv(0, True, 1000, False))) \
+            == ("-", "[0..1000)")
+        assert render_box(table, (iv(0, True, 1000, True),
+                                  iv(0, True, 1000, True))) == ("-", "-")
+
     def test_capacity_cap(self, table1):
         with pytest.raises(CapacityError):
             oracle_missing(table1, cell_cap=3)
@@ -447,6 +465,24 @@ def test_witnesses_covered_by_all_members():
                 assert region_contained(
                     [group.witness],
                     rule_boxes(geometry, rid), geometry.discrete)
+
+
+def test_witness_is_the_fold_over_all_members_in_table_order():
+    # The sweep folds each distinct column set once, in no fixed order.
+    rng = random.Random(626262)
+    seen = 0
+    while seen < 60:
+        table = random_table(rng)
+        groups = find_overlapping_rules(table)
+        if not groups:
+            continue
+        seen += 1
+        columns_of = table.geometry.columns_of
+        for group in groups:
+            ids = [r.id for r in table.rules if r.id in group.rule_ids]
+            assert group.witness == tuple(
+                reduce(intersect_sets, (columns_of[rid][d] for rid in ids))[0]
+                for d in range(len(table.inputs)))
 
 
 def test_missing_regions_disjoint_from_rules():

@@ -11,7 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import dmncheck
 from dmncheck import DecisionTableError, load_table
-from dmncheck.cli import main
+from dmncheck.cli import _build_parser, main
 
 from conftest import loan_doc
 
@@ -274,6 +274,63 @@ class TestEval:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "error:" in captured.err
+
+
+class TestParserReuse:
+    """main reuses one parser per process; no call may see another's
+    arguments or change what a later call prints."""
+
+    @staticmethod
+    def run(capsys, argv):
+        code = main(argv)
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    def test_set_values_do_not_carry_over(self, table1_path, capsys):
+        code, out, _ = self.run(capsys, [
+            "eval", table1_path, "--format", "structured",
+            "--set", "Annual Income=500", "--set", "Loan Size=4230"])
+        assert (code, json.loads(out)["rule"]) == (0, "B")
+        # Alone, one --set leaves Loan Size missing.
+        code, out, err = self.run(capsys, [
+            "eval", table1_path, "--set", "Annual Income=500"])
+        assert code == 2 and out == "" and "Loan Size" in err
+
+    def test_usage_errors_leave_the_next_call_unchanged(self, table1_path,
+                                                        capsys):
+        _build_parser.cache_clear()
+        good = ["check", "--format", "structured", table1_path]
+        fresh = self.run(capsys, good)
+        for bad in (["check"], ["check", "--format", "xml", table1_path]):
+            with pytest.raises(SystemExit) as exc:
+                main(bad)
+            assert exc.value.code == 2
+            assert "usage: dmncheck check" in capsys.readouterr().err
+        assert self.run(capsys, good) == fresh
+        assert fresh[0] == 1
+
+    def test_help_prints_the_same_text_twice(self, capsys):
+        texts = []
+        for _ in range(2):
+            with pytest.raises(SystemExit) as exc:
+                main(["--help"])
+            assert exc.value.code == 0
+            texts.append(capsys.readouterr().out)
+        assert texts[0] == texts[1]
+        assert texts[0].startswith("usage: dmncheck")
+
+    def test_interleaved_checks_repeat_their_first_bytes(
+            self, table1_path, tiny_path, capsys):
+        # Text is the default, so the text calls pass no --format.
+        calls = [["check", table1_path],
+                 ["check", "--format", "structured", tiny_path],
+                 ["check", "--format", "structured", table1_path],
+                 ["check", tiny_path]]
+        first = [self.run(capsys, argv) for argv in calls]
+        for _ in range(2):
+            assert [self.run(capsys, argv) for argv in calls] == first
+        assert [(code, out.startswith("{")) for code, out, _ in first] \
+            == [(1, False), (0, True), (1, True), (0, False)]
 
 
 # JSON that json.loads cannot decode: nesting past the recursion limit,
