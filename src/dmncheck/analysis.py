@@ -8,52 +8,63 @@ column covers nothing.  A box is a tuple of
 ``Interval1D``, one per input column, and all interval semantics come
 from :mod:`dmncheck.intervals`; the witnesses and missing regions
 reported here are such tuples.  ``table_rects`` is the only geometry
-builder, and ``DecisionTable.geometry`` caches it, so the sweeps,
+builder, and ``DecisionTable.geometry`` caches it, so the sweep,
 witness and region rendering, the masked-rule check, the structure
 check and the grid oracles share a single build.  Each distinct
 ``entry ∩ facet`` is lowered once per column.
 
-Both analyses are N-dimensional line sweeps in table column order over
-one event encoding.  ``_events`` sorts one column's bound events, one
-pair per member of each swept set, by value and, at equal values, by the
-tie rank from :mod:`dmncheck.intervals`, so closed-touching intervals
-count as overlapping while open-touching ones do not.  A canonical set's
-members are disjoint and non-contiguous, so an id is active at most once
-at any point.
-
-Overlaps: the sweep recurses over rule indices at each column's maximal
-cliques, where a lower bound event is directly followed by an upper
-bound event (Gupta, Lee & Leung, 1982); any other stretch's active rules
-are a subset of a clique's.  The tie ranks let a lower and an upper bound
-at one value meet only as ``[v..v]``, and discrete sets have closed
-finite bounds, so no clique is empty.  A clique of two or more rules
-recurses into the next dimension over them; past the last dimension
-their bits form a mask.  Each sub-sweep over a set of rules runs once and
-is memoised.  Reported masks form an antichain: a candidate that is a
-subset of an existing mask is dropped, and inserting a new mask purges
-its subsets.  A group's witness is a function of the group alone: the
-least corner of its region, per column the first member of the
-``intersect_sets`` fold of the group's column sets.
-
-Missing values: ``_walk`` yields each non-empty stretch between events,
-both unbounded ends included, with the suffix ids active there.
+Both analyses are one N-dimensional line sweep in table column order.
 ``_suffix_forest`` hash-conses the rules' column-set suffixes, so rules
-whose sets agree from column d onward share one suffix id there and each
-sub-sweep over a set of suffix ids runs once and is memoised.  Sweeping
-one dimension, a stretch recurses over the tails of the suffixes active
-there; a stretch where none is active is cut to the column's universe
-and recurses over no suffixes, which yields the universe's members in
-every deeper column.  A stretch still active at the last column is
-covered.  Each level merges once, in its own column: the fragments of
-the stretches whose sub-sweeps yield one rest (a box over the deeper
-columns) are joined by ``canonical``, which orders them canonically, so
-a closed point such as ``[1..1]`` meets the open stretch ``(1..2]`` that
-follows it.  That one merge is the fixpoint, where no two boxes are
-contiguous in one column and equal in all others.  In column d no more
-can join.  Deeper, each sub-result is a fixpoint by induction, and the
-stretches of one walk are disjoint, so two boxes that share a merged
-interval F in column d hold rests that both lie in the sub-result of
-each stretch F is made of, and those never join.
+whose sets agree from column d onward share one suffix id there.  A
+sub-sweep takes a set of suffix ids and a column, runs once and is
+memoised, and returns both halves: the gap boxes over that column and
+the deeper ones, and an antichain of masks of two or more of its ids
+that share a point there.  ``sweep_table`` runs either half alone or
+both in one walk.  ``_events`` sorts one column's bound events, one
+pair per member of each swept set, by value and, at equal values, by
+the tie rank from :mod:`dmncheck.intervals`, so closed-touching
+intervals count as overlapping while open-touching ones do not.  A
+canonical set's members are disjoint and non-contiguous, so an id is
+active at most once at any point.  The walk visits each non-empty
+stretch between events, both unbounded ends included, with the ids
+active there; a stretch recurses over the tails of those ids, their
+suffix ids at the next column.
+
+Overlaps: only each column's maximal cliques count, where a lower bound
+event is directly followed by an upper bound event (Gupta, Lee & Leung,
+1982); any other stretch's active ids are a subset of a clique's.  The
+tie ranks let a lower and an upper bound at one value meet only as
+``[v..v]``, and discrete sets have closed finite bounds, so no clique is
+empty.  At the last column a clique of two or more ids is a mask.
+Deeper, the clique's ids are grouped by tail.  Ids with one tail share
+every point of it, and only non-empty rules are swept, so a group of
+two or more ids shares a point.  With two or more distinct tails the
+clique recurses over them, and each returned mask of tails maps back to
+its preimage, the union of its tails' groups.  The top level maps rules
+to their suffix ids at column 0 the same way, so identical rules form a
+group.  A clique is itself a stretch, whose tails are the ids the clique
+recurses over, so every overlap sub-sweep is also a gap sub-sweep and
+the two halves share memo entries.  Masks form an antichain: a
+candidate that is a subset of an existing mask is dropped, and
+inserting a new mask purges its subsets.  A group's witness is a
+function of the group alone: the least corner of its region, per
+column the first member of the ``intersect_sets`` fold of the group's
+column sets.
+
+Missing values: only the rules' union matters.  A stretch where no id
+is active is cut to the column's universe and recurses over no
+suffixes, which yields the universe's members in every deeper column.
+A stretch still active at the last column is covered.  Each level
+merges once, in its own column: the fragments of the stretches whose
+sub-sweeps yield one rest (a box over the deeper columns) are joined by
+``canonical``, which orders them canonically, so a closed point such as
+``[1..1]`` meets the open stretch ``(1..2]`` that follows it.  That one
+merge is the fixpoint, where no two boxes are contiguous in one column
+and equal in all others.  In column d no more can join.  Deeper, each
+sub-result is a fixpoint by induction, and the stretches of one walk
+are disjoint, so two boxes that share a merged interval F in column d
+hold rests that both lie in the sub-result of each stretch F is made
+of, and those never join.
 
 The module also carries deliberately naive oracles that enumerate the
 compressed endpoint grid cell by cell.  They exist to cross-check the
@@ -65,7 +76,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import reduce
 from itertools import product
-from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 from .errors import CapacityError
 from .geometry import (CategoryCodec, build_codec, build_universe,
@@ -158,19 +169,19 @@ def columns_contained(inner: Sequence[tuple[Interval1D, ...]],
 
 
 def _suffix_forest(rows: Iterable[tuple],
-                   n_dims: int) -> tuple[list, list, frozenset[int]]:
+                   n_dims: int) -> tuple[list, list, list[int]]:
     """Hash-cons the suffixes of rows of column sets, column by column.
 
     Rows that agree from column d onward share one suffix id at d, so
     sub-sweeps over equal suffix sets are computed once.  Returns, per
     column, the column set (head) and the suffix id at the next column
-    (tail; 0 past the last column) of each suffix id, and the suffix
-    ids at column 0.
+    (tail; 0 past the last column) of each suffix id, and each row's
+    suffix id at column 0.
     """
     heads: list[list[tuple[Interval1D, ...]]] = [[] for _ in range(n_dims)]
     tails: list[list[int]] = [[] for _ in range(n_dims)]
     intern: list[dict] = [{} for _ in range(n_dims)]
-    top_ids: set[int] = set()
+    tops: list[int] = []
     for row in rows:
         tid = 0
         for d in range(n_dims - 1, -1, -1):
@@ -182,8 +193,8 @@ def _suffix_forest(rows: Iterable[tuple],
                 tails[d].append(tid)
                 intern[d][key] = got
             tid = got
-        top_ids.add(tid)
-    return heads, tails, frozenset(top_ids)
+        tops.append(tid)
+    return heads, tails, tops
 
 
 def _events(ids: Iterable[int], head: list[tuple[Interval1D, ...]]) -> list:
@@ -198,40 +209,9 @@ def _events(ids: Iterable[int], head: list[tuple[Interval1D, ...]]) -> list:
     return events
 
 
-def _walk(ids: Iterable[int], head: list[tuple[Interval1D, ...]],
-          discrete: bool) -> Iterator[tuple[Interval1D, set[int]]]:
-    """Yield ``(stretch, active)`` for each non-empty stretch between the
-    events of the suffix sets ``head[i]``, ``i`` in ``ids``, both
-    unbounded ends included; ``active``, the suffix ids active there, is
-    updated in place, so read it before resuming the walk."""
-    active: set[int] = set()
-    events = _events(ids, head)
-    events.append((POS_INF, UPPER_OPEN, -1))  # the bound at +inf
-    lo, lo_closed = NEG_INF, False
-    for hi, rank, i in events:
-        hi_closed = rank >= UPPER_CLOSED
-        # Between the closed bounds of a discrete column most stretches
-        # are empty: tightened to integers, their bounds cross.  An
-        # infinite bound stays infinite, and interval() judges the rest.
-        if (not discrete or (lo if lo_closed else lo + 1)
-                <= (hi if hi_closed else hi - 1)):
-            stretch = interval(lo, lo_closed, hi, hi_closed, discrete)
-            if stretch is not None:
-                yield stretch, active
-        if rank & 1:
-            active.add(i)
-        else:
-            active.discard(i)
-        lo, lo_closed = hi, rank <= LOWER_CLOSED
-
-
 def _nonempty_rules(geometry: TableGeometry) -> list[str]:
     # Rules that cover some point: no column set is empty.
     return [rid for rid, sets in geometry.columns_of.items() if all(sets)]
-
-
-# ---------------------------------------------------------------------------
-# Overlap sweep
 
 
 def _insert_antichain(chain: list[int], mask: int) -> None:
@@ -243,66 +223,149 @@ def _insert_antichain(chain: list[int], mask: int) -> None:
     chain.append(mask)
 
 
-def find_overlapping_rules(table: "DecisionTable") -> list[OverlapGroup]:
-    """Maximal groups of rules with a common point, as an antichain.
+def _insert_preimages(chain: list[int], ids: Iterable[int],
+                      tail_of: Sequence[int], masks: Iterable[int]) -> None:
+    # Each mask of tails maps back to the ids above its tails.  Ids with
+    # one tail share every point of it, so each such group of two or
+    # more ids is realised on its own.
+    group_of: dict[int, int] = {}
+    for j in ids:
+        group_of[tail_of[j]] = group_of.get(tail_of[j], 0) | 1 << j
+    for mask in masks:
+        union = 0
+        while mask:
+            low = mask & -mask
+            union |= group_of[low.bit_length() - 1]
+            mask ^= low
+        _insert_antichain(chain, union)
+    for group in group_of.values():
+        if group & (group - 1):
+            _insert_antichain(chain, group)
 
-    Each group carries a witness: the least corner of the group's
-    region, per column the first member of the intersection of the
-    group's column sets.
+
+def sweep_table(table: "DecisionTable", only: str = "all"
+                ) -> tuple[list[OverlapGroup], list[MissingRegion]]:
+    """The table's overlap groups and missing regions, from one sweep.
+
+    ``only`` is "all" for both halves, or "overlap" or "missing" for
+    one; the half not swept comes back empty.
     """
+    overlaps, gaps = only != "missing", only != "overlap"
     geometry = table.geometry
     columns_of = geometry.columns_of
+    discrete = geometry.discrete
+    universe = geometry.universe
     n_dims = len(table.inputs)
+    last = n_dims - 1
     rule_order = _nonempty_rules(geometry)
-    if not rule_order:
-        return []
+    # Only the rules' union matters to the gaps, and rules that agree
+    # from a column onward share every point there, so both halves sweep
+    # such rules there as one suffix.
+    heads, tails, tops = _suffix_forest(
+        [columns_of[rid] for rid in rule_order], n_dims)
+    memo: dict[tuple, tuple[tuple, tuple[int, ...]]] = {}
 
-    # A rule's column set is canonical, so it is active at most once
-    # at any point and ``len(active)`` counts the rules there.
-    rows = [columns_of[rid] for rid in rule_order]
-    heads = [[row[d] for row in rows] for d in range(n_dims)]
-    memo: dict[tuple, tuple[int, ...]] = {}
-
-    def sweep(rules: frozenset[int], dim: int) -> tuple[int, ...]:
-        # Antichain of the rule masks realised over dims dim..
+    def sweep(ids: frozenset[int], dim: int) -> tuple[tuple, tuple[int, ...]]:
+        # The gap boxes over columns dim.. and the antichain of the
+        # masks of two or more ids that share a point there.  Only a
+        # stretch where no suffix is active reaches past the last column.
         if dim == n_dims:
-            return (sum(1 << i for i in rules),)
-        key = (rules, dim)
+            return ((),), ()
+        key = (ids, dim)
         cached = memo.get(key)
         if cached is not None:
             return cached
+        head, tail, is_discrete = heads[dim], tails[dim], discrete[dim]
+        # Each rest (a box over the deeper columns) to its fragments in
+        # column dim.
+        frags_of: dict[tuple, list[Interval1D]] = {}
         chain: list[int] = []
         active: set[int] = set()
         rising = False
-        for _value, rank, i in _events(rules, heads[dim]):
+        events = _events(ids, head)
+        if gaps:
+            events.append((POS_INF, UPPER_OPEN, -1))  # the bound at +inf
+        lo, lo_closed = NEG_INF, False
+        for hi, rank, i in events:
+            nexts = sub = None
             # A lower bound directly followed by an upper bound closes a
-            # maximal clique of the column's intervals.
-            if rising and not rank & 1 and len(active) >= 2:
-                for mask in sweep(frozenset(active), dim + 1):
-                    _insert_antichain(chain, mask)
+            # maximal clique of the column's sets.
+            if overlaps and rising and not rank & 1 and len(active) >= 2:
+                if dim == last:
+                    _insert_antichain(chain, sum(1 << j for j in active))
+                else:
+                    nexts = frozenset(map(tail.__getitem__, active))
+                    if len(nexts) >= 2:
+                        sub = sweep(nexts, dim + 1)
+                    # Ids with distinct tails and no deeper group share
+                    # no point: nothing to map back.
+                    if len(nexts) < len(active) or sub and sub[1]:
+                        _insert_preimages(chain, active, tail,
+                                          () if sub is None else sub[1])
+            if gaps:
+                hi_closed = rank >= UPPER_CLOSED
+                # Between the closed bounds of a discrete column most
+                # stretches are empty: tightened to integers, their
+                # bounds cross.  An infinite bound stays infinite, and
+                # interval() judges the rest.
+                if (not is_discrete or (lo if lo_closed else lo + 1)
+                        <= (hi if hi_closed else hi - 1)):
+                    stretch = interval(lo, lo_closed, hi, hi_closed,
+                                       is_discrete)
+                    if stretch is None:
+                        rests = ()
+                    elif not active:
+                        frags = intersect_sets(universe[dim], (stretch,))
+                        rests = sweep(frozenset(), dim + 1)[0] if frags else ()
+                    elif dim < last:
+                        # A clique's stretch reuses the clique's sub-sweep.
+                        frags = (stretch,)
+                        if sub is None:
+                            sub = sweep(nexts or frozenset(
+                                map(tail.__getitem__, active)), dim + 1)
+                        rests = sub[0]
+                    else:
+                        rests = ()  # covered in every column
+                    for rest in rests:
+                        frags_of.setdefault(rest, []).extend(frags)
+                lo, lo_closed = hi, rank <= LOWER_CLOSED
             rising = rank & 1
             if rising:
                 active.add(i)
             else:
                 active.discard(i)
-        result = tuple(chain)
+        # One merge in column dim is the fixpoint: see the module
+        # docstring.
+        out: list[tuple] = []
+        for rest, parts in frags_of.items():
+            if len(parts) > 1:
+                parts = canonical(parts, is_discrete)
+            out.extend((frag,) + rest for frag in parts)
+        result = tuple(out), tuple(chain)
         memo[key] = result
         return result
 
-    found = sweep(frozenset(range(len(rows))), 0)
+    top = frozenset(tops)
+    chain: list[int] = []
+    if overlaps:
+        # Identical rules share a top suffix id, so the top level maps
+        # masks of ids back to rules as each clique does.
+        found = sweep(top, 0)[1] if len(top) >= 2 else ()
+        if len(top) < len(tops) or found:
+            _insert_preimages(chain, range(len(tops)), tops, found)
+    boxes = sorted(sweep(top, 0)[0]) if gaps else []
     # sweep refers to itself through its closure; dropping the name
     # frees the memo now rather than at the next cyclic collection.
     del sweep
 
     groups = []
-    for mask in found:
+    for mask in chain:
         ids = []
         while mask:
             low = mask & -mask
             ids.append(rule_order[low.bit_length() - 1])
             mask ^= low
-        # The least corner of the group's region, inside which the
-        # depth-first sweep first meets the group.  Meeting canonical
+        # The least corner of the group's region.  Meeting canonical
         # sets gives one canonical set in any order, so each distinct
         # column set is folded once.
         witness = tuple(
@@ -311,11 +374,18 @@ def find_overlapping_rules(table: "DecisionTable") -> list[OverlapGroup]:
         groups.append(OverlapGroup(frozenset(ids), witness,
                                    render_box(table, witness)))
     groups.sort(key=lambda g: g.sorted_ids())
-    return groups
+    return groups, [MissingRegion(box, render_box(table, box))
+                    for box in boxes]
 
 
-# ---------------------------------------------------------------------------
-# Missing-rule sweep
+def find_overlapping_rules(table: "DecisionTable") -> list[OverlapGroup]:
+    """Maximal groups of rules with a common point, as an antichain.
+
+    Each group carries a witness: the least corner of the group's
+    region, per column the first member of the intersection of the
+    group's column sets.
+    """
+    return sweep_table(table, "overlap")[0]
 
 
 def find_missing_rules(table: "DecisionTable") -> list[MissingRegion]:
@@ -324,58 +394,7 @@ def find_missing_rules(table: "DecisionTable") -> list[MissingRegion]:
     The reported boxes are pairwise disjoint, meet no rule's region,
     and jointly cover exactly the uncovered part of the Universe.
     """
-    geometry = table.geometry
-    discrete = geometry.discrete
-    universe = geometry.universe
-    n_dims = len(table.inputs)
-
-    # Only the rules' union matters, so rules that agree from a column
-    # onward are swept there as one suffix.
-    heads, tails, top_ids = _suffix_forest(
-        (geometry.columns_of[rid] for rid in _nonempty_rules(geometry)),
-        n_dims)
-
-    memo: dict[tuple, tuple[tuple, ...]] = {}
-
-    def gaps(suffix_ids: frozenset[int], dim: int) -> tuple[tuple, ...]:
-        # Only a stretch where no suffix is active reaches past the
-        # last column.
-        if dim == n_dims:
-            return ((),)
-        key = (suffix_ids, dim)
-        cached = memo.get(key)
-        if cached is not None:
-            return cached
-        tail = tails[dim]
-        # Each rest (a box over the deeper columns) to its fragments in
-        # column dim.
-        frags_of: dict[tuple, list[Interval1D]] = {}
-        for stretch, active in _walk(suffix_ids, heads[dim], discrete[dim]):
-            if not active:
-                frags = intersect_sets(universe[dim], (stretch,))
-                if not frags:
-                    continue
-            elif dim + 1 < n_dims:
-                frags = (stretch,)
-            else:
-                continue  # covered in every column
-            for rest in gaps(frozenset(map(tail.__getitem__, active)),
-                             dim + 1):
-                frags_of.setdefault(rest, []).extend(frags)
-        # One merge in column dim is the fixpoint: see the module
-        # docstring.
-        out: list[tuple] = []
-        for rest, parts in frags_of.items():
-            if len(parts) > 1:
-                parts = canonical(parts, discrete[dim])
-            out.extend((frag,) + rest for frag in parts)
-        result = tuple(out)
-        memo[key] = result
-        return result
-
-    boxes = sorted(gaps(top_ids, 0))
-    del gaps  # frees the memo now, as in find_overlapping_rules
-    return [MissingRegion(box, render_box(table, box)) for box in boxes]
+    return sweep_table(table, "missing")[1]
 
 
 def render_box(table: "DecisionTable",

@@ -386,7 +386,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = _build_parser().parse_args(argv)
+    try:
+        args = _build_parser().parse_args(argv)
+    except SystemExit as exc:
+        # argparse exits 2 after a usage error and 0 after --help.
+        return 0 if exc.code is None else int(exc.code)
     try:
         return args.func(args)
     except DecisionTableError as exc:

@@ -28,8 +28,8 @@ from typing import Sequence
 # render_box is not called here any more, but perfbench's tracer test
 # looks the name up in this module, so the binding stays until that
 # test is re-recorded.
-from .analysis import (MissingRegion, OverlapGroup, find_missing_rules,
-                       find_overlapping_rules, render_box)  # noqa: F401
+from .analysis import (MissingRegion, OverlapGroup, render_box,  # noqa: F401
+                       sweep_table)
 from .model import (COMPLETENESS_MISMATCH, MASKED_RULE, MISSING_RULE,
                     OUTPUT_DISAGREEMENT, OVERLAP, DecisionTable, Diagnostic,
                     validate_structure)
@@ -139,21 +139,22 @@ def check_correct(table: DecisionTable,
                   only: str = "all") -> CorrectnessReport:
     """Run the checks; ``correct`` is True only when nothing is wrong.
 
-    ``only`` narrows the expensive part: "overlap" skips the missing
-    sweep and the completeness comparison, "missing" skips the overlap
-    sweep and the policy checks built on it.  A skipped check cannot
-    fail, so ``correct`` then reflects only what actually ran.
+    ``only`` narrows the expensive part.  "all" finds the overlap groups
+    and the missing regions in one sweep of the table.  "overlap" sweeps
+    for overlaps alone and skips the completeness comparison; "missing"
+    sweeps for gaps alone and skips the policy checks built on the
+    overlap groups.  A skipped check cannot fail, so ``correct`` then
+    reflects only what actually ran.
     """
     if only not in ("all", "overlap", "missing"):
         raise ValueError(f"unknown check selection {only!r}")
     facet = tuple(validate_structure(table))
-    groups = find_overlapping_rules(table) if only != "missing" else []
+    groups, missing = sweep_table(table, only)
 
     input_names = table.input_names()
     verdict: CompletenessVerdict | None = None
     completeness: list[Diagnostic] = []
     if only != "overlap":
-        missing = find_missing_rules(table)
         verdict = CompletenessVerdict(
             declared=table.completeness,
             actual=not missing,

@@ -1,6 +1,7 @@
 """Shared fixtures: the loan-grading reference table, a small
-random-table generator used for oracle cross-checks, the boxes of a
-rule's region, and the grid oracle for region containment."""
+random-table generator used for oracle cross-checks (optionally with
+planted duplicate rows), the boxes of a rule's region, and the grid
+oracle for region containment."""
 
 from __future__ import annotations
 
@@ -128,6 +129,32 @@ def random_table_doc(rng: random.Random, max_cols: int = 3,
                      "facet": ",".join(OUT_GRADES)}],
         "rules": rules,
     }
+
+
+def planted_table_doc(rng: random.Random, **kwargs) -> dict:
+    """A ``random_table_doc`` with planted rows: copies of its rules and
+    rules that differ from one only in column 0, in shuffled order."""
+    doc = random_table_doc(rng, **kwargs)
+    col = doc["inputs"][0]
+    planted = []
+    for rule in doc["rules"]:
+        roll = rng.random()
+        if roll < 0.5:
+            twin = copy.deepcopy(rule)
+            if roll < 0.25:
+                if col["type"] in ("integer", "real"):
+                    twin["in"][0] = _numeric_entry(rng, 10)
+                elif col["type"] == "string":
+                    twin["in"][0] = _categorical_entry(
+                        rng, col["facet"].split(","))
+                else:
+                    twin["in"][0] = rng.choice(("-", "true", "false"))
+            planted.append(twin)
+    for k, rule in enumerate(planted):
+        rule["id"] = f"p{k}"
+    doc["rules"] += planted
+    rng.shuffle(doc["rules"])
+    return doc
 
 
 def random_table(rng: random.Random, **kwargs):

@@ -19,8 +19,8 @@ from dmncheck.intervals import canonical, intersect_sets
 from dmncheck.sfeel import Kind
 from dmncheck.synth import ColumnSpec, GenSpec, generate_table, inject_noise
 
-from conftest import (loan_doc, random_table, random_table_doc,
-                      region_contained, rule_boxes)
+from conftest import (loan_doc, planted_table_doc, random_table,
+                      random_table_doc, region_contained, rule_boxes)
 
 INF = float("inf")
 
@@ -116,6 +116,49 @@ class TestSmallCases:
         groups = find_overlapping_rules(table)
         assert [g.rule_ids for g in groups] \
             == [frozenset({"r0", "r1", "r2"})]
+
+    def test_identical_rows_beside_a_disjoint_rule(self):
+        # The twins share one suffix id in every column, and so one top
+        # id: they form a group without any clique of two ids.
+        table = load_table({
+            "name": "twins", "hitPolicy": "U", "completeness": "I",
+            "inputs": [{"name": "x", "type": "integer", "facet": "[0..9]"},
+                       {"name": "y", "type": "real", "facet": "[0..9]"}],
+            "outputs": [{"name": "o", "type": "string"}],
+            "rules": [
+                {"id": "a", "in": ["[2..5]", "[1..3)"], "out": ["x"]},
+                {"id": "c", "in": ["[7..9]", "-"], "out": ["x"]},
+                {"id": "b", "in": ["[2..5]", "[1..3)"], "out": ["x"]},
+            ],
+        })
+        groups = _assert_overlaps_match_oracle(table)
+        assert [g.rule_ids for g in groups] == [frozenset({"a", "b"})]
+
+    @pytest.mark.parametrize("z_of_r,expected", [
+        ("[5..9]", [{"p", "q", "r"}]),
+        ("[6..9]", [{"p", "q"}]),
+    ])
+    def test_shared_tail_beside_a_deeper_difference(self, z_of_r, expected):
+        # p and q agree from column 1 on, so their clique in column 0
+        # has a single tail and recurses no further.  r differs from q
+        # only in column 2, where it meets the shared tail at z = 5 or
+        # misses it.
+        table = load_table({
+            "name": "tails", "hitPolicy": "U", "completeness": "I",
+            "inputs": [{"name": n, "type": "integer", "facet": "[0..9]"}
+                       for n in ("x", "y", "z")],
+            "outputs": [{"name": "o", "type": "string"}],
+            "rules": [
+                {"id": "p", "in": ["[0..4]", "[0..5]", "[0..5]"],
+                 "out": ["a"]},
+                {"id": "q", "in": ["[3..8]", "[0..5]", "[0..5]"],
+                 "out": ["a"]},
+                {"id": "r", "in": ["[3..8]", "[0..5]", z_of_r],
+                 "out": ["a"]},
+            ],
+        })
+        groups = _assert_overlaps_match_oracle(table)
+        assert [set(g.rule_ids) for g in groups] == expected
 
     def test_real_gap_between_closed_intervals(self):
         table = load_table({
@@ -357,20 +400,38 @@ def test_sweeps_match_oracles_on_random_tables():
     rng = random.Random(424242)
     tables = [random_table(rng) for _ in range(250)]
     tables += [random_table(rng, max_rules=14) for _ in range(250)]
+    tables += [load_table(planted_table_doc(rng)) for _ in range(150)]
     tables.append(load_table(SHARED_ENDPOINTS_DOC))
     for table in tables:
-        groups = find_overlapping_rules(table)
-        assert _antichain(groups)
-        oracle = oracle_overlaps(table)
-        assert {g.rule_ids for g in groups} == {g.rule_ids for g in oracle}
-        # The oracle's witness is its first grid cell in walk order, and
-        # the sweep's is the least corner of the group's region.
-        witness_of = {g.rule_ids: g.witness for g in groups}
-        for g in oracle:
-            assert all(big.covers(small) for big, small
-                       in zip(witness_of[g.rule_ids], g.witness))
-
+        _assert_overlaps_match_oracle(table)
         _assert_missing_matches_oracle(table)
+
+
+def _assert_overlaps_match_oracle(table):
+    groups = find_overlapping_rules(table)
+    assert _antichain(groups)
+    oracle = oracle_overlaps(table)
+    assert {g.rule_ids for g in groups} == {g.rule_ids for g in oracle}
+    # The oracle's witness is its first grid cell in walk order, and
+    # the sweep's is the least corner of the group's region.
+    witness_of = {g.rule_ids: g.witness for g in groups}
+    for g in oracle:
+        assert all(big.covers(small) for big, small
+                   in zip(witness_of[g.rule_ids], g.witness))
+    return groups
+
+
+def test_one_half_agrees_with_the_full_check():
+    # "all" runs both halves in one sweep, each other selection one half.
+    rng = random.Random(383838)
+    for _ in range(300):
+        table = load_table(planted_table_doc(
+            rng, hit_policy=rng.choice(("U", "F"))))
+        full = check_correct(table)
+        assert check_correct(table, only="overlap").overlap_groups \
+            == full.overlap_groups
+        assert check_correct(table, only="missing").missing_regions \
+            == full.missing_regions
 
 
 def _assert_missing_matches_oracle(table, cell_cap: int = 10 ** 6):
@@ -440,7 +501,8 @@ def test_sweeps_leave_no_reference_cycles():
                                         for _ in range(20)]
     for table in tables:
         table.geometry
-        for analyse in (find_missing_rules, find_overlapping_rules):
+        for analyse in (find_missing_rules, find_overlapping_rules,
+                        check_correct):
             gc.collect()
             gc.disable()
             try:

@@ -302,20 +302,18 @@ class TestParserReuse:
         good = ["check", "--format", "structured", table1_path]
         fresh = self.run(capsys, good)
         for bad in (["check"], ["check", "--format", "xml", table1_path]):
-            with pytest.raises(SystemExit) as exc:
-                main(bad)
-            assert exc.value.code == 2
-            assert "usage: dmncheck check" in capsys.readouterr().err
+            code, out, err = self.run(capsys, bad)
+            assert (code, out) == (2, "")
+            assert "usage: dmncheck check" in err
         assert self.run(capsys, good) == fresh
         assert fresh[0] == 1
 
     def test_help_prints_the_same_text_twice(self, capsys):
         texts = []
         for _ in range(2):
-            with pytest.raises(SystemExit) as exc:
-                main(["--help"])
-            assert exc.value.code == 0
-            texts.append(capsys.readouterr().out)
+            code, out, _ = self.run(capsys, ["--help"])
+            assert code == 0
+            texts.append(out)
         assert texts[0] == texts[1]
         assert texts[0].startswith("usage: dmncheck")
 
