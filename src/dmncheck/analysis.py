@@ -14,21 +14,25 @@ check and the grid oracles share a single build.  Each distinct
 ``entry ∩ facet`` is lowered once per column.
 
 Both analyses are one N-dimensional line sweep in table column order.
-``_suffix_forest`` hash-conses the rules' column-set suffixes, so rules
+``_suffix_forest`` interns each column's distinct sets and hash-conses
+the rules' column-set suffixes, keyed by (set id, tail id), so rules
 whose sets agree from column d onward share one suffix id there.  A
 sub-sweep takes a set of suffix ids and a column, runs once and is
 memoised, and returns both halves: the gap boxes over that column and
 the deeper ones, and an antichain of masks of two or more of its ids
 that share a point there.  ``sweep_table`` runs either half alone or
-both in one walk.  ``_events`` sorts one column's bound events, one
-pair per member of each swept set, by value and, at equal values, by
+both in one walk.  The ids of one set are active together, so a
+sub-sweep groups its ids by set id and sorts one pair of bound events
+per member of each distinct set; each set's events are built once per
+``sweep_table`` call.  Events sort by value and, at equal values, by
 the tie rank from :mod:`dmncheck.intervals`, so closed-touching
 intervals count as overlapping while open-touching ones do not.  A
-canonical set's members are disjoint and non-contiguous, so an id is
-active at most once at any point.  The walk visits each non-empty
-stretch between events, both unbounded ends included, with the ids
-active there; a stretch recurses over the tails of those ids, their
-suffix ids at the next column.
+canonical set's members are disjoint and non-contiguous, so a set is
+active at most once at any point; the walk keeps the active sets and a
+running count of their ids.  It visits each non-empty stretch between
+events, both unbounded ends included, with the ids of the active sets;
+a stretch recurses over the tails of those ids, their suffix ids at the
+next column.
 
 Overlaps: only each column's maximal cliques count, where a lower bound
 event is directly followed by an upper bound event (Gupta, Lee & Leung,
@@ -44,9 +48,10 @@ its preimage, the union of its tails' groups.  The top level maps rules
 to their suffix ids at column 0 the same way, so identical rules form a
 group.  A clique is itself a stretch, whose tails are the ids the clique
 recurses over, so every overlap sub-sweep is also a gap sub-sweep and
-the two halves share memo entries.  Masks form an antichain: a
-candidate that is a subset of an existing mask is dropped, and
-inserting a new mask purges its subsets.  A group's witness is a
+the two halves share memo entries.  Masks form an antichain: each
+sub-sweep collects its candidate masks and ``_maximal`` reduces them
+once, largest first, so a candidate is dropped when a kept mask holds
+it and no kept mask is ever purged.  A group's witness is a
 function of the group alone: the least corner of its region, per
 column the first member of the ``intersect_sets`` fold of the group's
 column sets.
@@ -57,10 +62,18 @@ suffixes, which yields the universe's members in every deeper column.
 A stretch still active at the last column is covered.  Each level
 merges once, in its own column: the fragments of the stretches whose
 sub-sweeps yield one rest (a box over the deeper columns) are joined by
-``canonical``, which orders them canonically, so a closed point such as
-``[1..1]`` meets the open stretch ``(1..2]`` that follows it.  That one
-merge is the fixpoint, where no two boxes are contiguous in one column
-and equal in all others.  In column d no more can join.  Deeper, each
+``join_ordered``, so a closed point such as ``[1..1]`` meets the open
+stretch ``(1..2]`` that follows it.  Each interval is normalised once:
+a discrete stretch is built from its tightened bounds and a continuous
+one by ``interval``.  The fragments of one rest then arrive normal,
+disjoint and in line order, as ``join_ordered`` needs: the walk visits
+its stretches left to right, and they are disjoint; a fragment is its
+stretch, or a piece of the stretch cut to the universe, and a cut of
+one interval by a canonical set is canonical, so its pieces are in
+order, normal and inside the stretch.  So every fragment of a later
+stretch lies after every fragment of an earlier one.  That one merge
+is the fixpoint, where no two boxes are contiguous in one column and
+equal in all others.  In column d no more can join.  Deeper, each
 sub-result is a fixpoint by induction, and the stretches of one walk
 are disjoint, so two boxes that share a merged interval F in column d
 hold rests that both lie in the sub-result of each stretch F is made
@@ -82,8 +95,8 @@ from .errors import CapacityError
 from .geometry import (CategoryCodec, build_codec, build_universe,
                        lower_condition)
 from .intervals import (LOWER_CLOSED, LOWER_OPEN, NEG_INF, POS_INF,
-                        UPPER_CLOSED, UPPER_OPEN, Interval1D, canonical,
-                        interval, intersect_sets)
+                        UPPER_CLOSED, UPPER_OPEN, Interval1D, _new,
+                        intersect_sets, interval, join_ordered)
 from .sfeel import (ANY, Comparison, Interval, Kind, Match, format_literal,
                     render_condition)
 
@@ -122,6 +135,8 @@ class TableGeometry(NamedTuple):
     discrete: tuple[bool, ...]
     universe: tuple[tuple[Interval1D, ...], ...]
     codec: CategoryCodec
+    # render_box's text of each (column, interval) it has rendered.
+    texts: dict[tuple[int, Interval1D], str]
 
 
 def table_rects(table: "DecisionTable") -> TableGeometry:
@@ -145,7 +160,7 @@ def table_rects(table: "DecisionTable") -> TableGeometry:
                 lowered[d, cond] = members
             per_column.append(members)
         columns_of[rule.id] = tuple(per_column)
-    return TableGeometry(columns_of, discrete, universe, codec)
+    return TableGeometry(columns_of, discrete, universe, codec, {})
 
 
 def columns_contained(inner: Sequence[tuple[Interval1D, ...]],
@@ -168,45 +183,51 @@ def columns_contained(inner: Sequence[tuple[Interval1D, ...]],
 # Sweep skeleton shared by both analyses
 
 
-def _suffix_forest(rows: Iterable[tuple],
-                   n_dims: int) -> tuple[list, list, list[int]]:
+def _suffix_forest(rows: Iterable[tuple], n_dims: int
+                   ) -> tuple[list, list, list, list[int]]:
     """Hash-cons the suffixes of rows of column sets, column by column.
 
-    Rows that agree from column d onward share one suffix id at d, so
-    sub-sweeps over equal suffix sets are computed once.  Returns, per
-    column, the column set (head) and the suffix id at the next column
-    (tail; 0 past the last column) of each suffix id, and each row's
-    suffix id at column 0.
+    Each column's distinct sets are interned first, and a suffix is
+    keyed by (set id, tail id), so rows that agree from column d onward
+    share one suffix id at d and sub-sweeps over equal suffix sets are
+    computed once.  Returns, per column, the distinct sets, and the set
+    id and the suffix id at the next column (tail; 0 past the last
+    column) of each suffix id; and each row's suffix id at column 0.
     """
-    heads: list[list[tuple[Interval1D, ...]]] = [[] for _ in range(n_dims)]
+    sets: list[list[tuple[Interval1D, ...]]] = [[] for _ in range(n_dims)]
+    set_of: list[list[int]] = [[] for _ in range(n_dims)]
     tails: list[list[int]] = [[] for _ in range(n_dims)]
+    set_ids: list[dict] = [{} for _ in range(n_dims)]
     intern: list[dict] = [{} for _ in range(n_dims)]
     tops: list[int] = []
     for row in rows:
         tid = 0
         for d in range(n_dims - 1, -1, -1):
-            key = (row[d], tid)
-            got = intern[d].get(key)
+            sid = set_ids[d].get(row[d])
+            if sid is None:
+                sid = set_ids[d][row[d]] = len(sets[d])
+                sets[d].append(row[d])
+            got = intern[d].get((sid, tid))
             if got is None:
-                got = len(heads[d])
-                heads[d].append(row[d])
+                got = intern[d][sid, tid] = len(tails[d])
+                set_of[d].append(sid)
                 tails[d].append(tid)
-                intern[d][key] = got
             tid = got
         tops.append(tid)
-    return heads, tails, tops
+    return sets, set_of, tails, tops
 
 
-def _events(ids: Iterable[int], head: list[tuple[Interval1D, ...]]) -> list:
-    """The sorted bound events ``(value, rank, id)`` of the sets
-    ``head[i]`` for ``i`` in ``ids``; lower bounds have odd ranks."""
-    events = []
-    for i in ids:
-        for lo, lo_closed, hi, hi_closed in head[i]:
-            events.append((lo, LOWER_CLOSED if lo_closed else LOWER_OPEN, i))
-            events.append((hi, UPPER_CLOSED if hi_closed else UPPER_OPEN, i))
-    events.sort()
-    return events
+def _bound_events(sets: list[tuple[Interval1D, ...]]) -> list[list]:
+    # Per set id s, the bound events (value, rank, s) of the set's
+    # members; lower bounds have odd ranks.
+    out = []
+    for s, members in enumerate(sets):
+        events = []
+        for lo, lo_closed, hi, hi_closed in members:
+            events.append((lo, LOWER_CLOSED if lo_closed else LOWER_OPEN, s))
+            events.append((hi, UPPER_CLOSED if hi_closed else UPPER_OPEN, s))
+        out.append(events)
+    return out
 
 
 def _nonempty_rules(geometry: TableGeometry) -> list[str]:
@@ -214,20 +235,46 @@ def _nonempty_rules(geometry: TableGeometry) -> list[str]:
     return [rid for rid, sets in geometry.columns_of.items() if all(sets)]
 
 
-def _insert_antichain(chain: list[int], mask: int) -> None:
-    # Keep only set-maximal masks.
-    for other in chain:
-        if mask & other == mask:
-            return
-    chain[:] = [other for other in chain if other & mask != other]
-    chain.append(mask)
+def _maximal(masks: list[int]) -> list[int]:
+    """The set-maximal masks among ``masks``.
+
+    Largest first, a mask is kept unless a kept mask holds all of its
+    bits; two distinct masks of one size never hold each other, so no
+    kept mask is ever purged.  Bit k of ``holders[b]`` marks the k-th
+    kept mask as holding bit b, so the kept masks holding a candidate
+    are the AND of the holders of its bits.
+    """
+    if len(masks) < 2:
+        return masks
+    kept: list[int] = []
+    holders: dict[int, int] = {}
+    for mask in sorted(set(masks), key=int.bit_count, reverse=True):
+        bits = []
+        rest = mask
+        while rest:
+            low = rest & -rest
+            bits.append(low.bit_length() - 1)
+            rest ^= low
+        common = -1
+        for bit in bits:
+            common &= holders.get(bit, 0)
+            if not common:
+                break
+        if common:
+            continue  # a kept mask holds every bit
+        flag = 1 << len(kept)
+        kept.append(mask)
+        for bit in bits:
+            holders[bit] = holders.get(bit, 0) | flag
+    return kept
 
 
 def _insert_preimages(chain: list[int], ids: Iterable[int],
                       tail_of: Sequence[int], masks: Iterable[int]) -> None:
     # Each mask of tails maps back to the ids above its tails.  Ids with
     # one tail share every point of it, so each such group of two or
-    # more ids is realised on its own.
+    # more ids is realised on its own.  The chain collects candidates;
+    # _maximal reduces them.
     group_of: dict[int, int] = {}
     for j in ids:
         group_of[tail_of[j]] = group_of.get(tail_of[j], 0) | 1 << j
@@ -237,10 +284,10 @@ def _insert_preimages(chain: list[int], ids: Iterable[int],
             low = mask & -mask
             union |= group_of[low.bit_length() - 1]
             mask ^= low
-        _insert_antichain(chain, union)
+        chain.append(union)
     for group in group_of.values():
         if group & (group - 1):
-            _insert_antichain(chain, group)
+            chain.append(group)
 
 
 def sweep_table(table: "DecisionTable", only: str = "all"
@@ -261,8 +308,9 @@ def sweep_table(table: "DecisionTable", only: str = "all"
     # Only the rules' union matters to the gaps, and rules that agree
     # from a column onward share every point there, so both halves sweep
     # such rules there as one suffix.
-    heads, tails, tops = _suffix_forest(
+    sets, set_of, tails, tops = _suffix_forest(
         [columns_of[rid] for rid in rule_order], n_dims)
+    bounds = [_bound_events(column_sets) for column_sets in sets]
     memo: dict[tuple, tuple[tuple, tuple[int, ...]]] = {}
 
     def sweep(ids: frozenset[int], dim: int) -> tuple[tuple, tuple[int, ...]]:
@@ -275,46 +323,68 @@ def sweep_table(table: "DecisionTable", only: str = "all"
         cached = memo.get(key)
         if cached is not None:
             return cached
-        head, tail, is_discrete = heads[dim], tails[dim], discrete[dim]
+        tail, is_discrete = tails[dim], discrete[dim]
+        # The ids of each set id: a set's ids are active together.
+        ids_of: dict[int, list[int]] = {}
+        column_set_of = set_of[dim]
+        for j in ids:
+            s = column_set_of[j]
+            if s in ids_of:
+                ids_of[s].append(j)
+            else:
+                ids_of[s] = [j]
+        events = []
+        column_bounds = bounds[dim]
+        for s in ids_of:
+            events += column_bounds[s]
+        events.sort()
+        if gaps:
+            # The bound at +inf, of a set that holds no id.
+            events.append((POS_INF, UPPER_OPEN, -1))
+            ids_of[-1] = []
         # Each rest (a box over the deeper columns) to its fragments in
         # column dim.
         frags_of: dict[tuple, list[Interval1D]] = {}
         chain: list[int] = []
-        active: set[int] = set()
+        active: set[int] = set()  # set ids
+        n_active = 0  # ids of the active sets
         rising = False
-        events = _events(ids, head)
-        if gaps:
-            events.append((POS_INF, UPPER_OPEN, -1))  # the bound at +inf
         lo, lo_closed = NEG_INF, False
-        for hi, rank, i in events:
+        for hi, rank, s in events:
             nexts = sub = None
             # A lower bound directly followed by an upper bound closes a
             # maximal clique of the column's sets.
-            if overlaps and rising and not rank & 1 and len(active) >= 2:
+            if overlaps and rising and not rank & 1 and n_active >= 2:
+                members = [j for t in active for j in ids_of[t]]
                 if dim == last:
-                    _insert_antichain(chain, sum(1 << j for j in active))
+                    chain.append(sum(1 << j for j in members))
                 else:
-                    nexts = frozenset(map(tail.__getitem__, active))
+                    nexts = frozenset(map(tail.__getitem__, members))
                     if len(nexts) >= 2:
                         sub = sweep(nexts, dim + 1)
                     # Ids with distinct tails and no deeper group share
                     # no point: nothing to map back.
-                    if len(nexts) < len(active) or sub and sub[1]:
-                        _insert_preimages(chain, active, tail,
+                    if len(nexts) < n_active or sub and sub[1]:
+                        _insert_preimages(chain, members, tail,
                                           () if sub is None else sub[1])
             if gaps:
                 hi_closed = rank >= UPPER_CLOSED
-                # Between the closed bounds of a discrete column most
-                # stretches are empty: tightened to integers, their
-                # bounds cross.  An infinite bound stays infinite, and
-                # interval() judges the rest.
-                if (not is_discrete or (lo if lo_closed else lo + 1)
-                        <= (hi if hi_closed else hi - 1)):
-                    stretch = interval(lo, lo_closed, hi, hi_closed,
-                                       is_discrete)
-                    if stretch is None:
-                        rests = ()
-                    elif not active:
+                stretch = None
+                if is_discrete:
+                    # Between the closed bounds of a discrete column
+                    # most stretches are empty: tightened to integers,
+                    # their bounds cross.  A stretch that is not empty
+                    # is built from its tightened bounds; only an
+                    # infinite bound stays open.
+                    a = lo if lo_closed else lo + 1
+                    b = hi if hi_closed else hi - 1
+                    if a <= b and a != POS_INF and b != NEG_INF:
+                        stretch = _new(Interval1D, (a, a != NEG_INF,
+                                                    b, b != POS_INF))
+                else:
+                    stretch = interval(lo, lo_closed, hi, hi_closed)
+                if stretch is not None:
+                    if not active:
                         frags = intersect_sets(universe[dim], (stretch,))
                         rests = sweep(frozenset(), dim + 1)[0] if frags else ()
                     elif dim < last:
@@ -322,7 +392,8 @@ def sweep_table(table: "DecisionTable", only: str = "all"
                         frags = (stretch,)
                         if sub is None:
                             sub = sweep(nexts or frozenset(
-                                map(tail.__getitem__, active)), dim + 1)
+                                tail[j] for t in active for j in ids_of[t]),
+                                dim + 1)
                         rests = sub[0]
                     else:
                         rests = ()  # covered in every column
@@ -331,17 +402,20 @@ def sweep_table(table: "DecisionTable", only: str = "all"
                 lo, lo_closed = hi, rank <= LOWER_CLOSED
             rising = rank & 1
             if rising:
-                active.add(i)
+                active.add(s)
+                n_active += len(ids_of[s])
             else:
-                active.discard(i)
-        # One merge in column dim is the fixpoint: see the module
-        # docstring.
+                active.discard(s)
+                n_active -= len(ids_of[s])
+        # One merge in column dim is the fixpoint, and each rest's
+        # fragments arrive normal, disjoint and in line order: see the
+        # module docstring.
         out: list[tuple] = []
         for rest, parts in frags_of.items():
             if len(parts) > 1:
-                parts = canonical(parts, is_discrete)
+                parts = join_ordered(parts, is_discrete)
             out.extend((frag,) + rest for frag in parts)
-        result = tuple(out), tuple(chain)
+        result = tuple(out), tuple(_maximal(chain))
         memo[key] = result
         return result
 
@@ -353,6 +427,7 @@ def sweep_table(table: "DecisionTable", only: str = "all"
         found = sweep(top, 0)[1] if len(top) >= 2 else ()
         if len(top) < len(tops) or found:
             _insert_preimages(chain, range(len(tops)), tops, found)
+        chain = _maximal(chain)
     boxes = sorted(sweep(top, 0)[0]) if gaps else []
     # sweep refers to itself through its closure; dropping the name
     # frees the memo now rather than at the next cyclic collection.
@@ -401,10 +476,21 @@ def render_box(table: "DecisionTable",
                box: tuple[Interval1D, ...]) -> tuple[str, ...]:
     """Condition-style texts describing a box, one per input column."""
     geometry = table.geometry
-    return tuple(
-        _render_region_condition(iv, attr, geometry.codec,
-                                 geometry.universe[d], geometry.discrete[d])
-        for d, (iv, attr) in enumerate(zip(box, table.inputs)))
+    texts = geometry.texts
+    out = []
+    for d, iv in enumerate(box):
+        # Each distinct interval of a column is rendered once per table.
+        # Equal keys render alike: a column's endpoints all have its
+        # kind (ints in integer and categorical columns, floats in real
+        # ones, where the parser folds -0 to 0.0), so equal intervals
+        # of one column hold the same values.
+        text = texts.get((d, iv))
+        if text is None:
+            text = texts[d, iv] = _render_region_condition(
+                iv, table.inputs[d], geometry.codec, geometry.universe[d],
+                geometry.discrete[d])
+        out.append(text)
+    return tuple(out)
 
 
 def _render_region_condition(iv: Interval1D, attr, codec: CategoryCodec,

@@ -6,7 +6,10 @@ ranks.  ``Interval1D`` is a ``NamedTuple``, so the sweeps hash, sort and
 unpack intervals as plain tuples and no second representation exists.
 A canonical set is a sorted, disjoint, non-contiguous tuple of
 ``Interval1D``, built by :func:`canonical` and met by
-:func:`intersect_sets`.  A box is a tuple of ``Interval1D``, one per
+:func:`intersect_sets`.  :func:`interval` is the only normaliser;
+:func:`canonical` normalises and sorts its parts, then joins them with
+:func:`join_ordered`, which callers whose parts are already normal and
+in order use directly.  A box is a tuple of ``Interval1D``, one per
 input column.
 
 All geometric reasoning in this package is symbolic over interval
@@ -95,6 +98,11 @@ def canonical_key(iv: Interval1D) -> tuple:
     return (iv.lo, not iv.lo_closed, iv.hi, iv.hi_closed)
 
 
+# Builds an Interval1D without the NamedTuple constructor's extra Python
+# call; only for bounds that are already normal.
+_new = tuple.__new__
+
+
 def interval(lo, lo_closed: bool, hi, hi_closed: bool,
              discrete: bool = False) -> Optional[Interval1D]:
     """Build an interval, or return None when the combination is empty.
@@ -115,7 +123,7 @@ def interval(lo, lo_closed: bool, hi, hi_closed: bool,
         return None
     if lo == hi and not (lo_closed and hi_closed):
         return None
-    return Interval1D(lo, lo_closed, hi, hi_closed)
+    return _new(Interval1D, (lo, lo_closed, hi, hi_closed))
 
 
 def _mergeable(a: Interval1D, b: Interval1D, discrete: bool) -> bool:
@@ -142,14 +150,24 @@ def canonical(parts: Iterable[Optional[Interval1D]],
         if p is not None:
             normal.append(p)
     normal.sort(key=canonical_key)
+    return join_ordered(normal, discrete)
+
+
+def join_ordered(parts: Iterable[Interval1D],
+                 discrete: bool = False) -> tuple[Interval1D, ...]:
+    """The canonical set of the union of ``parts``, which must already
+    be normal under ``discrete`` and sorted by :func:`canonical_key`:
+    each part joins the last kept one when their union is one interval.
+    """
     merged: list[Interval1D] = []
-    for iv in normal:
+    for iv in parts:
         if merged and _mergeable(merged[-1], iv, discrete):
             last = merged[-1]
             hi, hi_closed = last.hi, last.hi_closed
             if (iv.hi, iv.hi_closed) > (hi, hi_closed):
                 hi, hi_closed = iv.hi, iv.hi_closed
-            merged[-1] = Interval1D(last.lo, last.lo_closed, hi, hi_closed)
+            merged[-1] = _new(Interval1D, (last.lo, last.lo_closed,
+                                           hi, hi_closed))
         else:
             merged.append(iv)
     return tuple(merged)

@@ -660,10 +660,10 @@ def lower_to_intervals(cond: Condition, kind: Kind,
             raise CodecError(f"no categories known for {kind.value} column")
         k = len(categories)
         if isinstance(cond, AnyValue):
-            return canonical([interval(0, True, k - 1, True)], True)
+            return _one(0, True, k - 1, True, True)
         if isinstance(cond, Match):
             i = category_index(categories, cond.value)
-            return canonical([interval(i, True, i, True)], True)
+            return _one(i, True, i, True, True)
         if isinstance(cond, Not):
             i = category_index(categories, cond.value)
             return canonical([interval(0, True, i - 1, True),
@@ -676,7 +676,7 @@ def lower_to_intervals(cond: Condition, kind: Kind,
         return FULL
     if isinstance(cond, Match):
         v = _numeric_literal(cond.value, kind)
-        return canonical([interval(v, True, v, True)], discrete)
+        return _one(v, True, v, True, discrete)
     if isinstance(cond, Not):
         v = _numeric_literal(cond.value, kind)
         return canonical(
@@ -686,14 +686,20 @@ def lower_to_intervals(cond: Condition, kind: Kind,
         v = _numeric_literal(cond.value, kind)
         closed = cond.op in ("<=", ">=")
         if cond.op.startswith("<"):
-            return canonical([interval(NEG_INF, False, v, closed)], discrete)
-        return canonical([interval(v, closed, POS_INF, False)], discrete)
+            return _one(NEG_INF, False, v, closed, discrete)
+        return _one(v, closed, POS_INF, False, discrete)
     if isinstance(cond, Interval):
         lo = _numeric_literal(cond.lo, kind)
         hi = _numeric_literal(cond.hi, kind)
-        return canonical(
-            [interval(lo, cond.lo_closed, hi, cond.hi_closed)], discrete)
+        return _one(lo, cond.lo_closed, hi, cond.hi_closed, discrete)
     raise SFeelTypeError(f"not a condition: {cond!r}")
+
+
+def _one(lo, lo_closed: bool, hi, hi_closed: bool,
+         discrete: bool) -> tuple[Interval1D, ...]:
+    # The canonical set of one interval, normalised once by interval().
+    iv = interval(lo, lo_closed, hi, hi_closed, discrete)
+    return () if iv is None else (iv,)
 
 
 def _numeric_literal(value, kind: Kind):

@@ -349,6 +349,22 @@ class TestSmallCases:
         assert render_box(table, (iv(0, True, 1000, True),
                                   iv(0, True, 1000, True))) == ("-", "-")
 
+    def test_equal_intervals_render_by_their_own_column(self):
+        # One interval, [0..1], in three columns of different kinds:
+        # each column renders it by its own kind, whichever comes first.
+        table = load_table({
+            "name": "kinds", "hitPolicy": "U", "completeness": "I",
+            "inputs": [{"name": "s", "type": "string", "facet": "a,b,c"},
+                       {"name": "b", "type": "boolean"},
+                       {"name": "n", "type": "integer", "facet": "[0..10]"}],
+            "outputs": [{"name": "y", "type": "boolean"}],
+            "rules": [{"id": "r", "in": ["-", "-", "-"], "out": ["true"]}],
+        })
+        one = iv(0, True, 1, True)
+        assert render_box(table, (one, one, one)) == ("a,b", "-", "[0..1]")
+        assert render_box(table, (iv(1, True, 2, True), one, one)) \
+            == ("b,c", "-", "[0..1]")
+
     def test_capacity_cap(self, table1):
         with pytest.raises(CapacityError):
             oracle_missing(table1, cell_cap=3)
@@ -396,12 +412,38 @@ SHARED_ENDPOINTS_DOC = {
 }
 
 
+# Column 0 holds one set under many distinct tails, so one set id
+# stands for many suffix ids there.  In column 1, "[2..6]" heads four
+# suffixes and "[4..9]" three; r6 and r7 share r0's suffix at column 1,
+# and r7 repeats r0.
+SHARED_SETS_DOC = {
+    "name": "shared-sets", "hitPolicy": "U", "completeness": "I",
+    "inputs": [{"name": "x", "type": "integer", "facet": "[0..10]"},
+               {"name": "y", "type": "integer", "facet": "[0..10]"},
+               {"name": "z", "type": "real"}],
+    "outputs": [{"name": "o", "type": "string"}],
+    "rules": [{"id": f"r{k}", "in": row, "out": ["a"]}
+              for k, row in enumerate([
+                  ["[0..5]", "[2..6]", "[0..3]"],
+                  ["[0..5]", "[2..6]", "[2..8]"],
+                  ["[0..5]", "[2..6]", ">=7"],
+                  ["[0..5]", "[4..9]", "[1..4]"],
+                  ["[0..5]", "[4..9]", "(5..10]"],
+                  ["[0..5]", "<3", "-"],
+                  ["[3..8]", "[2..6]", "[0..3]"],
+                  ["[0..5]", "[2..6]", "[0..3]"],
+                  [">=6", "[4..9]", "[3..6)"],
+                  ["[6..8]", "[2..6]", "<1"]])],
+}
+
+
 def test_sweeps_match_oracles_on_random_tables():
     rng = random.Random(424242)
     tables = [random_table(rng) for _ in range(250)]
     tables += [random_table(rng, max_rules=14) for _ in range(250)]
     tables += [load_table(planted_table_doc(rng)) for _ in range(150)]
     tables.append(load_table(SHARED_ENDPOINTS_DOC))
+    tables.append(load_table(SHARED_SETS_DOC))
     for table in tables:
         _assert_overlaps_match_oracle(table)
         _assert_missing_matches_oracle(table)
@@ -419,6 +461,25 @@ def _assert_overlaps_match_oracle(table):
         assert all(big.covers(small) for big, small
                    in zip(witness_of[g.rule_ids], g.witness))
     return groups
+
+
+def test_hostile_binary_table_groups_equal_the_oracle():
+    # n binary columns and 2n rules, each fixing one column to 0 or 1:
+    # every choice of one rule per column is a maximal group, 2^n in all.
+    n = 10
+    table = load_table({
+        "name": "hostile", "hitPolicy": "A", "completeness": "I",
+        "inputs": [{"name": f"c{i}", "type": "integer", "facet": "[0..1]"}
+                   for i in range(n)],
+        "outputs": [{"name": "o", "type": "string"}],
+        "rules": [{"id": f"r{i}v{v}",
+                   "in": [str(v) if k == i else "-" for k in range(n)],
+                   "out": ["a"]} for i in range(n) for v in (0, 1)],
+    })
+    groups = find_overlapping_rules(table)
+    assert len(groups) == 2 ** n
+    assert {g.rule_ids for g in groups} \
+        == {g.rule_ids for g in oracle_overlaps(table, cell_cap=4 ** n)}
 
 
 def test_one_half_agrees_with_the_full_check():

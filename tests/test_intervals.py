@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 from dmncheck import Interval1D, interval
 from dmncheck.intervals import (LOWER_CLOSED, LOWER_OPEN, NEG_INF, POS_INF,
                                 UPPER_CLOSED, UPPER_OPEN, canonical,
-                                intersect_sets)
+                                canonical_key, intersect_sets, join_ordered)
 
 
 def iv(lo, lc, hi, hc):
@@ -134,3 +134,36 @@ def test_canonical_members_disjoint_and_sorted(s):
         assert len(canonical([left, right], discrete=False)) == 2
         assert (left.lo, not left.lo_closed) <= (right.lo,
                                                  not right.lo_closed)
+
+
+@given(discrete=st.booleans(), data=st.data())
+def test_join_ordered_equals_canonical_on_ordered_disjoint_parts(discrete,
+                                                                 data):
+    # Normal parts in line order, each disjoint from the one before; on
+    # a small range many of them touch, so the join has work to do.
+    ends = st.one_of(bounds, st.sampled_from((NEG_INF, POS_INF)))
+    parts = []
+    for _ in range(data.draw(st.integers(min_value=0, max_value=8))):
+        a, b = sorted((data.draw(ends), data.draw(ends)))
+        part = interval(a, data.draw(st.booleans()), b,
+                        data.draw(st.booleans()), discrete)
+        if part is not None:
+            parts.append(part)
+    parts.sort(key=canonical_key)
+    ordered = []
+    for part in parts:
+        if not ordered or ordered[-1].intersect(part) is None:
+            ordered.append(part)
+    joined = join_ordered(ordered, discrete)
+    assert joined == canonical(ordered, discrete)
+    # canonical joins through join_ordered, so check the union itself.
+    for x in (range(-25, 26) if discrete else [k / 2 for k in range(-50, 51)]):
+        assert member(joined, x) == member(ordered, x)
+    for left, right in zip(joined, joined[1:]):
+        # A gap of at least one value separates neighbours.
+        if discrete:
+            assert right.lo > left.hi + 1
+        else:
+            assert right.lo > left.hi or (
+                right.lo == left.hi
+                and not (left.hi_closed or right.lo_closed))
