@@ -11,28 +11,28 @@ reported here are such tuples.  ``table_rects`` is the only geometry
 builder, and ``DecisionTable.geometry`` caches it, so the sweep,
 witness and region rendering, the masked-rule check, the structure
 check and the grid oracles share a single build.  Each distinct
-``entry ∩ facet`` is lowered once per column.
+``entry ∩ facet`` is lowered once per column, and equal sets of one
+column share one set id there.
 
 Both analyses are one N-dimensional line sweep in table column order.
-``_suffix_forest`` interns each column's distinct sets and hash-conses
-the rules' column-set suffixes, keyed by (set id, tail id), so rules
-whose sets agree from column d onward share one suffix id there.  A
-sub-sweep takes a set of suffix ids and a column, runs once and is
-memoised, and returns both halves: the gap boxes over that column and
-the deeper ones, and an antichain of masks of two or more of its ids
-that share a point there.  ``sweep_table`` runs either half alone or
-both in one walk.  The ids of one set are active together, so a
-sub-sweep groups its ids by set id and sorts one pair of bound events
-per member of each distinct set; each set's events are built once per
-``sweep_table`` call.  Events sort by value and, at equal values, by
-the tie rank from :mod:`dmncheck.intervals`, so closed-touching
-intervals count as overlapping while open-touching ones do not.  A
-canonical set's members are disjoint and non-contiguous, so a set is
-active at most once at any point; the walk keeps the active sets and a
-running count of their ids.  It visits each non-empty stretch between
-events, both unbounded ends included, with the ids of the active sets;
-a stretch recurses over the tails of those ids, their suffix ids at the
-next column.
+``_suffix_forest`` hash-conses the rules' suffixes of set ids, keyed by
+(set id, tail id), so rules whose sets agree from column d onward share
+one suffix id there.  A sub-sweep takes a set of suffix ids and a
+column, runs once and is memoised, and returns both halves: the gap
+boxes over that column and the deeper ones, and an antichain of masks
+of two or more of its ids that share a point there.  ``sweep_table``
+runs either half alone or both in one walk.  The ids of one set are
+active together, so a sub-sweep groups its ids by set id and sorts one
+pair of bound events per member of each distinct set; each set's events
+are built once per ``sweep_table`` call.  Events sort by value and,
+at equal values, by the tie rank from :mod:`dmncheck.intervals`, so
+closed-touching intervals count as overlapping while open-touching ones
+do not.  A canonical set's members are disjoint and non-contiguous, so
+a set is active at most once at any point; the walk keeps the active
+sets and a running count of their ids.  It visits each non-empty
+stretch between events, both unbounded ends included, with the ids of
+the active sets; a stretch recurses over the tails of those ids, their
+suffix ids at the next column.
 
 Overlaps: only each column's maximal cliques count, where a lower bound
 event is directly followed by an upper bound event (Gupta, Lee & Leung,
@@ -40,13 +40,14 @@ event is directly followed by an upper bound event (Gupta, Lee & Leung,
 tie ranks let a lower and an upper bound at one value meet only as
 ``[v..v]``, and discrete sets have closed finite bounds, so no clique is
 empty.  At the last column a clique of two or more ids is a mask.
-Deeper, the clique's ids are grouped by tail.  Ids with one tail share
-every point of it, and only non-empty rules are swept, so a group of
-two or more ids shares a point.  With two or more distinct tails the
-clique recurses over them, and each returned mask of tails maps back to
-its preimage, the union of its tails' groups.  The top level maps rules
-to their suffix ids at column 0 the same way, so identical rules form a
-group.  A clique is itself a stretch, whose tails are the ids the clique
+Deeper, one step descends into the clique: its ids are grouped by
+tail.  Ids with one tail share every point of it, and only non-empty
+rules are swept, so a group of two or more ids shares a point.  With
+two or more distinct tails the clique recurses over them, and each
+returned mask of tails maps back to its preimage, the union of its
+tails' groups.  The top level is the clique of all rules, whose tails
+are their suffix ids at column 0, so identical rules form a group.  A
+clique is itself a stretch, whose tails are the ids the clique
 recurses over, so every overlap sub-sweep is also a gap sub-sweep and
 the two halves share memo entries.  Masks form an antichain: each
 sub-sweep collects its candidate masks and ``_maximal`` reduces them
@@ -54,7 +55,7 @@ once, largest first, so a candidate is dropped when a kept mask holds
 it and no kept mask is ever purged.  A group's witness is a
 function of the group alone: the least corner of its region, per
 column the first member of the ``intersect_sets`` fold of the group's
-column sets.
+distinct column sets, picked by set id.
 
 Missing values: only the rules' union matters.  A stretch where no id
 is active is cut to the column's universe and recurses over no
@@ -89,6 +90,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import reduce
 from itertools import product
+from operator import getitem
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 from .errors import CapacityError
@@ -137,6 +139,11 @@ class TableGeometry(NamedTuple):
     codec: CategoryCodec
     # render_box's text of each (column, interval) it has rendered.
     texts: dict[tuple[int, Interval1D], str]
+    # Per column, its distinct sets; a set's id is its index there.
+    sets: tuple[tuple[tuple[Interval1D, ...], ...], ...]
+    # Every rule id to the id of its set per column, so equal sets of
+    # one column share one id.
+    set_ids_of: dict[str, tuple[int, ...]]
 
 
 def table_rects(table: "DecisionTable") -> TableGeometry:
@@ -147,20 +154,27 @@ def table_rects(table: "DecisionTable") -> TableGeometry:
     discrete = tuple(attr.kind is not Kind.REAL for attr in table.inputs)
     # Literals in one column share its kind (load_table folds real
     # literals to floats), so equal conditions lower alike there.
-    lowered: dict[tuple, tuple[Interval1D, ...]] = {}
-    columns_of: dict[str, tuple[tuple[Interval1D, ...], ...]] = {}
+    lowered: dict[tuple, int] = {}
+    # Per column, each distinct set to its id, in the order first met.
+    id_of_set: list[dict[tuple[Interval1D, ...], int]] = [{} for _ in universe]
+    set_ids_of: dict[str, tuple[int, ...]] = {}
     for rule in table.rules:
-        per_column = []
+        ids = []
         for d, (attr, cond) in enumerate(zip(table.inputs,
                                              rule.input_entries)):
-            members = lowered.get((d, cond))
-            if members is None:
+            sid = lowered.get((d, cond))
+            if sid is None:
                 members = intersect_sets(lower_condition(cond, attr, codec),
                                          universe[d])
-                lowered[d, cond] = members
-            per_column.append(members)
-        columns_of[rule.id] = tuple(per_column)
-    return TableGeometry(columns_of, discrete, universe, codec, {})
+                known = id_of_set[d]
+                sid = lowered[d, cond] = known.setdefault(members, len(known))
+            ids.append(sid)
+        set_ids_of[rule.id] = tuple(ids)
+    sets = tuple(map(tuple, id_of_set))
+    columns_of = {rid: tuple(map(getitem, sets, ids))
+                  for rid, ids in set_ids_of.items()}
+    return TableGeometry(columns_of, discrete, universe, codec, {}, sets,
+                         set_ids_of)
 
 
 def columns_contained(inner: Sequence[tuple[Interval1D, ...]],
@@ -183,41 +197,34 @@ def columns_contained(inner: Sequence[tuple[Interval1D, ...]],
 # Sweep skeleton shared by both analyses
 
 
-def _suffix_forest(rows: Iterable[tuple], n_dims: int
-                   ) -> tuple[list, list, list, list[int]]:
-    """Hash-cons the suffixes of rows of column sets, column by column.
+def _suffix_forest(rows: Iterable[tuple[int, ...]], n_dims: int
+                   ) -> tuple[list[list[int]], list[list[int]], list[int]]:
+    """Hash-cons the suffixes of rows of set ids, column by column.
 
-    Each column's distinct sets are interned first, and a suffix is
-    keyed by (set id, tail id), so rows that agree from column d onward
-    share one suffix id at d and sub-sweeps over equal suffix sets are
-    computed once.  Returns, per column, the distinct sets, and the set
-    id and the suffix id at the next column (tail; 0 past the last
-    column) of each suffix id; and each row's suffix id at column 0.
+    A suffix is keyed by (set id, tail id), so rows that agree from
+    column d onward share one suffix id at d and sub-sweeps over equal
+    suffix sets are computed once.  Returns, per column, the set id and
+    the suffix id at the next column (tail; 0 past the last column) of
+    each suffix id; and each row's suffix id at column 0.
     """
-    sets: list[list[tuple[Interval1D, ...]]] = [[] for _ in range(n_dims)]
     set_of: list[list[int]] = [[] for _ in range(n_dims)]
     tails: list[list[int]] = [[] for _ in range(n_dims)]
-    set_ids: list[dict] = [{} for _ in range(n_dims)]
-    intern: list[dict] = [{} for _ in range(n_dims)]
+    intern: list[dict[tuple[int, int], int]] = [{} for _ in range(n_dims)]
     tops: list[int] = []
     for row in rows:
         tid = 0
         for d in range(n_dims - 1, -1, -1):
-            sid = set_ids[d].get(row[d])
-            if sid is None:
-                sid = set_ids[d][row[d]] = len(sets[d])
-                sets[d].append(row[d])
-            got = intern[d].get((sid, tid))
+            got = intern[d].get((row[d], tid))
             if got is None:
-                got = intern[d][sid, tid] = len(tails[d])
-                set_of[d].append(sid)
+                got = intern[d][row[d], tid] = len(tails[d])
+                set_of[d].append(row[d])
                 tails[d].append(tid)
             tid = got
         tops.append(tid)
-    return sets, set_of, tails, tops
+    return set_of, tails, tops
 
 
-def _bound_events(sets: list[tuple[Interval1D, ...]]) -> list[list]:
+def _bound_events(sets: Sequence[tuple[Interval1D, ...]]) -> list[list]:
     # Per set id s, the bound events (value, rank, s) of the set's
     # members; lower bounds have odd ranks.
     out = []
@@ -269,27 +276,6 @@ def _maximal(masks: list[int]) -> list[int]:
     return kept
 
 
-def _insert_preimages(chain: list[int], ids: Iterable[int],
-                      tail_of: Sequence[int], masks: Iterable[int]) -> None:
-    # Each mask of tails maps back to the ids above its tails.  Ids with
-    # one tail share every point of it, so each such group of two or
-    # more ids is realised on its own.  The chain collects candidates;
-    # _maximal reduces them.
-    group_of: dict[int, int] = {}
-    for j in ids:
-        group_of[tail_of[j]] = group_of.get(tail_of[j], 0) | 1 << j
-    for mask in masks:
-        union = 0
-        while mask:
-            low = mask & -mask
-            union |= group_of[low.bit_length() - 1]
-            mask ^= low
-        chain.append(union)
-    for group in group_of.values():
-        if group & (group - 1):
-            chain.append(group)
-
-
 def sweep_table(table: "DecisionTable", only: str = "all"
                 ) -> tuple[list[OverlapGroup], list[MissingRegion]]:
     """The table's overlap groups and missing regions, from one sweep.
@@ -299,18 +285,17 @@ def sweep_table(table: "DecisionTable", only: str = "all"
     """
     overlaps, gaps = only != "missing", only != "overlap"
     geometry = table.geometry
-    columns_of = geometry.columns_of
     discrete = geometry.discrete
     universe = geometry.universe
     n_dims = len(table.inputs)
     last = n_dims - 1
     rule_order = _nonempty_rules(geometry)
+    rows = [geometry.set_ids_of[rid] for rid in rule_order]
     # Only the rules' union matters to the gaps, and rules that agree
     # from a column onward share every point there, so both halves sweep
     # such rules there as one suffix.
-    sets, set_of, tails, tops = _suffix_forest(
-        [columns_of[rid] for rid in rule_order], n_dims)
-    bounds = [_bound_events(column_sets) for column_sets in sets]
+    set_of, tails, tops = _suffix_forest(rows, n_dims)
+    bounds = [_bound_events(column_sets) for column_sets in geometry.sets]
     memo: dict[tuple, tuple[tuple, tuple[int, ...]]] = {}
 
     def sweep(ids: frozenset[int], dim: int) -> tuple[tuple, tuple[int, ...]]:
@@ -351,7 +336,7 @@ def sweep_table(table: "DecisionTable", only: str = "all"
         rising = False
         lo, lo_closed = NEG_INF, False
         for hi, rank, s in events:
-            nexts = sub = None
+            sub = None
             # A lower bound directly followed by an upper bound closes a
             # maximal clique of the column's sets.
             if overlaps and rising and not rank & 1 and n_active >= 2:
@@ -359,14 +344,7 @@ def sweep_table(table: "DecisionTable", only: str = "all"
                 if dim == last:
                     chain.append(sum(1 << j for j in members))
                 else:
-                    nexts = frozenset(map(tail.__getitem__, members))
-                    if len(nexts) >= 2:
-                        sub = sweep(nexts, dim + 1)
-                    # Ids with distinct tails and no deeper group share
-                    # no point: nothing to map back.
-                    if len(nexts) < n_active or sub and sub[1]:
-                        _insert_preimages(chain, members, tail,
-                                          () if sub is None else sub[1])
+                    sub = descend(chain, members, tail, dim + 1)
             if gaps:
                 hi_closed = rank >= UPPER_CLOSED
                 stretch = None
@@ -391,7 +369,7 @@ def sweep_table(table: "DecisionTable", only: str = "all"
                         # A clique's stretch reuses the clique's sub-sweep.
                         frags = (stretch,)
                         if sub is None:
-                            sub = sweep(nexts or frozenset(
+                            sub = sweep(frozenset(
                                 tail[j] for t in active for j in ids_of[t]),
                                 dim + 1)
                         rests = sub[0]
@@ -419,34 +397,60 @@ def sweep_table(table: "DecisionTable", only: str = "all"
         memo[key] = result
         return result
 
-    top = frozenset(tops)
+    def descend(chain: list[int], members: Sequence[int],
+                tail_of: Sequence[int], dim: int) -> tuple | None:
+        # Sweep the members' tails at dim and add to the chain each
+        # returned mask of tails mapped back to the members above them.
+        # Members with one tail share every point of it, so each such
+        # group of two or more is realised on its own.  Returns the
+        # sub-sweep over the tails, or None for fewer than two tails.
+        nexts = frozenset(map(tail_of.__getitem__, members))
+        sub = sweep(nexts, dim) if len(nexts) >= 2 else None
+        # Members with distinct tails and no deeper group share no
+        # point: nothing to map back.
+        if len(nexts) < len(members) or sub and sub[1]:
+            group_of: dict[int, int] = {}
+            for j in members:
+                group_of[tail_of[j]] = group_of.get(tail_of[j], 0) | 1 << j
+            for mask in () if sub is None else sub[1]:
+                union = 0
+                while mask:
+                    low = mask & -mask
+                    union |= group_of[low.bit_length() - 1]
+                    mask ^= low
+                chain.append(union)
+            chain.extend(group for group in group_of.values()
+                         if group & (group - 1))
+        return sub
+
     chain: list[int] = []
     if overlaps:
-        # Identical rules share a top suffix id, so the top level maps
-        # masks of ids back to rules as each clique does.
-        found = sweep(top, 0)[1] if len(top) >= 2 else ()
-        if len(top) < len(tops) or found:
-            _insert_preimages(chain, range(len(tops)), tops, found)
+        # The top level is the clique of all rules, whose tails are
+        # their suffix ids at column 0, so identical rules form a group.
+        descend(chain, range(len(tops)), tops, 0)
         chain = _maximal(chain)
-    boxes = sorted(sweep(top, 0)[0]) if gaps else []
-    # sweep refers to itself through its closure; dropping the name
-    # frees the memo now rather than at the next cyclic collection.
+    boxes = sorted(sweep(frozenset(tops), 0)[0]) if gaps else []
+    # sweep and descend refer to each other through their closures;
+    # dropping the name frees the memo now rather than at the next
+    # cyclic collection.
     del sweep
 
     groups = []
     for mask in chain:
-        ids = []
+        members = []
         while mask:
             low = mask & -mask
-            ids.append(rule_order[low.bit_length() - 1])
+            members.append(low.bit_length() - 1)
             mask ^= low
         # The least corner of the group's region.  Meeting canonical
         # sets gives one canonical set in any order, so each distinct
         # column set is folded once.
         witness = tuple(
-            reduce(intersect_sets, {columns_of[rid][d] for rid in ids})[0]
-            for d in range(n_dims))
-        groups.append(OverlapGroup(frozenset(ids), witness,
+            reduce(intersect_sets, map(column_sets.__getitem__,
+                                       {rows[j][d] for j in members}))[0]
+            for d, column_sets in enumerate(geometry.sets))
+        groups.append(OverlapGroup(frozenset(rule_order[j] for j in members),
+                                   witness,
                                    render_box(table, witness)))
     groups.sort(key=lambda g: g.sorted_ids())
     return groups, [MissingRegion(box, render_box(table, box))

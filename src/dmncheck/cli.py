@@ -61,10 +61,6 @@ def _write_output(text: str, path: Optional[str]) -> None:
         sys.stdout.write(text + "\n")
 
 
-def _emit(text: str) -> None:
-    sys.stdout.write(text + "\n")
-
-
 def _dump_json(doc) -> str:
     return json.dumps(doc, indent=2, sort_keys=True)
 
@@ -77,8 +73,9 @@ def _sorted_diagnostics(report: CorrectnessReport) -> list[Diagnostic]:
     return sorted(report.all_diagnostics(), key=_diagnostic_sort_key)
 
 
-def _check_text(table: DecisionTable, report: CorrectnessReport,
-                only: str) -> str:
+def _check_text(table: DecisionTable, report: CorrectnessReport) -> str:
+    # A half that was not swept reports nothing: no groups under
+    # --only missing, and no completeness verdict under --only overlap.
     lines = []
     for diag in _sorted_diagnostics(report):
         if diag.rule_ids:
@@ -88,13 +85,13 @@ def _check_text(table: DecisionTable, report: CorrectnessReport,
         else:
             subject = ""
         lines.append(f"{diag.severity} {diag.code}:{subject} {diag.detail}")
-    if only != "missing" and report.overlap_groups:
+    if report.overlap_groups:
         lines.append("overlapping groups:")
         for group in report.overlap_groups:
             where = located_conditions(table, group.conditions)
             lines.append("  " + ", ".join(group.sorted_ids())
                          + f" at ({where})")
-    if only != "overlap" and report.missing_regions:
+    if report.missing_regions:
         lines.append("missing regions:")
         for region in report.missing_regions:
             lines.append(
@@ -153,11 +150,11 @@ def _cmd_check(args) -> int:
         if args.format == "structured":
             docs.append(_check_doc(table, report, args.only))
         else:
-            texts.append(_check_text(table, report, args.only))
+            texts.append(_check_text(table, report))
     if args.format == "structured":
-        _emit(_dump_json(docs[0] if len(docs) == 1 else docs))
+        _write_output(_dump_json(docs[0] if len(docs) == 1 else docs), None)
     else:
-        _emit("\n\n".join(texts))
+        _write_output("\n\n".join(texts), None)
     return 0 if all_correct else 1
 
 
@@ -216,18 +213,18 @@ def _cmd_eval(args) -> int:
             "triggered": list(result.triggered),
             "detail": result.detail,
         }
-        _emit(_dump_json(doc))
+        _write_output(_dump_json(doc), None)
         return 1 if result.outcome is Outcome.VIOLATION else 0
     if result.outcome is Outcome.MATCHED:
         shown = ", ".join(
             f"{attr.name}={format_literal(result.outputs[attr.name])}"
             for attr in table.outputs)
-        _emit(f"Matched rule {result.rule.id}: {shown}")
+        _write_output(f"Matched rule {result.rule.id}: {shown}", None)
         return 0
     if result.outcome is Outcome.NO_MATCH:
-        _emit("No rule matches")
+        _write_output("No rule matches", None)
         return 0
-    _emit(f"Hit policy violation: {result.detail}")
+    _write_output(f"Hit policy violation: {result.detail}", None)
     return 1
 
 

@@ -65,26 +65,22 @@ class CategoryCodec:
 def build_codec(table: "DecisionTable") -> CategoryCodec:
     """Deterministic codec over all categorical columns of the table."""
     columns: dict[str, tuple] = {}
-    rule_entries = {
-        attr.name: [rule.input_entries[i] for rule in table.rules]
-        for i, attr in enumerate(table.inputs)
-    }
-    for i, attr in enumerate(table.outputs):
-        rule_entries[attr.name] = [Match(rule.output_entries[i])
-                                   for rule in table.rules]
-    for attr in table.inputs + table.outputs:
+    n_inputs = len(table.inputs)
+    for i, attr in enumerate(table.inputs + table.outputs):
         if not attr.kind.is_categorical:
             continue
+        literals = _condition_literals(attr.facet)
+        for rule in table.rules:
+            if i < n_inputs:
+                literals += _condition_literals(rule.input_entries[i])
+            else:
+                literals.append(rule.output_entries[i - n_inputs])
         ordered: list = []
         if attr.kind is Kind.BOOLEAN and isinstance(attr.facet, AnyValue):
             ordered = [False, True]
-        for literal in _condition_literals(attr.facet):
+        for literal in literals:
             if literal not in ordered:
                 ordered.append(literal)
-        for cond in rule_entries[attr.name]:
-            for literal in _condition_literals(cond):
-                if literal not in ordered:
-                    ordered.append(literal)
         if not ordered:
             # Column never names a category: collapse its (infinite)
             # domain to a single representative so geometry stays finite.

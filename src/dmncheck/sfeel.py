@@ -449,15 +449,25 @@ def _parse_categorical_element(text: str, kind: Kind) -> Condition:
             raise SFeelTypeError(f"{echo(raw)} is not a boolean literal")
         return _parse_string_literal(raw)
 
-    if text.startswith("not(") and text.endswith(")"):
-        return Not(literal(text[4:-1]))
-    if text[0] in "<>[" or text.startswith(("<=", ">=")):
+    negated = text.startswith("not(") and text.endswith(")")
+    if negated:
+        # S-FEEL reads not(a,b) as neither a nor b.  A single value is
+        # supported, read as a top-level cell reads one, and it must be
+        # a literal: neither "-" nor another not(...).
+        inner = _split_alternatives(text[4:-1])
+        value = inner[0].strip()
+        if len(inner) > 1 or value == "-" or value.startswith("not("):
+            raise SFeelSyntaxError(f"not(...) takes a single literal: "
+                                   f"{echo(text)}")
+        text = value
+    if text.startswith(("<", ">", "[")):
         raise SFeelTypeError(f"comparisons and intervals are not defined "
                              f"for {kind.value} columns: {echo(text)}")
-    if kind is Kind.STRING and text[0] == "(":
+    if kind is Kind.STRING and text.startswith("("):
         raise SFeelTypeError(f"intervals are not defined for string "
                              f"columns: {echo(text)}")
-    return Match(literal(text))
+    value = literal(text)
+    return Not(value) if negated else Match(value)
 
 
 def parse_condition(text: str, kind: Kind) -> Condition:

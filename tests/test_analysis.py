@@ -437,6 +437,28 @@ SHARED_SETS_DOC = {
 }
 
 
+# Distinct texts that lower to one set: -, [0..10], >=0 and <=10 under
+# the facet [0..10], and [0..4] and <=4, in x; 5 and [5..5] in y; and
+# K1,K2, K2,K1 and not(K3) under the facet K1,K2,K3 in z.  So r0 to r3
+# are one rule, and r4 and r5 another.
+SAME_SET_DOC = {
+    "name": "same-set", "hitPolicy": "U", "completeness": "I",
+    "inputs": [{"name": "x", "type": "integer", "facet": "[0..10]"},
+               {"name": "y", "type": "integer"},
+               {"name": "z", "type": "string", "facet": "K1,K2,K3"}],
+    "outputs": [{"name": "o", "type": "string"}],
+    "rules": [{"id": f"r{k}", "in": row, "out": ["a"]}
+              for k, row in enumerate([
+                  ["-", "5", "K1,K2"],
+                  ["[0..10]", "[5..5]", "not(K3)"],
+                  [">=0", "5", "not(K3)"],
+                  ["<=10", "[5..5]", "K1,K2"],
+                  ["[0..4]", "[5..5]", "K2,K1"],
+                  ["<=4", "5", "K1,K2"],
+                  [">=5", "[5..6]", "K3"]])],
+}
+
+
 def test_sweeps_match_oracles_on_random_tables():
     rng = random.Random(424242)
     tables = [random_table(rng) for _ in range(250)]
@@ -444,6 +466,7 @@ def test_sweeps_match_oracles_on_random_tables():
     tables += [load_table(planted_table_doc(rng)) for _ in range(150)]
     tables.append(load_table(SHARED_ENDPOINTS_DOC))
     tables.append(load_table(SHARED_SETS_DOC))
+    tables.append(load_table(SAME_SET_DOC))
     for table in tables:
         _assert_overlaps_match_oracle(table)
         _assert_missing_matches_oracle(table)
@@ -641,7 +664,7 @@ def _rule_columns(rule, table, codec) -> tuple:
 
 def test_cached_geometry_matches_per_rule_lowering():
     rng = random.Random(737373)
-    empty_seen = 0
+    empty_seen = shared_seen = 0
     for _ in range(200):
         table = random_table(rng)
         geometry = table.geometry
@@ -653,6 +676,20 @@ def test_cached_geometry_matches_per_rule_lowering():
                     for rule in table.rules}
         assert geometry.columns_of == expected
         assert list(geometry.columns_of) == [rule.id for rule in table.rules]
+        # Two cells of one column share a set id exactly when their sets
+        # are equal, and each id names its cell's set.
+        assert list(geometry.set_ids_of) == list(geometry.columns_of)
+        for d, column_sets in enumerate(geometry.sets):
+            column_cells = [(geometry.set_ids_of[rule.id][d],
+                             geometry.columns_of[rule.id][d],
+                             rule.input_entries[d]) for rule in table.rules]
+            assert {sid for sid, _, _ in column_cells} \
+                == set(range(len(column_sets)))
+            for sid, members, cond in column_cells:
+                assert column_sets[sid] == members
+                for other_sid, other_members, other_cond in column_cells:
+                    assert (sid == other_sid) == (members == other_members)
+                    shared_seen += sid == other_sid and cond != other_cond
         # The overlap sweep's clique rule needs closed finite bounds in
         # discrete columns.
         for sets in geometry.columns_of.values():
@@ -675,4 +712,4 @@ def test_cached_geometry_matches_per_rule_lowering():
                    and diag.columns[0] in input_names}
         assert flagged == cells
         empty_seen += len(cells)
-    assert empty_seen > 0
+    assert empty_seen > 0 and shared_seen > 0

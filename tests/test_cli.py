@@ -110,21 +110,29 @@ class TestCheck:
         ("completeness", {"a": 1}),
         ("n", "\u0663"),
         ("a", "[1..\uff12]"),
+        ("s", "not(a,b)"),
+        ("s", "not(<5)"),
+        ("s", "not([1..2])"),
+        ("s", "not(-)"),
+        ("s", "not(not(a))"),
     ], ids=["ge-1e400", "interval-1e400", "product-overflow",
             "400-digits-real", "unary-minus", "parentheses", "long-sum",
             "integer-div-zero", "real-div-zero", "hit-policy-list",
-            "completeness-object", "arabic-indic-digit", "fullwidth-digit"])
+            "completeness-object", "arabic-indic-digit", "fullwidth-digit",
+            "not-two-values", "not-comparison", "not-interval", "not-any",
+            "not-not"])
     def test_hostile_entry_exits_two(self, field, value, tmp_path, capsys):
-        # Fields a and n are the rule's entries; others are table keys.
+        # Fields a, n and s are the rule's entries; others are table keys.
         doc = {
             "name": "hostile", "hitPolicy": "U", "completeness": "I",
             "inputs": [{"name": "a", "type": "real"},
-                       {"name": "n", "type": "integer"}],
+                       {"name": "n", "type": "integer"},
+                       {"name": "s", "type": "string", "facet": "a,b,c"}],
             "outputs": [{"name": "o", "type": "string"}],
-            "rules": [{"id": "r", "in": ["-", "-"], "out": ["x"]}],
+            "rules": [{"id": "r", "in": ["-", "-", "-"], "out": ["x"]}],
         }
-        if field in ("a", "n"):
-            doc["rules"][0]["in"][0 if field == "a" else 1] = value
+        if field in ("a", "n", "s"):
+            doc["rules"][0]["in"]["ans".index(field)] = value
             where = "rule 'r'"
         else:
             doc[field] = value

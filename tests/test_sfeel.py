@@ -47,6 +47,22 @@ class TestParse:
         assert parse_condition("not(5)", Kind.INTEGER) == Not(5)
         assert parse_condition("not(red)", Kind.STRING) == Not("red")
 
+    @pytest.mark.parametrize("text", [
+        "not(a,b)", 'not(a,"b")', "not(<5)", "not([1..2])", "not(-)",
+        "not(not(a))", "not()", "not( )"])
+    @pytest.mark.parametrize("kind", [Kind.STRING, Kind.BOOLEAN])
+    def test_categorical_not_takes_one_literal(self, text, kind):
+        # S-FEEL reads not(a,b) as neither a nor b, not as the one
+        # literal "a,b".
+        with pytest.raises((SFeelSyntaxError, SFeelTypeError)):
+            parse_condition(text, kind)
+
+    def test_categorical_not_of_one_value(self):
+        assert parse_condition('not("a,b")', Kind.STRING) == Not("a,b")
+        assert parse_condition('not("<5")', Kind.STRING) == Not("<5")
+        assert parse_condition("not( a )", Kind.STRING) == Not("a")
+        assert parse_condition("not(false)", Kind.BOOLEAN) == Not(False)
+
     def test_whitespace_insignificant(self):
         assert parse_condition(" [ 250 .. 750 ] ", Kind.INTEGER) \
             == parse_condition("[250..750]", Kind.INTEGER)
