@@ -29,10 +29,13 @@ at equal values, by the tie rank from :mod:`dmncheck.intervals`, so
 closed-touching intervals count as overlapping while open-touching ones
 do not.  A canonical set's members are disjoint and non-contiguous, so
 a set is active at most once at any point; the walk keeps the active
-sets and a running count of their ids.  It visits each non-empty
-stretch between events, both unbounded ends included, with the ids of
-the active sets; a stretch recurses over the tails of those ids, their
-suffix ids at the next column.
+sets and a running count of their ids.  Every column set is
+``entry ∩ facet``, so it lies inside the hull of the column's universe,
+and the walk spans that hull: it starts at the hull's lower bound and
+closes at its upper bound, open or closed as the hull is.  It visits
+each non-empty stretch between those ends and the events, with the ids
+of the active sets; a stretch recurses over the tails of those ids,
+their suffix ids at the next column.
 
 Overlaps: only each column's maximal cliques count, where a lower bound
 event is directly followed by an upper bound event (Gupta, Lee & Leung,
@@ -55,14 +58,20 @@ once, largest first, so a candidate is dropped when a kept mask holds
 it and no kept mask is ever purged.  A group's witness is a
 function of the group alone: the least corner of its region, per
 column the first member of the ``intersect_sets`` fold of the group's
-distinct column sets, picked by set id.
+distinct column sets, picked by set id.  Each column folds each
+distinct set of set ids once per call.
 
 Missing values: only the rules' union matters.  A stretch where no id
-is active is cut to the column's universe and recurses over no
-suffixes, which yields the universe's members in every deeper column.
-A stretch still active at the last column is covered.  Each level
-merges once, in its own column: the fragments of the stretches whose
-sub-sweeps yield one rest (a box over the deeper columns) are joined by
+is active lies inside the hull; it is cut to the column's universe only
+when the universe has more than one member, since a one-member universe
+is its own hull, and it recurses over no suffixes, which yields the
+universe's members in every deeper column.  A stretch still active at
+the last column is covered, and no interval is built for it.  Gap boxes
+are hash-consed as suffixes are: a box over columns d.. is the pair
+(its interval in column d, the id of its rest over the deeper columns),
+a sub-result holds box ids, and each box is materialised once, at the
+top.  Each level merges once, in its own column: the fragments of the
+stretches whose sub-sweeps yield one rest are joined by
 ``join_ordered``, so a closed point such as ``[1..1]`` meets the open
 stretch ``(1..2]`` that follows it.  Each interval is normalised once:
 a discrete stretch is built from its tightened bounds and a continuous
@@ -96,7 +105,7 @@ from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 from .errors import CapacityError
 from .geometry import (CategoryCodec, build_codec, build_universe,
                        lower_condition)
-from .intervals import (LOWER_CLOSED, LOWER_OPEN, NEG_INF, POS_INF,
+from .intervals import (FULL, LOWER_CLOSED, LOWER_OPEN, NEG_INF, POS_INF,
                         UPPER_CLOSED, UPPER_OPEN, Interval1D, _new,
                         intersect_sets, interval, join_ordered)
 from .sfeel import (ANY, Comparison, Interval, Kind, Match, format_literal,
@@ -197,31 +206,28 @@ def columns_contained(inner: Sequence[tuple[Interval1D, ...]],
 # Sweep skeleton shared by both analyses
 
 
-def _suffix_forest(rows: Iterable[tuple[int, ...]], n_dims: int
+def _suffix_forest(rows: Sequence[tuple[int, ...]], n_dims: int
                    ) -> tuple[list[list[int]], list[list[int]], list[int]]:
     """Hash-cons the suffixes of rows of set ids, column by column.
 
     A suffix is keyed by (set id, tail id), so rows that agree from
     column d onward share one suffix id at d and sub-sweeps over equal
-    suffix sets are computed once.  Returns, per column, the set id and
-    the suffix id at the next column (tail; 0 past the last column) of
-    each suffix id; and each row's suffix id at column 0.
+    suffix sets are computed once.  Columns are interned from last to
+    first, each suffix id numbered by the first row that holds it.
+    Returns, per column, the set id and the suffix id at the next column
+    (tail; 0 past the last column) of each suffix id; and each row's
+    suffix id at column 0.
     """
     set_of: list[list[int]] = [[] for _ in range(n_dims)]
     tails: list[list[int]] = [[] for _ in range(n_dims)]
-    intern: list[dict[tuple[int, int], int]] = [{} for _ in range(n_dims)]
-    tops: list[int] = []
-    for row in rows:
-        tid = 0
-        for d in range(n_dims - 1, -1, -1):
-            got = intern[d].get((row[d], tid))
-            if got is None:
-                got = intern[d][row[d], tid] = len(tails[d])
-                set_of[d].append(row[d])
-                tails[d].append(tid)
-            tid = got
-        tops.append(tid)
-    return set_of, tails, tops
+    tids = [0] * len(rows)
+    for d in range(n_dims - 1, -1, -1):
+        intern: dict[tuple[int, int], int] = {}
+        tids = [intern.setdefault(pair, len(intern))
+                for pair in zip([row[d] for row in rows], tids)]
+        set_of[d] = [s for s, _ in intern]
+        tails[d] = [tid for _, tid in intern]
+    return set_of, tails, tids
 
 
 def _bound_events(sets: Sequence[tuple[Interval1D, ...]]) -> list[list]:
@@ -289,6 +295,17 @@ def sweep_table(table: "DecisionTable", only: str = "all"
     universe = geometry.universe
     n_dims = len(table.inputs)
     last = n_dims - 1
+    # Each column's walk spans its universe's hull: the bound it starts
+    # from and the closing sentinel event.  An uncovered stretch is cut
+    # to the universe only when the hull holds values outside it; an
+    # empty universe keeps the whole line, and every cut of it is empty.
+    starts, ends, cuts = [], [], []
+    for members in universe:
+        lo, lo_closed, _, _ = (members or FULL)[0]
+        _, _, hi, hi_closed = (members or FULL)[-1]
+        starts.append((lo, lo_closed))
+        ends.append((hi, UPPER_CLOSED if hi_closed else UPPER_OPEN, -1))
+        cuts.append(len(members) != 1)
     rule_order = _nonempty_rules(geometry)
     rows = [geometry.set_ids_of[rid] for rid in rule_order]
     # Only the rules' union matters to the gaps, and rules that agree
@@ -296,14 +313,20 @@ def sweep_table(table: "DecisionTable", only: str = "all"
     # such rules there as one suffix.
     set_of, tails, tops = _suffix_forest(rows, n_dims)
     bounds = [_bound_events(column_sets) for column_sets in geometry.sets]
-    memo: dict[tuple, tuple[tuple, tuple[int, ...]]] = {}
+    memo: dict[tuple, tuple[tuple[int, ...], tuple[int, ...]]] = {}
+    # Gap boxes are hash-consed like suffixes: a box over columns d..
+    # is the pair (its interval in column d, the id of its rest over
+    # the deeper columns).  Id 0 is the empty box past the last column.
+    box_ids: dict[tuple[Interval1D, int] | None, int] = {None: 0}
 
-    def sweep(ids: frozenset[int], dim: int) -> tuple[tuple, tuple[int, ...]]:
-        # The gap boxes over columns dim.. and the antichain of the
-        # masks of two or more ids that share a point there.  Only a
-        # stretch where no suffix is active reaches past the last column.
+    def sweep(ids: frozenset[int], dim: int
+              ) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        # The ids of the gap boxes over columns dim.. and the antichain
+        # of the masks of two or more ids that share a point there.
+        # Only a stretch where no suffix is active reaches past the last
+        # column.
         if dim == n_dims:
-            return ((),), ()
+            return (0,), ()
         key = (ids, dim)
         cached = memo.get(key)
         if cached is not None:
@@ -324,28 +347,33 @@ def sweep_table(table: "DecisionTable", only: str = "all"
             events += column_bounds[s]
         events.sort()
         if gaps:
-            # The bound at +inf, of a set that holds no id.
-            events.append((POS_INF, UPPER_OPEN, -1))
+            # Every set lies inside the hull, so its upper bound, of a
+            # set that holds no id, sorts last.
+            events.append(ends[dim])
             ids_of[-1] = []
-        # Each rest (a box over the deeper columns) to its fragments in
-        # column dim.
-        frags_of: dict[tuple, list[Interval1D]] = {}
+        # Each rest id to its fragments in column dim.
+        frags_of: dict[int, list[Interval1D]] = {}
         chain: list[int] = []
         active: set[int] = set()  # set ids
         n_active = 0  # ids of the active sets
         rising = False
-        lo, lo_closed = NEG_INF, False
+        lo, lo_closed = starts[dim]
         for hi, rank, s in events:
-            sub = None
+            sub = nexts = None
             # A lower bound directly followed by an upper bound closes a
             # maximal clique of the column's sets.
             if overlaps and rising and not rank & 1 and n_active >= 2:
-                members = [j for t in active for j in ids_of[t]]
                 if dim == last:
-                    chain.append(sum(1 << j for j in members))
+                    chain.append(sum(1 << j for t in active
+                                     for j in ids_of[t]))
                 else:
-                    sub = descend(chain, members, tail, dim + 1)
-            if gaps:
+                    nexts = frozenset([tail[j] for t in active
+                                       for j in ids_of[t]])
+                    sub = descend(chain, nexts, n_active,
+                                  (j for t in active for j in ids_of[t]),
+                                  tail, dim + 1)
+            # A stretch still active at the last column is covered.
+            if gaps and (dim < last or not active):
                 hi_closed = rank >= UPPER_CLOSED
                 stretch = None
                 if is_discrete:
@@ -361,23 +389,26 @@ def sweep_table(table: "DecisionTable", only: str = "all"
                                                     b, b != POS_INF))
                 else:
                     stretch = interval(lo, lo_closed, hi, hi_closed)
-                if stretch is not None:
-                    if not active:
-                        frags = intersect_sets(universe[dim], (stretch,))
-                        rests = sweep(frozenset(), dim + 1)[0] if frags else ()
-                    elif dim < last:
-                        # A clique's stretch reuses the clique's sub-sweep.
-                        frags = (stretch,)
-                        if sub is None:
-                            sub = sweep(frozenset(
-                                tail[j] for t in active for j in ids_of[t]),
-                                dim + 1)
-                        rests = sub[0]
-                    else:
-                        rests = ()  # covered in every column
-                    for rest in rests:
-                        frags_of.setdefault(rest, []).extend(frags)
-                lo, lo_closed = hi, rank <= LOWER_CLOSED
+                if stretch is not None and active:
+                    # A clique's stretch reuses the clique's sub-sweep.
+                    if sub is None:
+                        sub = sweep(nexts or frozenset(
+                            [tail[j] for t in active for j in ids_of[t]]),
+                            dim + 1)
+                    for rest in sub[0]:
+                        if rest in frags_of:
+                            frags_of[rest].append(stretch)
+                        else:
+                            frags_of[rest] = [stretch]
+                elif stretch is not None:
+                    frags = (intersect_sets(universe[dim], (stretch,))
+                             if cuts[dim] else (stretch,))
+                    for rest in sweep(frozenset(), dim + 1)[0] if frags else ():
+                        if rest in frags_of:
+                            frags_of[rest].extend(frags)
+                        else:
+                            frags_of[rest] = list(frags)
+            lo, lo_closed = hi, rank <= LOWER_CLOSED
             rising = rank & 1
             if rising:
                 active.add(s)
@@ -388,27 +419,29 @@ def sweep_table(table: "DecisionTable", only: str = "all"
         # One merge in column dim is the fixpoint, and each rest's
         # fragments arrive normal, disjoint and in line order: see the
         # module docstring.
-        out: list[tuple] = []
+        out: list[int] = []
         for rest, parts in frags_of.items():
             if len(parts) > 1:
                 parts = join_ordered(parts, is_discrete)
-            out.extend((frag,) + rest for frag in parts)
+            out += [box_ids.setdefault((frag, rest), len(box_ids))
+                    for frag in parts]
         result = tuple(out), tuple(_maximal(chain))
         memo[key] = result
         return result
 
-    def descend(chain: list[int], members: Sequence[int],
-                tail_of: Sequence[int], dim: int) -> tuple | None:
-        # Sweep the members' tails at dim and add to the chain each
-        # returned mask of tails mapped back to the members above them.
-        # Members with one tail share every point of it, so each such
-        # group of two or more is realised on its own.  Returns the
-        # sub-sweep over the tails, or None for fewer than two tails.
-        nexts = frozenset(map(tail_of.__getitem__, members))
+    def descend(chain: list[int], nexts: frozenset[int], n_members: int,
+                members: Iterable[int], tail_of: Sequence[int], dim: int
+                ) -> tuple | None:
+        # Sweep the tails ``nexts`` of the ``n_members`` members at dim
+        # and add to the chain each returned mask of tails mapped back
+        # to the members above them.  Members with one tail share every
+        # point of it, so each such group of two or more is realised on
+        # its own.  Returns the sub-sweep over the tails, or None for
+        # fewer than two tails.
         sub = sweep(nexts, dim) if len(nexts) >= 2 else None
         # Members with distinct tails and no deeper group share no
-        # point: nothing to map back.
-        if len(nexts) < len(members) or sub and sub[1]:
+        # point: nothing to map back, and ``members`` is not read.
+        if len(nexts) < n_members or sub and sub[1]:
             group_of: dict[int, int] = {}
             for j in members:
                 group_of[tail_of[j]] = group_of.get(tail_of[j], 0) | 1 << j
@@ -427,15 +460,27 @@ def sweep_table(table: "DecisionTable", only: str = "all"
     if overlaps:
         # The top level is the clique of all rules, whose tails are
         # their suffix ids at column 0, so identical rules form a group.
-        descend(chain, range(len(tops)), tops, 0)
+        descend(chain, frozenset(tops), len(tops), range(len(tops)), tops, 0)
         chain = _maximal(chain)
-    boxes = sorted(sweep(frozenset(tops), 0)[0]) if gaps else []
+    top = sweep(frozenset(tops), 0)[0] if gaps else ()
     # sweep and descend refer to each other through their closures;
     # dropping the name frees the memo now rather than at the next
     # cyclic collection.
     del sweep
+    # Each box is materialised once, from its chain of pairs.
+    pairs = list(box_ids)
+    boxes = []
+    for bid in top:
+        box = []
+        while bid:
+            frag, bid = pairs[bid]
+            box.append(frag)
+        boxes.append(tuple(box))
+    boxes.sort()
 
     groups = []
+    # Per column, the least corner of each distinct set of set ids.
+    corners: list[dict[frozenset[int], Interval1D]] = [{} for _ in universe]
     for mask in chain:
         members = []
         while mask:
@@ -444,11 +489,17 @@ def sweep_table(table: "DecisionTable", only: str = "all"
             mask ^= low
         # The least corner of the group's region.  Meeting canonical
         # sets gives one canonical set in any order, so each distinct
-        # column set is folded once.
-        witness = tuple(
-            reduce(intersect_sets, map(column_sets.__getitem__,
-                                       {rows[j][d] for j in members}))[0]
-            for d, column_sets in enumerate(geometry.sets))
+        # column set is folded once, and each distinct choice of sets
+        # of a column once per call.
+        least = []
+        for d, column_sets in enumerate(geometry.sets):
+            key = frozenset([rows[j][d] for j in members])
+            corner = corners[d].get(key)
+            if corner is None:
+                corner = corners[d][key] = reduce(
+                    intersect_sets, map(column_sets.__getitem__, key))[0]
+            least.append(corner)
+        witness = tuple(least)
         groups.append(OverlapGroup(frozenset(rule_order[j] for j in members),
                                    witness,
                                    render_box(table, witness)))

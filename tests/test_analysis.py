@@ -13,8 +13,8 @@ from dmncheck import (FACET_INCOMPAT, CapacityError, Interval1D,
                       find_overlapping_rules, load_table,
                       lower_to_intervals, oracle_missing, oracle_overlaps,
                       pairwise_overlap_fragments, validate_structure)
-from dmncheck.analysis import (build_grid, grid_cells_of_boxes, render_box,
-                               table_rects)
+from dmncheck.analysis import (_suffix_forest, build_grid, grid_cells_of_boxes,
+                               render_box, table_rects)
 from dmncheck.intervals import canonical, intersect_sets
 from dmncheck.sfeel import Kind
 from dmncheck.synth import ColumnSpec, GenSpec, generate_table, inject_noise
@@ -459,11 +459,31 @@ SAME_SET_DOC = {
 }
 
 
+# Numeric facets whose universe has more than one member, or whose hull
+# has an open or infinite bound (None drops the facet).  Each sub-sweep
+# walks its column's hull, and cuts an uncovered stretch to the universe
+# only when the universe has more than one member.
+HULL_FACETS = {"integer": ("[0..3],[6..9]", "not(5)", None),
+               "real": ("<2,>=4", "(0..10)", None)}
+
+
+def _refaceted(doc, rng):
+    for col in doc["inputs"]:
+        if col["type"] in HULL_FACETS:
+            col.pop("facet", None)
+            facet = rng.choice(HULL_FACETS[col["type"]])
+            if facet is not None:
+                col["facet"] = facet
+    return doc
+
+
 def test_sweeps_match_oracles_on_random_tables():
     rng = random.Random(424242)
     tables = [random_table(rng) for _ in range(250)]
     tables += [random_table(rng, max_rules=14) for _ in range(250)]
     tables += [load_table(planted_table_doc(rng)) for _ in range(150)]
+    tables += [load_table(_refaceted(random_table_doc(rng, max_rules=10), rng))
+               for _ in range(200)]
     tables.append(load_table(SHARED_ENDPOINTS_DOC))
     tables.append(load_table(SHARED_SETS_DOC))
     tables.append(load_table(SAME_SET_DOC))
@@ -575,6 +595,27 @@ def test_column_permutation_permutes_the_reports():
             tuple(cell[p] for p in perm) for cell in oracle_missing(table)}
         assert check_correct(permuted).correct \
             == check_correct(table).correct
+
+
+def test_suffix_forest_numbers_each_suffix_by_its_first_row():
+    # Row by row, each row's suffixes from the last column to the first,
+    # a suffix takes the next free id of its column when first met.
+    rng = random.Random(202020)
+    for _ in range(300):
+        n_dims = rng.randint(1, 4)
+        rows = [tuple(rng.randrange(3) for _ in range(n_dims))
+                for _ in range(rng.randint(0, 12))]
+        ids = [{} for _ in range(n_dims)]
+        tops = []
+        for row in rows:
+            tid = 0
+            for d in range(n_dims - 1, -1, -1):
+                tid = ids[d].setdefault((row[d], tid), len(ids[d]))
+            tops.append(tid)
+        set_of, tails, got_tops = _suffix_forest(rows, n_dims)
+        assert got_tops == tops
+        assert set_of == [[s for s, _ in column] for column in ids]
+        assert tails == [[t for _, t in column] for column in ids]
 
 
 def test_sweeps_leave_no_reference_cycles():
