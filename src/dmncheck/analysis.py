@@ -108,8 +108,7 @@ from .geometry import (CategoryCodec, build_codec, build_universe,
 from .intervals import (FULL, LOWER_CLOSED, LOWER_OPEN, NEG_INF, POS_INF,
                         UPPER_CLOSED, UPPER_OPEN, Interval1D, _new,
                         intersect_sets, interval, join_ordered)
-from .sfeel import (ANY, Comparison, Interval, Kind, Match, format_literal,
-                    render_condition)
+from .sfeel import Kind, format_literal, render_condition
 
 if TYPE_CHECKING:  # pragma: no cover
     from .model import DecisionTable
@@ -558,18 +557,12 @@ def _render_region_condition(iv: Interval1D, attr, codec: CategoryCodec,
         return "-"
     if attr.kind.is_categorical:
         return ",".join(format_literal(c) for c in codec.decode(attr.name, iv))
-    lo, lo_closed, hi, hi_closed = iv
+    lo, _, hi, _ = iv
     if lo == NEG_INF and hi == POS_INF:
-        cond = ANY
-    elif lo == NEG_INF:
-        cond = Comparison("<=" if hi_closed else "<", hi)
-    elif hi == POS_INF:
-        cond = Comparison(">=" if lo_closed else ">", lo)
-    elif lo == hi:
-        cond = Match(lo)
-    else:
-        cond = Interval(lo_closed, lo, hi, hi_closed)
-    return render_condition(cond)
+        return "-"
+    if lo == hi:
+        return format_literal(lo)
+    return render_condition(iv)
 
 
 # ---------------------------------------------------------------------------

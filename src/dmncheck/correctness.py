@@ -11,8 +11,9 @@ A table is correct when three independent checks all come back clean:
   overlap, any forbids overlaps that disagree on outputs, and priority
   or first tolerate overlaps but reject rules that can never win
   because a higher-priority rule covers them entirely.  That masking
-  check reuses the overlap groups: it tests only pairs of rules that
-  share a group, plus every pair whose lower rule admits no input.
+  check reuses the overlap groups: it tests each rule against the
+  members of one group that holds it, and a rule that admits no input
+  against every rule.
 
 Each diagnostic names the rules or columns involved and carries the
 offending region rendered as condition texts, so a missing-rule finding
@@ -22,7 +23,6 @@ can be pasted back into the table as a new row.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations
 from typing import Sequence
 
 # render_box is not called here any more, but perfbench's tracer test
@@ -108,30 +108,30 @@ def _masked_diagnostics(table: DecisionTable,
     """One violation per ordered pair (shadowed, shadowing), ordered by
     the shadowed rule and then the shadowing one, both in table order.
 
-    A non-empty rule inside another overlaps it, so the two share some
-    maximal overlap group; a rule with an empty cell lies inside every
-    rule.  Only those pairs need the containment test.
+    A non-empty rule inside another shares each of its points with it,
+    so every maximal overlap group that holds the first rule also holds
+    the second: the first group that holds a rule lists every rule that
+    can cover it.  A rule with an empty cell lies inside every rule.
     """
     rules = table.rules
     index = {rule.id: i for i, rule in enumerate(rules)}
-    pairs: set[tuple[int, int]] = set()
+    group_of: dict[str, frozenset[str]] = {}
     for group in groups:
-        pairs.update(permutations([index[rid] for rid in group.rule_ids],
-                                  2))
-    for low, rule in enumerate(rules):
-        if not all(table.geometry.columns_of[rule.id]):
-            pairs.update((low, high) for high in range(len(rules))
-                         if high != low)
+        for rid in group.rule_ids:
+            group_of.setdefault(rid, group.rule_ids)
+    columns_of = table.geometry.columns_of
     out = []
-    for i, j in sorted(pairs):
-        low, high = rules[i], rules[j]
-        if table.priority[high.id] <= table.priority[low.id]:
-            continue
-        if masked_by(low, high, table):
-            out.append(Diagnostic(
-                "error", MASKED_RULE, rule_ids=(low.id, high.id),
-                detail=f"rule {low.id} can never win: rule {high.id} "
-                       "has higher priority and covers it"))
+    for low in rules:
+        if all(columns_of[low.id]):
+            highs = [rules[i] for i in sorted(
+                index[rid] for rid in group_of.get(low.id, ()))]
+        else:
+            highs = rules
+        out += [Diagnostic(
+                    "error", MASKED_RULE, rule_ids=(low.id, high.id),
+                    detail=f"rule {low.id} can never win: rule {high.id} "
+                           "has higher priority and covers it")
+                for high in highs if masked_by(low, high, table)]
     return out
 
 

@@ -23,7 +23,7 @@ from typing import TYPE_CHECKING
 from .errors import CodecError
 from .intervals import Interval1D
 from .sfeel import (Alternative, AnyValue, Condition, Kind, Match, Not,
-                    category_index, lower_to_intervals)
+                    category_codes, category_index, lower_to_intervals)
 
 if TYPE_CHECKING:  # pragma: no cover
     from .model import DecisionTable
@@ -42,19 +42,20 @@ def _condition_literals(cond: Condition) -> list:
 
 @dataclass(frozen=True)
 class CategoryCodec:
-    """Ordered category lists for every categorical column of a table."""
+    """Ordered category lists for every categorical column of a table,
+    and each column's code table from ``sfeel.category_codes``."""
 
     columns: dict[str, tuple]
+    codes: dict[str, dict]
 
     def categories(self, column: str) -> tuple:
-        try:
-            return self.columns[column]
-        except KeyError:
-            raise CodecError(f"column {column!r} has no categorical codec") \
-                from None
+        return _of_column(self.columns, column)
+
+    def code_table(self, column: str) -> dict:
+        return _of_column(self.codes, column)
 
     def encode(self, column: str, literal) -> int:
-        return category_index(self.categories(column), literal)
+        return category_index(self.code_table(column), literal)
 
     def decode(self, column: str, iv: Interval1D) -> tuple:
         """The categories whose codes lie in the given closed integer
@@ -62,9 +63,21 @@ class CategoryCodec:
         return self.categories(column)[iv.lo:iv.hi + 1]
 
 
+def _of_column(tables: dict, column: str):
+    try:
+        return tables[column]
+    except KeyError:
+        raise CodecError(f"column {column!r} has no categorical codec") \
+            from None
+
+
 def build_codec(table: "DecisionTable") -> CategoryCodec:
-    """Deterministic codec over all categorical columns of the table."""
-    columns: dict[str, tuple] = {}
+    """Deterministic codec over all categorical columns of the table.
+
+    Each column's code table is built once, in one pass over its
+    literals, and every lookup reads it.
+    """
+    codes: dict[str, dict] = {}
     n_inputs = len(table.inputs)
     for i, attr in enumerate(table.inputs + table.outputs):
         if not attr.kind.is_categorical:
@@ -75,27 +88,23 @@ def build_codec(table: "DecisionTable") -> CategoryCodec:
                 literals += _condition_literals(rule.input_entries[i])
             else:
                 literals.append(rule.output_entries[i - n_inputs])
-        ordered: list = []
         if attr.kind is Kind.BOOLEAN and isinstance(attr.facet, AnyValue):
-            ordered = [False, True]
-        for literal in literals:
-            if literal not in ordered:
-                ordered.append(literal)
-        if not ordered:
+            literals[:0] = [False, True]
+        if not literals:
             # Column never names a category: collapse its (infinite)
             # domain to a single representative so geometry stays finite.
-            ordered = ["<any>"] if attr.kind is Kind.STRING else [False, True]
-        columns[attr.name] = tuple(ordered)
-    return CategoryCodec(columns)
+            literals = ["<any>"] if attr.kind is Kind.STRING else [False, True]
+        codes[attr.name] = category_codes(literals)
+    return CategoryCodec({name: tuple(column)
+                          for name, column in codes.items()}, codes)
 
 
 def lower_condition(cond: Condition, attr,
                     codec: CategoryCodec) -> tuple[Interval1D, ...]:
     """Interval image of a condition over the column ``attr``, with
     categories coded by ``codec``."""
-    categories = codec.categories(attr.name) if attr.kind.is_categorical \
-        else None
-    return lower_to_intervals(cond, attr.kind, categories)
+    codes = codec.code_table(attr.name) if attr.kind.is_categorical else None
+    return lower_to_intervals(cond, attr.kind, codes)
 
 
 def build_universe(table: "DecisionTable",

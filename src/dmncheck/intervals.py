@@ -3,7 +3,9 @@
 This module is the only place that knows interval semantics: membership,
 intersection, cover, contiguity, the canonical order and the sweep tie
 ranks.  ``Interval1D`` is a ``NamedTuple``, so the sweeps hash, sort and
-unpack intervals as plain tuples and no second representation exists.
+unpack intervals as plain tuples and no second representation exists:
+a comparison or interval condition parsed by :mod:`dmncheck.sfeel` is
+the ``Interval1D`` it was written as, and lowering normalises it here.
 A canonical set is a sorted, disjoint, non-contiguous tuple of
 ``Interval1D``, built by :func:`canonical` and met by
 :func:`intersect_sets`.  :func:`interval` is the only normaliser;
@@ -54,11 +56,13 @@ LOWER_OPEN = 3
 
 
 class Interval1D(NamedTuple):
-    """A non-empty interval with independent open/closed bounds.
+    """An interval with independent open/closed bounds.
 
-    Instances are normally created through :func:`interval`, which
-    rejects empty combinations and normalises discrete bounds, so code
-    holding an ``Interval1D`` may assume it denotes at least one value.
+    :func:`interval` builds non-empty, normal intervals, and every
+    canonical set, box and region holds only those, so code holding
+    one of them may assume it denotes at least one value.  A condition
+    keeps its interval as written: ``[5..1]`` stays empty and ``(0..5]``
+    stays open under an integer column until it is lowered.
     """
 
     lo: float

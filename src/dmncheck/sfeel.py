@@ -13,7 +13,11 @@ A condition text is one of::
 Terms are literals or arithmetic over literals (``+ - * /``, with the
 multiplication-dot and division-sign accepted as spellings of ``*`` and
 ``/``).  Each operation is folded as soon as it is parsed, so no term
-tree exists and every AST node carries plain literal values.
+tree exists.  A comparison or an interval condition is the
+``Interval1D`` it was written as, built by ``_written``: ``<5`` is
+(-inf, open, 5, open), ``(0..5]`` stays open at 0 under an integer
+column and ``[5..1]`` stays empty.  ``interval()`` normalises it only
+when it is lowered.  Every other node carries plain literal values.
 
 A numeric element that holds no arithmetic (an optionally signed
 literal, a comparison against one, or an interval between two) is
@@ -37,11 +41,12 @@ import re
 import sys
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Sequence, Union
+from typing import Iterable, Mapping, Optional, Union
 
 from .errors import (CodecError, EvalError, SFeelSyntaxError, SFeelTypeError,
                      echo)
-from .intervals import FULL, NEG_INF, POS_INF, Interval1D, canonical, interval
+from .intervals import (FULL, NEG_INF, POS_INF, Interval1D, _new, canonical,
+                        interval)
 
 
 class Kind(str, Enum):
@@ -115,27 +120,23 @@ class Not:
 
 
 @dataclass(frozen=True)
-class Comparison:
-    op: str  # one of < > <= >=
-    value: Union[int, float]
-
-
-@dataclass(frozen=True)
-class Interval:
-    lo_closed: bool
-    lo: Union[int, float]
-    hi: Union[int, float]
-    hi_closed: bool
-
-
-@dataclass(frozen=True)
 class Alternative:
     """Disjunction of branches; never nested, always two or more parts."""
 
     parts: tuple["Condition", ...]
 
 
-Condition = Union[AnyValue, Match, Not, Comparison, Interval, Alternative]
+# A comparison or an interval is the Interval1D it was written as.
+Condition = Union[AnyValue, Match, Not, Interval1D, Alternative]
+
+
+def _written(op: str, value, hi=POS_INF, closer: str = ")") -> Interval1D:
+    """The interval of the comparison ``op value``, or of the interval
+    ``op value..hi closer`` whose opening bracket is ``op``, as written:
+    neither normalised nor tested for emptiness."""
+    if op[0] == "<":
+        return _new(Interval1D, (NEG_INF, False, value, op == "<="))
+    return _new(Interval1D, (value, op in (">=", "["), hi, closer == "]"))
 
 
 # ---------------------------------------------------------------------------
@@ -374,7 +375,7 @@ class _NumericParser:
             self.expect("rpar")
         elif tok[0] == "cmp":
             self.take()
-            cond = Comparison(str(tok[1]), self.addsub())
+            cond = _written(str(tok[1]), self.addsub())
         elif tok[0] == "lbrack" or (tok[0] == "lpar"
                                     and ("dots", "..") in self.tokens):
             # No term holds '..', so a '(' element holding one is an
@@ -385,7 +386,7 @@ class _NumericParser:
         self.require_end()
         return cond
 
-    def _interval(self) -> Interval:
+    def _interval(self) -> Interval1D:
         # The opening bracket or paren is not a nesting level.
         opener = self.take()
         lo = self.addsub()
@@ -399,7 +400,7 @@ class _NumericParser:
         if closer[0] not in ("rbrack", "rpar"):
             raise SFeelSyntaxError(f"unterminated interval "
                                    f"in {echo(self.text)}")
-        return Interval(opener[0] == "lbrack", lo, hi, closer[0] == "rbrack")
+        return _written(str(opener[1]), lo, hi, str(closer[1]))
 
 
 def _split_alternatives(text: str) -> list[str]:
@@ -515,12 +516,12 @@ def _parse_simple_numeric(text: str, kind: Kind) -> Optional[Condition]:
         if value is None:
             return None
         op = m["cmp"]
-        return Match(value) if op is None else Comparison(op, value)
+        return Match(value) if op is None else _written(op, value)
     lo = _simple_literal(m["lo_sign"], m["lo"], kind)
     hi = _simple_literal(m["hi_sign"], m["hi"], kind)
     if lo is None or hi is None:
         return None
-    return Interval(m["open"] == "[", lo, hi, m["close"] == "]")
+    return _written(m["open"], lo, hi, m["close"])
 
 
 def _simple_literal(sign: Optional[str], digits: str, kind: Kind):
@@ -566,23 +567,16 @@ def satisfies(cond: Condition, value) -> bool:
         return _eq(value, cond.value)
     if isinstance(cond, Not):
         return not _eq(value, cond.value)
-    if isinstance(cond, Comparison):
+    if isinstance(cond, Interval1D):
         if not kind_of(value).is_numeric:
-            raise SFeelTypeError("comparison against a non-numeric value")
-        op = cond.op
-        if op == "<":
-            return value < cond.value
-        if op == "<=":
-            return value <= cond.value
-        if op == ">":
-            return value > cond.value
-        return value >= cond.value
-    if isinstance(cond, Interval):
-        if not kind_of(value).is_numeric:
-            raise SFeelTypeError("interval test against a non-numeric value")
-        if value < cond.lo or (value == cond.lo and not cond.lo_closed):
+            raise SFeelTypeError("comparison or interval test against a "
+                                 "non-numeric value")
+        # Inline rather than Interval1D.contains: this is the
+        # evaluator's innermost test.
+        lo, lo_closed, hi, hi_closed = cond
+        if value < lo or (value == lo and not lo_closed):
             return False
-        if value > cond.hi or (value == cond.hi and not cond.hi_closed):
+        if value > hi or (value == hi and not hi_closed):
             return False
         return True
     if isinstance(cond, Alternative):
@@ -625,12 +619,15 @@ def render_condition(cond: Condition) -> str:
         return format_literal(cond.value)
     if isinstance(cond, Not):
         return f"not({format_literal(cond.value)})"
-    if isinstance(cond, Comparison):
-        return f"{cond.op}{format_literal(cond.value)}"
-    if isinstance(cond, Interval):
-        left = "[" if cond.lo_closed else "("
-        right = "]" if cond.hi_closed else ")"
-        return f"{left}{format_literal(cond.lo)}..{format_literal(cond.hi)}{right}"
+    if isinstance(cond, Interval1D):
+        lo, lo_closed, hi, hi_closed = cond
+        if lo == NEG_INF:
+            return ("<=" if hi_closed else "<") + format_literal(hi)
+        if hi == POS_INF:
+            return (">=" if lo_closed else ">") + format_literal(lo)
+        left = "[" if lo_closed else "("
+        right = "]" if hi_closed else ")"
+        return f"{left}{format_literal(lo)}..{format_literal(hi)}{right}"
     if isinstance(cond, Alternative):
         return ",".join(render_condition(part) for part in cond.parts)
     raise SFeelTypeError(f"not a condition: {cond!r}")
@@ -640,42 +637,57 @@ def render_condition(cond: Condition) -> str:
 # Lowering to interval sets
 
 
-def category_index(categories: Sequence, literal) -> int:
-    """Position of ``literal`` among ``categories``, matching the type
-    too, so ``True`` is not the category ``1``; CodecError if absent."""
-    for i, cat in enumerate(categories):
-        if cat == literal and type(cat) is type(literal):
-            return i
-    raise CodecError(f"literal {echo(literal)} is not among the column's "
-                     f"{len(categories)} known categories")
+def category_codes(literals: Iterable) -> dict:
+    """A column's code table: each distinct literal to its position in
+    first-seen order.  The table keeps that order, and a column's
+    literals share one type."""
+    codes: dict = {}
+    for literal in literals:
+        codes.setdefault(literal, len(codes))
+    return codes
+
+
+def category_index(codes: Mapping, literal) -> int:
+    """Code of ``literal`` in a code table from ``category_codes``,
+    matching the type too, so ``1`` is not the category ``True``;
+    CodecError if absent."""
+    try:
+        code = codes.get(literal)
+    except TypeError:  # unhashable, so no category
+        code = None
+    if code is None or type(literal) is not type(next(iter(codes))):
+        raise CodecError(f"literal {echo(literal)} is not among the column's "
+                         f"{len(codes)} known categories")
+    return code
 
 
 def lower_to_intervals(cond: Condition, kind: Kind,
-                       categories: Optional[Sequence] = None
+                       codes: Optional[Mapping] = None
                        ) -> tuple[Interval1D, ...]:
     """Geometric image of a condition as a canonical interval set.
 
-    Numeric kinds map directly.  Categorical kinds need the column's
-    ordered category list: the k-th category is the integer point
+    Numeric kinds map directly, each interval normalised by
+    ``interval()``.  Categorical kinds need the column's code table
+    (``category_codes``): the k-th category is the integer point
     [k..k].  Integer and categorical sets use the closed-bound discrete
     form, so adjacent categories merge when both are present.
     """
     if isinstance(cond, Alternative):
         return canonical(
             [iv for part in cond.parts
-             for iv in lower_to_intervals(part, kind, categories)],
+             for iv in lower_to_intervals(part, kind, codes)],
             kind is not Kind.REAL)
     if kind.is_categorical:
-        if categories is None or len(categories) == 0:
+        if not codes:
             raise CodecError(f"no categories known for {kind.value} column")
-        k = len(categories)
+        k = len(codes)
         if isinstance(cond, AnyValue):
             return _one(0, True, k - 1, True, True)
         if isinstance(cond, Match):
-            i = category_index(categories, cond.value)
+            i = category_index(codes, cond.value)
             return _one(i, True, i, True, True)
         if isinstance(cond, Not):
-            i = category_index(categories, cond.value)
+            i = category_index(codes, cond.value)
             return canonical([interval(0, True, i - 1, True),
                               interval(i + 1, True, k - 1, True)], True)
         raise SFeelTypeError(f"condition {cond!r} is not defined for "
@@ -692,16 +704,12 @@ def lower_to_intervals(cond: Condition, kind: Kind,
         return canonical(
             [interval(NEG_INF, False, v, False),
              interval(v, False, POS_INF, False)], discrete)
-    if isinstance(cond, Comparison):
-        v = _numeric_literal(cond.value, kind)
-        closed = cond.op in ("<=", ">=")
-        if cond.op.startswith("<"):
-            return _one(NEG_INF, False, v, closed, discrete)
-        return _one(v, closed, POS_INF, False, discrete)
-    if isinstance(cond, Interval):
-        lo = _numeric_literal(cond.lo, kind)
-        hi = _numeric_literal(cond.hi, kind)
-        return _one(lo, cond.lo_closed, hi, cond.hi_closed, discrete)
+    if isinstance(cond, Interval1D):
+        # The infinite side of a comparison is not a literal.
+        for bound in cond[::2]:
+            if bound not in (NEG_INF, POS_INF):
+                _numeric_literal(bound, kind)
+        return _one(*cond, discrete)
     raise SFeelTypeError(f"not a condition: {cond!r}")
 
 

@@ -43,9 +43,9 @@ from typing import Optional, Sequence
 from .analysis import (OverlapGroup, find_missing_rules,
                        find_overlapping_rules)
 from .errors import SpecError
-from .intervals import intersect_sets
+from .intervals import Interval1D, intersect_sets
 from .model import DecisionTable, load_table
-from .sfeel import (Alternative, AnyValue, Condition, Interval, Kind, Match,
+from .sfeel import (Alternative, AnyValue, Condition, Kind, Match,
                     parse_condition)
 
 GRADES = ("A", "B", "C", "D", "E", "F", "G")
@@ -183,7 +183,7 @@ def _entry_bounds(cond: Condition,
         return _column_span(column)
     if isinstance(cond, Match):
         return (cond.value, cond.value)
-    if isinstance(cond, Interval) and cond.lo_closed and cond.hi_closed:
+    if isinstance(cond, Interval1D) and cond.lo_closed and cond.hi_closed:
         return (cond.lo, cond.hi)
     return None
 

@@ -686,10 +686,10 @@ def test_missing_regions_disjoint_from_rules():
 def _entry_in_facet(cond, attr, codec):
     # Per-cell lowering of entry and facet, with no memo: the reference
     # for the column sets and empty cells recorded in the table geometry.
-    categories = codec.categories(attr.name) if attr.kind.is_categorical \
+    codes = codec.code_table(attr.name) if attr.kind.is_categorical \
         else None
-    entry = lower_to_intervals(cond, attr.kind, categories)
-    facet = lower_to_intervals(attr.facet, attr.kind, categories)
+    entry = lower_to_intervals(cond, attr.kind, codes)
+    facet = lower_to_intervals(attr.facet, attr.kind, codes)
     return intersect_sets(entry, facet)
 
 

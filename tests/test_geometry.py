@@ -45,6 +45,11 @@ class TestCodec:
         codec = build_codec(load_table(doc))
         assert codec.encode("flag", False) == 0
         assert codec.encode("flag", True) == 1
+        # Codes are type-exact: 1 is not the category True.  A value
+        # that cannot be a key is no category either.
+        for literal in (0, 1, 1.0, [True]):
+            with pytest.raises(CodecError):
+                codec.encode("flag", literal)
 
     def test_appearance_order_without_facet(self):
         doc = categorical_doc()

@@ -1,5 +1,6 @@
 """Condition parsing, constant folding, satisfaction, and lowering."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -12,9 +13,10 @@ from dmncheck import (ANY, DecisionTableError, EvalError, Interval1D, Kind,
                       satisfies)
 from dmncheck import sfeel
 from dmncheck.errors import echo
-from dmncheck.sfeel import (Alternative, Comparison, Interval, Match, Not,
-                            _NumericParser, _parse_categorical_element,
-                            _split_alternatives)
+from dmncheck.intervals import NEG_INF, POS_INF, canonical
+from dmncheck.sfeel import (Alternative, Match, Not, _NumericParser,
+                            _parse_categorical_element, _split_alternatives,
+                            category_codes)
 
 
 def iv(lo, lc, hi, hc):
@@ -24,7 +26,7 @@ def iv(lo, lc, hi, hc):
 class TestParse:
     def test_closed_interval(self):
         got = parse_condition("[250..750]", Kind.INTEGER)
-        assert got == Interval(True, 250, 750, True)
+        assert got == iv(250, True, 750, True)
 
     def test_string_alternative(self):
         got = parse_condition("high,medium,low", Kind.STRING)
@@ -36,8 +38,8 @@ class TestParse:
 
     def test_mixed_alternative(self):
         got = parse_condition("[0..18],>= 70", Kind.INTEGER)
-        assert got == Alternative((Interval(True, 0, 18, True),
-                                   Comparison(">=", 70)))
+        assert got == Alternative((iv(0, True, 18, True),
+                                   iv(70, True, POS_INF, False)))
 
     def test_bare_term_is_match(self):
         assert parse_condition("500", Kind.INTEGER) == Match(500)
@@ -69,9 +71,9 @@ class TestParse:
 
     def test_open_and_half_open(self):
         assert parse_condition("(0..5]", Kind.REAL) \
-            == Interval(False, 0.0, 5.0, True)
+            == iv(0.0, False, 5.0, True)
         assert parse_condition("[0..5)", Kind.REAL) \
-            == Interval(True, 0.0, 5.0, False)
+            == iv(0.0, True, 5.0, False)
 
     def test_syntax_errors(self):
         for bad in ("[1..", "((", "1,,2", "", "..5", "not(1,2)"):
@@ -129,7 +131,7 @@ class TestFold:
 
     def test_folding_inside_intervals(self):
         assert parse_condition("[2*100..1000-250]", Kind.INTEGER) \
-            == Interval(True, 200, 750, True)
+            == iv(200, True, 750, True)
 
 
 class TestHostileLiterals:
@@ -152,7 +154,7 @@ class TestHostileLiterals:
     def test_largest_finite_literal_accepted(self):
         top = "1.7976931348623157e308"
         assert parse_condition(f"<={top}", Kind.REAL) \
-            == Comparison("<=", 1.7976931348623157e308)
+            == iv(NEG_INF, False, 1.7976931348623157e308, True)
 
     @pytest.mark.parametrize("text", [
         "-" * 5000 + "1",
@@ -196,7 +198,7 @@ class TestHostileLiterals:
                 return f"{opener}{'(' * depth}1{')' * depth}..2{closer}"
 
             assert parse_condition(text(32), Kind.INTEGER) \
-                == Interval(opener == "[", 1, 2, closer == "]")
+                == iv(1, opener == "[", 2, closer == "]")
             with pytest.raises(SFeelSyntaxError):
                 parse_condition(text(33), Kind.INTEGER)
 
@@ -257,13 +259,14 @@ class TestLower:
 
     def test_match_category(self):
         got = lower_to_intervals(Match("Refinancing"), Kind.STRING,
-                                 categories=("Refinancing", "CardPayoff"))
+                                 category_codes(("Refinancing",
+                                                 "CardPayoff")))
         assert got == (iv(0, True, 0, True),)
 
     def test_not_category_is_codec_complement(self):
         got = lower_to_intervals(Not("Refinancing"), Kind.STRING,
-                                 categories=("Refinancing", "CardPayoff",
-                                             "Leasing"))
+                                 category_codes(("Refinancing", "CardPayoff",
+                                                 "Leasing")))
         assert got == (iv(1, True, 2, True),)
 
     def test_integer_comparison_normalizes_closed(self):
@@ -281,7 +284,39 @@ class TestLower:
         from dmncheck import CodecError
         with pytest.raises(CodecError):
             lower_to_intervals(Match("Leasing"), Kind.STRING,
-                               categories=("Refinancing", "CardPayoff"))
+                               category_codes(("Refinancing", "CardPayoff")))
+
+
+@pytest.mark.parametrize("text,written", [
+    ("<5", (NEG_INF, False, 5, False)),
+    ("<=5", (NEG_INF, False, 5, True)),
+    (">5", (5, False, POS_INF, False)),
+    (">=5", (5, True, POS_INF, False)),
+    ("(0..5]", (0, False, 5, True)),
+    ("[5..1]", (5, True, 1, True)),
+    ("(3..3)", (3, False, 3, False)),
+])
+@pytest.mark.parametrize("kind", [Kind.INTEGER, Kind.REAL])
+def test_condition_is_the_interval_it_was_written_as(text, written, kind):
+    cond = parse_condition(text, kind)
+    assert cond == Interval1D(*written) and type(cond) is Interval1D
+    literal_type = float if kind is Kind.REAL else int
+    assert all(type(x) is literal_type for x in cond[::2]
+               if x not in (NEG_INF, POS_INF))
+    assert render_condition(cond) == text
+    discrete = kind is Kind.INTEGER
+    lowered = lower_to_intervals(cond, kind)
+    assert lowered == canonical([cond], discrete)
+    # At each bound and one step either side of it.
+    for bound in (x for x in cond[::2] if x not in (NEG_INF, POS_INF)):
+        if discrete:
+            points = (bound - 1, bound, bound + 1)
+        else:
+            points = (math.nextafter(bound, NEG_INF), bound,
+                      math.nextafter(bound, POS_INF))
+        for point in points:
+            assert satisfies(cond, point) \
+                == any(m.contains(point) for m in lowered), point
 
 
 # --- property tests --------------------------------------------------------
@@ -409,17 +444,19 @@ def test_folding_matches_reference(t, u, kind):
     cases = [
         (tt, Match(v)),
         (f"not({tt})", Not(v)),
-        (f">={tt}", Comparison(">=", v)),
-        (f"[{tt}..{ut}]", Interval(True, v, w, True)),
-        (f"({tt}..{ut})", Interval(False, v, w, False)),
+        (f">={tt}", iv(v, True, POS_INF, False)),
+        (f"[{tt}..{ut}]", iv(v, True, w, True)),
+        (f"({tt}..{ut})", iv(v, False, w, False)),
     ]
     literal_type = float if kind is Kind.REAL else int
     for text, expected in cases:
         got = parse_condition(text, kind)
         assert got == expected, text
-        values = (got.lo, got.hi) if isinstance(got, Interval) \
+        values = (got.lo, got.hi) if isinstance(got, Interval1D) \
             else (got.value,)
-        assert all(type(x) is literal_type for x in values), text
+        # The infinite side of a comparison is not a literal.
+        assert all(type(x) is literal_type for x in values
+                   if x not in (NEG_INF, POS_INF)), text
 
 
 # ---------------------------------------------------------------------------
