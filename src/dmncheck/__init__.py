@@ -16,11 +16,9 @@ from .model import (COMPLETENESS_MISMATCH, FACET_INCOMPAT, MASKED_RULE,
                     MISSING_RULE, OUTPUT_DISAGREEMENT, OVERLAP,
                     PRIORITY_ERROR, Attribute, DecisionTable, Diagnostic,
                     Rule, dump_table, load_table, validate_structure)
-from .geometry import (CategoryCodec, build_codec, build_universe,
-                       encode_point)
-from .analysis import (MissingRegion, OverlapGroup, find_missing_rules,
-                       find_overlapping_rules, oracle_missing,
-                       oracle_overlaps, render_box)
+from .analysis import (MissingRegion, OverlapGroup, encode_point,
+                       find_missing_rules, find_overlapping_rules,
+                       oracle_missing, oracle_overlaps, render_box)
 from .semantics import (EvalResult, Outcome, evaluate, masked_by,
                         triggered_by)
 from .correctness import (CompletenessVerdict, CorrectnessReport,
@@ -34,7 +32,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ANY", "Attribute", "BenchCell", "BenchReport", "CapacityError",
-    "CategoryCodec", "CodecError", "ColumnSpec", "COMPLETENESS_MISMATCH",
+    "CodecError", "ColumnSpec", "COMPLETENESS_MISMATCH",
     "CompletenessVerdict",
     "CorrectnessReport", "DecisionTable", "DecisionTableError",
     "Diagnostic", "EvalError", "EvalResult",
@@ -43,7 +41,7 @@ __all__ = [
     "OUTPUT_DISAGREEMENT", "OVERLAP", "Outcome", "OverlapGroup",
     "PRIORITY_ERROR", "Rule", "SchemaError", "SFeelSyntaxError",
     "SFeelTypeError", "SpecError", "bench_columns", "benchmark_grid",
-    "build_codec", "build_universe", "check_correct", "dump_table", "encode_point", "evaluate",
+    "check_correct", "dump_table", "encode_point", "evaluate",
     "find_missing_rules", "find_overlapping_rules", "format_literal",
     "generate_table", "inject_noise", "interval",
     "load_table",

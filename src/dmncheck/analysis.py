@@ -1,10 +1,10 @@
 """Overlap and missing-rule detection over rule regions.
 
-Every analysis reads one ``TableGeometry`` per table: the codec, the
-universe and each rule's canonical ``entry ∩ facet`` set per input
-column, each set a sorted tuple of ``Interval1D``.  A rule's region is
-the product of its column sets, and a rule with an empty set in some
-column covers nothing.  A box is a tuple of
+Every analysis reads one ``TableGeometry`` per table: the category
+codes, the universe and each rule's canonical ``entry ∩ facet`` set
+per input column, each set a sorted tuple of ``Interval1D``.  A rule's
+region is the product of its column sets, and a rule with an empty set
+in some column covers nothing.  A box is a tuple of
 ``Interval1D``, one per input column, and all interval semantics come
 from :mod:`dmncheck.intervals`; the witnesses and missing regions
 reported here are such tuples.  ``table_rects`` is the only geometry
@@ -12,7 +12,15 @@ builder, and ``DecisionTable.geometry`` caches it, so the sweep,
 witness and region rendering, the masked-rule check, the structure
 check and the grid oracles share a single build.  Each distinct
 ``entry ∩ facet`` is lowered once per column, and equal sets of one
-column share one set id there.
+column share one set id there.  Only input columns are geometry.
+
+Numeric columns map onto the number line directly.  A categorical
+input column is coded once, by ``sfeel.category_codes``: its k-th
+category is the integer point [k..k], and the column is discrete like
+an integer column, so ``VG,G`` becomes [0..1] and ``-`` over k
+categories becomes [0..k-1].  The order is the facet's literals first,
+then first appearance scanning the rules top to bottom; a boolean
+column with an unrestricted facet starts with ``false, true``.
 
 Both analyses are one N-dimensional line sweep in table column order.
 ``_suffix_forest`` hash-conses the rules' suffixes of set ids, keyed by
@@ -100,15 +108,15 @@ from dataclasses import dataclass
 from functools import reduce
 from itertools import product
 from operator import getitem
-from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Optional, Sequence
 
 from .errors import CapacityError
-from .geometry import (CategoryCodec, build_codec, build_universe,
-                       lower_condition)
 from .intervals import (FULL, LOWER_CLOSED, LOWER_OPEN, NEG_INF, POS_INF,
                         UPPER_CLOSED, UPPER_OPEN, Interval1D, _new,
                         intersect_sets, interval, join_ordered)
-from .sfeel import Kind, format_literal, render_condition
+from .sfeel import (Alternative, AnyValue, Condition, Kind, Match, Not,
+                    category_codes, category_index, format_literal,
+                    lower_to_intervals, render_condition)
 
 if TYPE_CHECKING:  # pragma: no cover
     from .model import DecisionTable
@@ -144,7 +152,10 @@ class TableGeometry(NamedTuple):
     columns_of: dict[str, tuple[tuple[Interval1D, ...], ...]]
     discrete: tuple[bool, ...]
     universe: tuple[tuple[Interval1D, ...], ...]
-    codec: CategoryCodec
+    # Per input column, its categories in code order and its code table
+    # from sfeel.category_codes; () and None for a numeric column.
+    categories: tuple[tuple, ...]
+    codes: tuple[Optional[dict], ...]
     # render_box's text of each (column, interval) it has rendered.
     texts: dict[tuple[int, Interval1D], str]
     # Per column, its distinct sets; a set's id is its index there.
@@ -154,11 +165,32 @@ class TableGeometry(NamedTuple):
     set_ids_of: dict[str, tuple[int, ...]]
 
 
+def _condition_literals(cond: Condition) -> list:
+    if isinstance(cond, (Match, Not)):
+        return [cond.value]
+    if isinstance(cond, Alternative):
+        return [v for part in cond.parts for v in _condition_literals(part)]
+    return []
+
+
 def table_rects(table: "DecisionTable") -> TableGeometry:
     """Build the table's geometry.  Callers read the cached
     ``table.geometry`` instead of calling this again."""
-    codec = build_codec(table)
-    universe = build_universe(table, codec)
+    codes: list[Optional[dict]] = []
+    for d, attr in enumerate(table.inputs):
+        if not attr.kind.is_categorical:
+            codes.append(None)
+            continue
+        literals = _condition_literals(attr.facet)
+        for rule in table.rules:
+            literals += _condition_literals(rule.input_entries[d])
+        if attr.kind is Kind.BOOLEAN and isinstance(attr.facet, AnyValue):
+            literals[:0] = [False, True]
+        # A string column that names no category collapses its infinite
+        # domain to one representative, so the geometry stays finite.
+        codes.append(category_codes(literals or ["<any>"]))
+    universe = tuple(lower_to_intervals(attr.facet, attr.kind, column)
+                     for attr, column in zip(table.inputs, codes))
     discrete = tuple(attr.kind is not Kind.REAL for attr in table.inputs)
     # Literals in one column share its kind (load_table folds real
     # literals to floats), so equal conditions lower alike there.
@@ -172,8 +204,9 @@ def table_rects(table: "DecisionTable") -> TableGeometry:
                                              rule.input_entries)):
             sid = lowered.get((d, cond))
             if sid is None:
-                members = intersect_sets(lower_condition(cond, attr, codec),
-                                         universe[d])
+                members = intersect_sets(
+                    lower_to_intervals(cond, attr.kind, codes[d]),
+                    universe[d])
                 known = id_of_set[d]
                 sid = lowered[d, cond] = known.setdefault(members, len(known))
             ids.append(sid)
@@ -181,8 +214,17 @@ def table_rects(table: "DecisionTable") -> TableGeometry:
     sets = tuple(map(tuple, id_of_set))
     columns_of = {rid: tuple(map(getitem, sets, ids))
                   for rid, ids in set_ids_of.items()}
-    return TableGeometry(columns_of, discrete, universe, codec, {}, sets,
-                         set_ids_of)
+    return TableGeometry(columns_of, discrete, universe,
+                         tuple(tuple(column or ()) for column in codes),
+                         tuple(codes), {}, sets, set_ids_of)
+
+
+def encode_point(table: "DecisionTable", config: dict) -> tuple:
+    """Geometric coordinates of an input configuration: a categorical
+    value becomes its code, CodecError if the column has none."""
+    return tuple(config[attr.name] if column is None
+                 else category_index(column, config[attr.name])
+                 for attr, column in zip(table.inputs, table.geometry.codes))
 
 
 def columns_contained(inner: Sequence[tuple[Interval1D, ...]],
@@ -541,13 +583,13 @@ def render_box(table: "DecisionTable",
         text = texts.get((d, iv))
         if text is None:
             text = texts[d, iv] = _render_region_condition(
-                iv, table.inputs[d], geometry.codec, geometry.universe[d],
-                geometry.discrete[d])
+                iv, table.inputs[d], geometry.categories[d],
+                geometry.universe[d], geometry.discrete[d])
         out.append(text)
     return tuple(out)
 
 
-def _render_region_condition(iv: Interval1D, attr, codec: CategoryCodec,
+def _render_region_condition(iv: Interval1D, attr, categories: tuple,
                              universe_set: tuple[Interval1D, ...],
                              discrete: bool) -> str:
     # canonical([iv], discrete) is the normal form of its one part, so
@@ -556,7 +598,7 @@ def _render_region_condition(iv: Interval1D, attr, codec: CategoryCodec,
     if universe_set == (() if whole is None else (whole,)):
         return "-"
     if attr.kind.is_categorical:
-        return ",".join(format_literal(c) for c in codec.decode(attr.name, iv))
+        return ",".join(map(format_literal, categories[iv.lo:iv.hi + 1]))
     lo, _, hi, _ = iv
     if lo == NEG_INF and hi == POS_INF:
         return "-"

@@ -37,7 +37,7 @@ class SchemaError(DecisionTableError):
 
 
 class CodecError(DecisionTableError):
-    """Categorical literal is unknown to the column codec."""
+    """Categorical literal has no code in its column's code table."""
 
 
 class CapacityError(DecisionTableError):

@@ -32,11 +32,9 @@ from typing import TYPE_CHECKING, Optional, Union
 
 from .errors import (DecisionTableError, EvalError, SchemaError,
                      SFeelSyntaxError, SFeelTypeError, echo)
-from .geometry import lower_condition
-from .intervals import intersect_sets
 from .sfeel import (ANY, AnyValue, Condition, Kind, Match, format_literal,
                     is_finite_number, kind_of, lower_to_intervals,
-                    parse_condition, render_condition)
+                    parse_condition, render_condition, satisfies)
 
 if TYPE_CHECKING:  # pragma: no cover
     from .analysis import TableGeometry
@@ -339,18 +337,15 @@ def validate_structure(table: DecisionTable) -> list[Diagnostic]:
     """Structural diagnostics: facet-incompatible cells and broken
     priority rankings.
 
-    A cell is incompatible when no value satisfies both its condition
-    and the column facet, decided by intersecting their interval
-    images; input cells are read from the table's geometry.  An output
-    cell is treated as the condition equating the output literal, and
-    is decided once per distinct (output column, literal) within one
-    call: every literal of a loaded column has the column's kind, so
-    equal keys mean equal conditions.
+    An input cell is incompatible when no value satisfies both its
+    condition and the column facet: its set in the table's geometry is
+    empty.  Outputs are not geometry: an output cell is incompatible
+    when its literal does not satisfy the facet, decided once per
+    distinct (output column, literal) within one call.  Every literal
+    of a loaded column has the column's kind, so equal keys mean equal
+    literals.
     """
     geometry = table.geometry
-    codec = geometry.codec
-    output_facets = [lower_condition(attr.facet, attr, codec)
-                     for attr in table.outputs]
     violates: dict[tuple[int, Literal], bool] = {}
     diagnostics: list[Diagnostic] = []
     for rule in table.rules:
@@ -366,12 +361,11 @@ def validate_structure(table: DecisionTable) -> list[Diagnostic]:
                            f"under facet "
                            f"{render_condition(attr.facet)!r}",
                 ))
-        for o, (attr, facet, value) in enumerate(zip(
-                table.outputs, output_facets, rule.output_entries)):
+        for o, (attr, value) in enumerate(zip(table.outputs,
+                                              rule.output_entries)):
             bad = violates.get((o, value))
             if bad is None:
-                bad = violates[o, value] = not intersect_sets(
-                    lower_condition(Match(value), attr, codec), facet)
+                bad = violates[o, value] = not satisfies(attr.facet, value)
             if bad:
                 diagnostics.append(Diagnostic(
                     severity="error",

@@ -9,14 +9,15 @@ from functools import reduce
 import pytest
 
 from dmncheck import (FACET_INCOMPAT, CapacityError, Interval1D,
-                      build_codec, check_correct, find_missing_rules,
+                      check_correct, find_missing_rules,
                       find_overlapping_rules, load_table,
                       lower_to_intervals, oracle_missing, oracle_overlaps,
                       pairwise_overlap_fragments, validate_structure)
 from dmncheck.analysis import (_suffix_forest, build_grid, grid_cells_of_boxes,
                                render_box, table_rects)
 from dmncheck.intervals import canonical, intersect_sets
-from dmncheck.sfeel import Kind
+from dmncheck.sfeel import (ANY, Alternative, Kind, Match, Not,
+                            category_codes)
 from dmncheck.synth import ColumnSpec, GenSpec, generate_table, inject_noise
 
 from conftest import (loan_doc, planted_table_doc, random_table,
@@ -683,24 +684,42 @@ def test_missing_regions_disjoint_from_rules():
         assert covered == oracle_missing(table)
 
 
-def _entry_in_facet(cond, attr, codec):
+def _reference_codes(table, d):
+    # Column d's code table, built here rather than read from the
+    # geometry: the facet's literals, then each rule's literals in table
+    # order, each kept at its first occurrence; false, true first in an
+    # unfaceted boolean column; "<any>" in a string column naming none.
+    attr = table.inputs[d]
+    if not attr.kind.is_categorical:
+        return None
+
+    def literals(cond):
+        if isinstance(cond, (Match, Not)):
+            return [cond.value]
+        if isinstance(cond, Alternative):
+            return [v for part in cond.parts for v in literals(part)]
+        return []
+
+    named = literals(attr.facet)
+    for rule in table.rules:
+        named += literals(rule.input_entries[d])
+    if attr.kind is Kind.BOOLEAN and attr.facet == ANY:
+        named = [False, True] + named
+    return category_codes(named or ["<any>"])
+
+
+def _entry_in_facet(cond, attr, codes):
     # Per-cell lowering of entry and facet, with no memo: the reference
     # for the column sets and empty cells recorded in the table geometry.
-    codes = codec.code_table(attr.name) if attr.kind.is_categorical \
-        else None
     entry = lower_to_intervals(cond, attr.kind, codes)
     facet = lower_to_intervals(attr.facet, attr.kind, codes)
     return intersect_sets(entry, facet)
 
 
-def _incompatible(cond, attr, codec) -> bool:
-    return not _entry_in_facet(cond, attr, codec)
-
-
-def _rule_columns(rule, table, codec) -> tuple:
+def _rule_columns(rule, table, codes) -> tuple:
     # The rule's entry ∩ facet members, one tuple per input column.
-    return tuple(_entry_in_facet(cond, attr, codec)
-                 for attr, cond in zip(table.inputs, rule.input_entries))
+    return tuple(_entry_in_facet(cond, attr, column) for attr, cond, column
+                 in zip(table.inputs, rule.input_entries, codes))
 
 
 def test_cached_geometry_matches_per_rule_lowering():
@@ -710,10 +729,15 @@ def test_cached_geometry_matches_per_rule_lowering():
         table = random_table(rng)
         geometry = table.geometry
         assert table.geometry is geometry
-        codec = build_codec(table)
-        assert geometry.codec == codec
+        codes = [_reference_codes(table, d)
+                 for d in range(len(table.inputs))]
+        assert list(geometry.codes) == codes
+        assert len(geometry.codes) == len(geometry.categories) \
+            == len(table.inputs)
+        assert list(geometry.categories) == [tuple(column or ())
+                                             for column in codes]
 
-        expected = {rule.id: _rule_columns(rule, table, codec)
+        expected = {rule.id: _rule_columns(rule, table, codes)
                     for rule in table.rules}
         assert geometry.columns_of == expected
         assert list(geometry.columns_of) == [rule.id for rule in table.rules]
@@ -742,7 +766,7 @@ def test_cached_geometry_matches_per_rule_lowering():
         cells = {(rule.id, d) for rule in table.rules
                  for d, (attr, cond) in enumerate(zip(table.inputs,
                                                       rule.input_entries))
-                 if _incompatible(cond, attr, codec)}
+                 if not _entry_in_facet(cond, attr, codes[d])}
         assert cells == {(rid, d)
                          for rid, sets in geometry.columns_of.items()
                          for d, members in enumerate(sets) if not members}

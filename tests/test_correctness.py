@@ -8,9 +8,8 @@ import pytest
 from dmncheck import (COMPLETENESS_MISMATCH, MASKED_RULE, MISSING_RULE,
                       OUTPUT_DISAGREEMENT, OVERLAP, Outcome,
                       check_correct, evaluate, load_table, masked_by,
-                      parse_condition)
+                      lower_to_intervals, parse_condition)
 from dmncheck.analysis import build_grid
-from dmncheck.geometry import lower_condition
 from dmncheck.intervals import canonical, intersect_sets
 
 from conftest import (loan_doc, permuted_doc, random_table,
@@ -269,8 +268,9 @@ def test_findings_paste_back_as_rows():
         for box, conditions in found:
             for d, (attr, text) in enumerate(zip(table.inputs, conditions)):
                 universe = geometry.universe[d]
-                pasted = lower_condition(parse_condition(text, attr.kind),
-                                         attr, geometry.codec)
+                pasted = lower_to_intervals(
+                    parse_condition(text, attr.kind), attr.kind,
+                    geometry.codes[d])
                 assert intersect_sets(pasted, universe) == intersect_sets(
                     canonical([box[d]], geometry.discrete[d]), universe), \
                     (attr.name, text, box[d])

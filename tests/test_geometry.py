@@ -1,11 +1,11 @@
-"""Categorical encoding and rule-to-box lowering."""
+"""Category codes and rule-to-box lowering in the table geometry."""
 
 import random
 
 import pytest
 
-from dmncheck import (CodecError, Interval1D, build_codec, build_universe,
-                      encode_point, load_table, triggered_by)
+from dmncheck import (CodecError, Interval1D, encode_point, load_table,
+                      render_box, triggered_by)
 from dmncheck.intervals import intersect_sets
 
 from conftest import loan_doc, random_input, random_table, rule_boxes
@@ -27,13 +27,34 @@ def categorical_doc(facet="Refinancing,CardPayoff,Leasing"):
     }
 
 
+def grade_doc() -> dict:
+    # The reference table with its output column turned into an input.
+    doc = loan_doc()
+    doc["inputs"].append(doc["outputs"].pop())
+    doc["outputs"] = [{"name": "ok", "type": "boolean"}]
+    for rule in doc["rules"]:
+        rule["in"].append(rule.pop("out")[0])
+        rule["out"] = ["true"]
+    return doc
+
+
+def encode(table, column, literal) -> int:
+    # The code of one categorical value, through encode_point.
+    names = table.input_names()
+    d = names.index(column)
+    config = {name: 0.0 for name in names}
+    config[column] = literal
+    return encode_point(table, config)[d]
+
+
 class TestCodec:
-    def test_facet_order(self, table1):
-        codec = build_codec(table1)
-        assert codec.categories("Grade") == ("VG", "G", "F", "P")
-        assert codec.encode("Grade", "VG") == 0
-        assert codec.encode("Grade", "G") == 1
-        assert codec.encode("Grade", "P") == 3
+    def test_facet_order(self):
+        table = load_table(grade_doc())
+        assert table.geometry.categories == ((), (), ("VG", "G", "F", "P"))
+        assert table.geometry.codes[:2] == (None, None)
+        assert encode(table, "Grade", "VG") == 0
+        assert encode(table, "Grade", "G") == 1
+        assert encode(table, "Grade", "P") == 3
 
     def test_boolean_false_before_true(self):
         doc = {
@@ -42,33 +63,46 @@ class TestCodec:
             "outputs": [{"name": "o", "type": "integer"}],
             "rules": [{"id": "r", "in": ["true"], "out": ["1"]}],
         }
-        codec = build_codec(load_table(doc))
-        assert codec.encode("flag", False) == 0
-        assert codec.encode("flag", True) == 1
+        table = load_table(doc)
+        assert table.geometry.categories == ((False, True),)
+        assert encode(table, "flag", False) == 0
+        assert encode(table, "flag", True) == 1
         # Codes are type-exact: 1 is not the category True.  A value
         # that cannot be a key is no category either.
         for literal in (0, 1, 1.0, [True]):
             with pytest.raises(CodecError):
-                codec.encode("flag", literal)
+                encode(table, "flag", literal)
 
     def test_appearance_order_without_facet(self):
         doc = categorical_doc()
         doc["inputs"][0].pop("facet")
-        codec = build_codec(load_table(doc))
         # first appearance order across rules
-        assert codec.categories("Purpose") == ("Refinancing", "Leasing",
-                                               "CardPayoff")
+        assert load_table(doc).geometry.categories \
+            == (("Refinancing", "Leasing", "CardPayoff"),)
 
-    def test_decode_subinterval(self, table1):
-        codec = build_codec(table1)
-        assert codec.decode("Grade", iv(1, True, 1, True)) == ("G",)
-        assert codec.decode("Grade", iv(0, True, 2, True)) \
-            == ("VG", "G", "F")
+    def test_string_column_naming_no_category(self):
+        # One representative keeps the column's geometry finite.
+        doc = categorical_doc()
+        doc["inputs"][0].pop("facet")
+        for rule in doc["rules"]:
+            rule["in"] = ["-"]
+        table = load_table(doc)
+        assert table.geometry.categories == (("<any>",),)
+        assert table.geometry.universe == ((iv(0, True, 0, True),),)
+        assert render_box(table, (iv(0, True, 0, True),)) == ("-",)
+
+    def test_decode_subinterval(self):
+        table = load_table(grade_doc())
+        whole = iv(0, True, 1000, True)
+        assert render_box(table, (whole, whole, iv(1, True, 1, True))) \
+            == ("[0..1000]", "[0..1000]", "G")
+        assert render_box(table, (whole, whole, iv(0, True, 2, True))) \
+            == ("[0..1000]", "[0..1000]", "VG,G,F")
 
     def test_deterministic(self):
         doc = categorical_doc()
-        assert build_codec(load_table(doc)).categories("Purpose") \
-            == build_codec(load_table(doc)).categories("Purpose")
+        assert load_table(doc).geometry.categories \
+            == load_table(doc).geometry.categories
 
     @pytest.mark.parametrize("literal", ["zzz", "z" * 100_000])
     def test_unknown_category_error_is_short(self, literal):
@@ -77,7 +111,7 @@ class TestCodec:
         doc["rules"] = [{"id": "r", "in": ["k0"], "out": ["true"]}]
         table = load_table(doc)
         with pytest.raises(CodecError) as caught:
-            encode_point(table, table.geometry.codec, {"Purpose": literal})
+            encode_point(table, {"Purpose": literal})
         assert "5000 known categories" in str(caught.value)
         assert len(str(caught.value)) < 200
 
@@ -139,12 +173,12 @@ class TestIntersect:
 
 class TestUniverse:
     def test_facet_lowering(self, table1):
-        universe = build_universe(table1, build_codec(table1))
+        universe = table1.geometry.universe
         assert universe[0] == (iv(0, True, float("inf"), False),)
 
     def test_categorical_component(self):
         table = load_table(categorical_doc())
-        universe = build_universe(table, build_codec(table))
+        universe = table.geometry.universe
         assert universe[0] == (iv(0, True, 2, True),)
 
 
@@ -160,7 +194,7 @@ def test_categories_are_closed_integer_points():
             if not attr.kind.is_categorical:
                 continue
             assert geometry.discrete[d]
-            last = len(geometry.codec.categories(attr.name)) - 1
+            last = len(geometry.categories[d]) - 1
             sets = [geometry.universe[d]] + [
                 row[d] for row in geometry.columns_of.values()]
             for member in (m for members in sets for m in members):
@@ -172,17 +206,14 @@ def test_categories_are_closed_integer_points():
 
 def test_rects_semantically_faithful():
     """encode(input) lies in some rect of a rule iff the rule triggers."""
-    from dmncheck import CodecError
-    from dmncheck.geometry import encode_point
     rng = random.Random(1234)
     for _ in range(60):
         table = random_table(rng)
-        codec = table.geometry.codec
         geometry = table.geometry
         for _ in range(12):
             config = random_input(rng, table)
             try:
-                point = encode_point(table, codec, config)
+                point = encode_point(table, config)
             except CodecError:
                 # a category the table never mentions fails its facet,
                 # so it cannot trigger anything

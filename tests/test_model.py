@@ -14,7 +14,23 @@ from dmncheck import (FACET_INCOMPAT, PRIORITY_ERROR, EvalError, GenSpec,
                       bench_columns, dump_table, generate_table, inject_noise,
                       load_table, parse_condition, validate_structure)
 
+from dmncheck.intervals import intersect_sets
+from dmncheck.sfeel import (Alternative, Match, Not, category_codes,
+                            lower_to_intervals)
+
 from conftest import loan_doc, random_table_doc
+
+_NUMERIC_FACETS = ("[0..5]", "(0..5]", "[0..5)", "not(3)", "<2,>4", ">=1",
+                   "-", None)
+
+
+def _literals(cond) -> list:
+    # The literals a condition names, in the order written.
+    if isinstance(cond, (Match, Not)):
+        return [cond.value]
+    if isinstance(cond, Alternative):
+        return [v for part in cond.parts for v in _literals(part)]
+    return []
 
 
 class TestLoad:
@@ -340,6 +356,47 @@ class TestValidateStructure:
         diags = validate_structure(load_table(doc))
         assert [(d.rule_ids, d.detail.split()[1]) for d in diags] \
             == [(("A",), "'X'"), (("C",), "'X'"), (("D",), "'Y'")]
+
+    @pytest.mark.parametrize("kind,facet,literals", [
+        *[("integer", facet, [str(v) for v in range(-1, 7)])
+          for facet in _NUMERIC_FACETS],
+        *[("real", facet, [str(v) for v in range(-1, 7)] + ["2.5", "-0"])
+          for facet in _NUMERIC_FACETS],
+        *[("boolean", facet, ["true", "false"])
+          for facet in ("true", "not(true)", "-", None)],
+        *[("string", facet, list("abcde"))
+          for facet in ("a,b", 'not("a")', "a", None)],
+    ])
+    def test_output_facets_of_every_kind(self, kind, facet, literals):
+        # One rule per literal; the expected verdict intersects the
+        # lowered literal with the lowered facet, over a code table of
+        # the facet's literals plus the literal.
+        output = {"name": "y", "type": kind}
+        if facet is not None:
+            output["facet"] = facet
+        doc = {
+            "name": "o", "hitPolicy": "A", "completeness": "I",
+            "inputs": [{"name": "x", "type": "integer"}],
+            "outputs": [output],
+            "rules": [{"id": f"r{i}", "in": ["-"], "out": [literal]}
+                      for i, literal in enumerate(literals)],
+        }
+        table = load_table(doc)
+        attr = table.outputs[0]
+        expected = []
+        for rule in table.rules:
+            value = rule.output_entries[0]
+            codes = category_codes(_literals(attr.facet) + [value]) \
+                if attr.kind.is_categorical else None
+            if not intersect_sets(
+                    lower_to_intervals(Match(value), attr.kind, codes),
+                    lower_to_intervals(attr.facet, attr.kind, codes)):
+                expected.append(rule.id)
+        diags = validate_structure(table)
+        assert all(d.code == FACET_INCOMPAT and d.columns == ("y",)
+                   for d in diags)
+        assert [d.rule_ids[0] for d in diags] == expected
+        assert 0 < len(expected) < len(literals) or facet in ("-", None)
 
     def test_priority_not_bijection(self):
         doc = loan_doc()
