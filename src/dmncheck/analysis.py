@@ -10,9 +10,13 @@ from :mod:`dmncheck.intervals`; the witnesses and missing regions
 reported here are such tuples.  ``table_rects`` is the only geometry
 builder, and ``DecisionTable.geometry`` caches it, so the sweep,
 witness and region rendering, the masked-rule check, the structure
-check and the grid oracles share a single build.  Each distinct
-``entry ∩ facet`` is lowered once per column, and equal sets of one
-column share one set id there.  Only input columns are geometry.
+check and the grid oracles share a single build.  The build pays per
+distinct condition, not per cell: each column's distinct condition
+objects are taken in order of first appearance (``load_table`` gives
+equal cell texts of a column one object), and each is lowered and cut
+to the universe once.  Equal sets of one column share one set id there,
+also when different objects hold equal conditions.  Only input columns
+are geometry.
 
 Numeric columns map onto the number line directly.  A categorical
 input column is coded once, by ``sfeel.category_codes``: its k-th
@@ -20,7 +24,10 @@ category is the integer point [k..k], and the column is discrete like
 an integer column, so ``VG,G`` becomes [0..1] and ``-`` over k
 categories becomes [0..k-1].  The order is the facet's literals first,
 then first appearance scanning the rules top to bottom; a boolean
-column with an unrestricted facet starts with ``false, true``.
+column with an unrestricted facet starts with ``false, true``.  Scanning
+the column's distinct conditions in order of first appearance gives the
+same order, since a repeated condition names no literal its first
+appearance did not.
 
 Both analyses are one N-dimensional line sweep in table column order.
 ``_suffix_forest`` hash-conses the rules' suffixes of set ids, keyed by
@@ -107,7 +114,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import reduce
 from itertools import product
-from operator import getitem
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Optional, Sequence
 
 from .errors import CapacityError
@@ -176,45 +182,47 @@ def _condition_literals(cond: Condition) -> list:
 def table_rects(table: "DecisionTable") -> TableGeometry:
     """Build the table's geometry.  Callers read the cached
     ``table.geometry`` instead of calling this again."""
+    rule_ids = [rule.id for rule in table.rules]
     codes: list[Optional[dict]] = []
+    universe = []
+    sets = []
+    set_id_columns = []
     for d, attr in enumerate(table.inputs):
-        if not attr.kind.is_categorical:
-            codes.append(None)
-            continue
-        literals = _condition_literals(attr.facet)
-        for rule in table.rules:
-            literals += _condition_literals(rule.input_entries[d])
-        if attr.kind is Kind.BOOLEAN and isinstance(attr.facet, AnyValue):
-            literals[:0] = [False, True]
-        # A string column that names no category collapses its infinite
-        # domain to one representative, so the geometry stays finite.
-        codes.append(category_codes(literals or ["<any>"]))
-    universe = tuple(lower_to_intervals(attr.facet, attr.kind, column)
-                     for attr, column in zip(table.inputs, codes))
+        column = [rule.input_entries[d] for rule in table.rules]
+        # The column's distinct condition objects, in the order first
+        # met; load_table gives equal cell texts one object.
+        distinct = dict(zip(map(id, column), column))
+        column_codes = None
+        if attr.kind.is_categorical:
+            literals = _condition_literals(attr.facet)
+            for cond in distinct.values():
+                literals += _condition_literals(cond)
+            if attr.kind is Kind.BOOLEAN and isinstance(attr.facet, AnyValue):
+                literals[:0] = [False, True]
+            # A string column that names no category collapses its
+            # infinite domain to one representative, so the geometry
+            # stays finite.
+            column_codes = category_codes(literals or ["<any>"])
+        codes.append(column_codes)
+        hull = lower_to_intervals(attr.facet, attr.kind, column_codes)
+        universe.append(hull)
+        # Each distinct set to its id, in the order first met; equal
+        # conditions held by different objects share one id here.
+        id_of_set: dict[tuple[Interval1D, ...], int] = {}
+        sid_of = {}
+        for key, cond in distinct.items():
+            members = intersect_sets(
+                lower_to_intervals(cond, attr.kind, column_codes), hull)
+            sid_of[key] = id_of_set.setdefault(members, len(id_of_set))
+        sets.append(tuple(id_of_set))
+        set_id_columns.append([sid_of[key] for key in map(id, column)])
+    sets = tuple(sets)
+    set_ids_of = dict(zip(rule_ids, zip(*set_id_columns)))
+    columns_of = dict(zip(rule_ids, zip(*(
+        [column_sets[sid] for sid in ids]
+        for column_sets, ids in zip(sets, set_id_columns)))))
     discrete = tuple(attr.kind is not Kind.REAL for attr in table.inputs)
-    # Literals in one column share its kind (load_table folds real
-    # literals to floats), so equal conditions lower alike there.
-    lowered: dict[tuple, int] = {}
-    # Per column, each distinct set to its id, in the order first met.
-    id_of_set: list[dict[tuple[Interval1D, ...], int]] = [{} for _ in universe]
-    set_ids_of: dict[str, tuple[int, ...]] = {}
-    for rule in table.rules:
-        ids = []
-        for d, (attr, cond) in enumerate(zip(table.inputs,
-                                             rule.input_entries)):
-            sid = lowered.get((d, cond))
-            if sid is None:
-                members = intersect_sets(
-                    lower_to_intervals(cond, attr.kind, codes[d]),
-                    universe[d])
-                known = id_of_set[d]
-                sid = lowered[d, cond] = known.setdefault(members, len(known))
-            ids.append(sid)
-        set_ids_of[rule.id] = tuple(ids)
-    sets = tuple(map(tuple, id_of_set))
-    columns_of = {rid: tuple(map(getitem, sets, ids))
-                  for rid, ids in set_ids_of.items()}
-    return TableGeometry(columns_of, discrete, universe,
+    return TableGeometry(columns_of, discrete, tuple(universe),
                          tuple(tuple(column or ()) for column in codes),
                          tuple(codes), {}, sets, set_ids_of)
 

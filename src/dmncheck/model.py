@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 from typing import TYPE_CHECKING, Optional, Union
 
 from .errors import (DecisionTableError, EvalError, SchemaError,
@@ -175,6 +175,53 @@ def _parse_output_literal(text, attr: Attribute, memo: dict) -> Literal:
     return value
 
 
+def _parse_column(texts: tuple, parse) -> list:
+    """Each cell of one column through ``parse``, called once per
+    distinct text; equal texts share one result.  Other cells, which
+    only outputs accept, are parsed one by one, since ``1``, ``1.0``
+    and ``True`` are equal keys."""
+    memo = {text: parse(text) for text in dict.fromkeys(texts)
+            if type(text) is str}
+    return [memo[text] if type(text) is str else parse(text)
+            for text in texts]
+
+
+def _parse_cells(rule_ids: list, inputs: tuple, in_rows: list,
+                 outputs: tuple, out_rows: list) -> tuple[list, list]:
+    """Each rule's input conditions and output literals, parsed column
+    by column.  A bad cell raises with the location of the first one in
+    row order."""
+    parsed: dict[tuple[str, Kind], Condition] = {}
+    try:
+        entries = zip(*[
+            _parse_column(texts, partial(_parse_cell, parsed, kind=a.kind))
+            for a, texts in zip(inputs, zip(*in_rows))])
+        out_values = zip(*[
+            _parse_column(texts, partial(_parse_output_literal, attr=a,
+                                         memo=parsed))
+            for a, texts in zip(outputs, zip(*out_rows))])
+        return list(entries), list(out_values)
+    except _CONDITION_ERRORS + (SchemaError, TypeError):  # TypeError:
+        # an unhashable cell.  Parse again cell by cell, in row order,
+        # to name the first bad one.
+        for rule_id, in_texts, out_texts in zip(rule_ids, in_rows,
+                                                out_rows):
+            for attr, text in zip(inputs, in_texts):
+                try:
+                    _parse_cell(parsed, text, attr.kind)
+                except _CONDITION_ERRORS as exc:
+                    raise _located(exc, f"rule {echo(rule_id)}, column "
+                                        f"{echo(attr.name)}") from exc
+            for attr, text in zip(outputs, out_texts):
+                try:
+                    _parse_output_literal(text, attr, parsed)
+                except _CONDITION_ERRORS + (SchemaError,) as exc:
+                    raise _located(
+                        exc, f"rule {echo(rule_id)}, output column "
+                             f"{echo(attr.name)}") from exc
+        raise
+
+
 def decode_json(text, what: str,
                 error: type[DecisionTableError] = DecisionTableError):
     """Decode a JSON text, or raise ``error`` naming ``what``.
@@ -197,10 +244,14 @@ def load_table(document) -> DecisionTable:
     raise SchemaError; condition problems re-raise the parser's error
     with a (rule id, column name) location prefix.
 
-    Input entries and string output literals are parsed once per
-    distinct (text, column kind) within one call, and equal cells share
-    one frozen Condition.  The memo holds only successful parses and is
-    dropped on return, so nothing is shared between documents.
+    The rule loop only checks each rule's shape.  Then each column's
+    text cells are parsed once per distinct text, so equal cells of one
+    column share one frozen Condition or output literal; behind the
+    column memos, one memo per call parses each distinct (text, column
+    kind) once.  The memos hold only successful parses and are dropped
+    on return, so nothing is shared between documents.  A bad cell
+    raises naming the first one in row order, and a schema error in a
+    later rule comes after it.
     """
     if isinstance(document, (str, bytes)):
         document = decode_json(document, "document is not valid JSON",
@@ -239,50 +290,47 @@ def load_table(document) -> DecisionTable:
     raw_rules = document.get("rules")
     if not isinstance(raw_rules, list):
         raise SchemaError("rules must be a list")
-    rules: list[Rule] = []
-    explicit: dict[str, int] = {}
+    rule_ids: list[str] = []
     seen_ids: set[str] = set()
-    parsed: dict[tuple[str, Kind], Condition] = {}
-    for index, raw in enumerate(raw_rules):
-        if not isinstance(raw, dict):
-            raise SchemaError(f"rule {index} must be an object")
-        rule_id = raw.get("id")
-        if not isinstance(rule_id, str) or not rule_id:
-            raise SchemaError(f"rule {index} needs a non-empty id")
-        if rule_id in seen_ids:
-            raise SchemaError(f"duplicate rule id {echo(rule_id)}")
-        seen_ids.add(rule_id)
-        in_texts = raw.get("in")
-        out_texts = raw.get("out")
-        if not isinstance(in_texts, list) or len(in_texts) != len(inputs):
-            raise SchemaError(f"rule {echo(rule_id)} needs {len(inputs)} "
-                              f"input entries")
-        if not isinstance(out_texts, list) or len(out_texts) != len(outputs):
-            raise SchemaError(f"rule {echo(rule_id)} needs {len(outputs)} "
-                              f"output entries")
-        entries = []
-        for attr, text in zip(inputs, in_texts):
-            try:
-                entries.append(_parse_cell(parsed, text, attr.kind))
-            except _CONDITION_ERRORS as exc:
-                raise _located(
-                    exc, f"rule {echo(rule_id)}, column {echo(attr.name)}"
-                ) from exc
-        out_values = []
-        for attr, text in zip(outputs, out_texts):
-            try:
-                out_values.append(_parse_output_literal(text, attr, parsed))
-            except _CONDITION_ERRORS + (SchemaError,) as exc:
-                raise _located(
-                    exc, f"rule {echo(rule_id)}, output column "
-                         f"{echo(attr.name)}") from exc
-        rules.append(Rule(rule_id, tuple(entries), tuple(out_values)))
-        if "priority" in raw:
-            rank = raw["priority"]
-            if not isinstance(rank, int) or isinstance(rank, bool):
-                raise SchemaError(f"rule {echo(rule_id)} priority must be an "
-                                  f"integer")
-            explicit[rule_id] = rank
+    in_rows: list[list] = []
+    out_rows: list[list] = []
+    explicit: dict[str, int] = {}
+    try:
+        for index, raw in enumerate(raw_rules):
+            if not isinstance(raw, dict):
+                raise SchemaError(f"rule {index} must be an object")
+            rule_id = raw.get("id")
+            if not isinstance(rule_id, str) or not rule_id:
+                raise SchemaError(f"rule {index} needs a non-empty id")
+            if rule_id in seen_ids:
+                raise SchemaError(f"duplicate rule id {echo(rule_id)}")
+            seen_ids.add(rule_id)
+            in_texts = raw.get("in")
+            out_texts = raw.get("out")
+            if not isinstance(in_texts, list) \
+                    or len(in_texts) != len(inputs):
+                raise SchemaError(f"rule {echo(rule_id)} needs "
+                                  f"{len(inputs)} input entries")
+            if not isinstance(out_texts, list) \
+                    or len(out_texts) != len(outputs):
+                raise SchemaError(f"rule {echo(rule_id)} needs "
+                                  f"{len(outputs)} output entries")
+            rule_ids.append(rule_id)
+            in_rows.append(in_texts)
+            out_rows.append(out_texts)
+            if "priority" in raw:
+                rank = raw["priority"]
+                if not isinstance(rank, int) or isinstance(rank, bool):
+                    raise SchemaError(f"rule {echo(rule_id)} priority must "
+                                      f"be an integer")
+                explicit[rule_id] = rank
+    except SchemaError:
+        # A bad cell in an earlier row, or in this row before its
+        # priority, comes first.
+        _parse_cells(rule_ids, inputs, in_rows, outputs, out_rows)
+        raise
+    rules = list(map(Rule, rule_ids, *_parse_cells(
+        rule_ids, inputs, in_rows, outputs, out_rows)))
 
     if explicit and len(explicit) != len(rules):
         raise SchemaError("either every rule or no rule may declare an "
@@ -339,19 +387,24 @@ def validate_structure(table: DecisionTable) -> list[Diagnostic]:
 
     An input cell is incompatible when no value satisfies both its
     condition and the column facet: its set in the table's geometry is
-    empty.  Outputs are not geometry: an output cell is incompatible
+    empty.  Each column's empty set, if any, has one set id, so only the
+    columns that hold one are walked.  Outputs are not geometry: an output cell is incompatible
     when its literal does not satisfy the facet, decided once per
     distinct (output column, literal) within one call.  Every literal
     of a loaded column has the column's kind, so equal keys mean equal
     literals.
     """
     geometry = table.geometry
+    # Each input column that holds an empty set, with that set's id.
+    empty = [(d, column_sets.index(()))
+             for d, column_sets in enumerate(geometry.sets)
+             if () in column_sets]
     violates: dict[tuple[int, Literal], bool] = {}
     diagnostics: list[Diagnostic] = []
     for rule in table.rules:
-        for d, (attr, cond) in enumerate(zip(table.inputs,
-                                             rule.input_entries)):
-            if not geometry.columns_of[rule.id][d]:
+        for d, sid in empty:
+            if geometry.set_ids_of[rule.id][d] == sid:
+                attr, cond = table.inputs[d], rule.input_entries[d]
                 diagnostics.append(Diagnostic(
                     severity="error",
                     code=FACET_INCOMPAT,

@@ -484,12 +484,13 @@ def parse_condition(text: str, kind: Kind) -> Condition:
         parts = [p.strip() for p in _split_alternatives(text)]
     else:  # nothing to split and no quote to close
         parts = [text.strip()]
+        if parts[0]:
+            return _parse_element(parts[0], kind)
     if any(not p for p in parts):
         raise SFeelSyntaxError(f"empty condition branch in {echo(text)}")
-    conditions = [_parse_element(p, kind) for p in parts]
-    if len(conditions) == 1:
-        return conditions[0]
-    return Alternative(tuple(conditions))
+    if len(parts) == 1:
+        return _parse_element(parts[0], kind)
+    return Alternative(tuple(_parse_element(p, kind) for p in parts))
 
 
 def _parse_element(text: str, kind: Kind) -> Condition:
@@ -672,6 +673,14 @@ def lower_to_intervals(cond: Condition, kind: Kind,
     [k..k].  Integer and categorical sets use the closed-bound discrete
     form, so adjacent categories merge when both are present.
     """
+    if isinstance(cond, Interval1D) and kind.is_numeric:
+        # The infinite side of a comparison is not a literal, and a
+        # bound of exactly the column's type needs no kind test.
+        exact = int if kind is Kind.INTEGER else float
+        for bound in cond[::2]:
+            if type(bound) is not exact and bound not in (NEG_INF, POS_INF):
+                _numeric_literal(bound, kind)
+        return _one(*cond, kind is Kind.INTEGER)
     if isinstance(cond, Alternative):
         return canonical(
             [iv for part in cond.parts
@@ -704,12 +713,6 @@ def lower_to_intervals(cond: Condition, kind: Kind,
         return canonical(
             [interval(NEG_INF, False, v, False),
              interval(v, False, POS_INF, False)], discrete)
-    if isinstance(cond, Interval1D):
-        # The infinite side of a comparison is not a literal.
-        for bound in cond[::2]:
-            if bound not in (NEG_INF, POS_INF):
-                _numeric_literal(bound, kind)
-        return _one(*cond, discrete)
     raise SFeelTypeError(f"not a condition: {cond!r}")
 
 

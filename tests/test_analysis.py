@@ -4,6 +4,7 @@ brute-force grid oracles."""
 import copy
 import gc
 import random
+from dataclasses import replace
 from functools import reduce
 
 import pytest
@@ -16,9 +17,12 @@ from dmncheck import (FACET_INCOMPAT, CapacityError, Interval1D,
 from dmncheck.analysis import (_suffix_forest, build_grid, grid_cells_of_boxes,
                                render_box, table_rects)
 from dmncheck.intervals import canonical, intersect_sets
+from dmncheck.model import Rule
 from dmncheck.sfeel import (ANY, Alternative, Kind, Match, Not,
-                            category_codes)
-from dmncheck.synth import ColumnSpec, GenSpec, generate_table, inject_noise
+                            category_codes, parse_condition,
+                            render_condition)
+from dmncheck.synth import (ColumnSpec, GenSpec, bench_columns,
+                            generate_table, inject_noise)
 
 from conftest import (loan_doc, planted_table_doc, random_table,
                       random_table_doc, region_contained, rule_boxes)
@@ -722,11 +726,60 @@ def _rule_columns(rule, table, codes) -> tuple:
                  in zip(table.inputs, rule.input_entries, codes))
 
 
+def _reference_set_ids(columns_of: dict) -> tuple[tuple, dict]:
+    # Set ids as a cell-by-cell scan in table order assigns them: per
+    # column, each distinct set gets the next id where it first occurs.
+    known = [{} for _ in next(iter(columns_of.values()))]
+    set_ids_of = {rid: tuple(ids.setdefault(members, len(ids))
+                             for ids, members in zip(known, sets))
+                  for rid, sets in columns_of.items()}
+    return tuple(map(tuple, known)), set_ids_of
+
+
+def _noised_table(rng: random.Random):
+    # synth builds its conditions itself and inject_noise copies the
+    # table with dataclasses.replace, so load_table shares no objects.
+    columns = bench_columns(rng.randint(2, 4), numeric_range=60)
+    base = generate_table(GenSpec(columns=columns,
+                                  target_rules=rng.randint(20, 40),
+                                  seed=rng.randrange(10 ** 6)))
+    return inject_noise(base, columns, rng.choice(("overlap", "missing")),
+                        0.1, rng.randrange(10 ** 6))
+
+
+def _reparsed_table(rng: random.Random):
+    # Every cell re-parsed on its own, so equal conditions of a column
+    # are distinct objects.
+    table = random_table(rng, max_rules=12)
+    rules = tuple(Rule(rule.id, tuple(
+        parse_condition(render_condition(cond), attr.kind)
+        for attr, cond in zip(table.inputs, rule.input_entries)),
+        rule.output_entries) for rule in table.rules)
+    assert all(a is not b for ra, rb in zip(rules, table.rules)
+               for a, b in zip(ra.input_entries, rb.input_entries)
+               if not isinstance(a, type(ANY)))
+    return replace(table, rules=rules)
+
+
 def test_cached_geometry_matches_per_rule_lowering():
+    # Tables from load_table, from synth and inject_noise, and with
+    # every cell a distinct object.
+    empty, shared, twins = _check_geometry_of_tables(random_table)
+    assert empty > 0 and shared > 0
+    # Noise keeps each cell inside its facet.
+    assert _check_geometry_of_tables(_noised_table)[2] > 0
+    empty, shared, twins = _check_geometry_of_tables(_reparsed_table)
+    assert empty > 0 and shared > 0 and twins > 0
+
+
+def _check_geometry_of_tables(make) -> tuple[int, int, int]:
+    # Counts of empty cells, of cells sharing a set id with an unequal
+    # condition, and of cells sharing one with an equal condition held
+    # by another object.
     rng = random.Random(737373)
-    empty_seen = shared_seen = 0
+    empty_seen = shared_seen = twins_seen = 0
     for _ in range(200):
-        table = random_table(rng)
+        table = make(rng)
         geometry = table.geometry
         assert table.geometry is geometry
         codes = [_reference_codes(table, d)
@@ -741,6 +794,8 @@ def test_cached_geometry_matches_per_rule_lowering():
                     for rule in table.rules}
         assert geometry.columns_of == expected
         assert list(geometry.columns_of) == [rule.id for rule in table.rules]
+        assert (geometry.sets, geometry.set_ids_of) \
+            == _reference_set_ids(expected)
         # Two cells of one column share a set id exactly when their sets
         # are equal, and each id names its cell's set.
         assert list(geometry.set_ids_of) == list(geometry.columns_of)
@@ -755,6 +810,8 @@ def test_cached_geometry_matches_per_rule_lowering():
                 for other_sid, other_members, other_cond in column_cells:
                     assert (sid == other_sid) == (members == other_members)
                     shared_seen += sid == other_sid and cond != other_cond
+                    twins_seen += sid == other_sid and cond == other_cond \
+                        and cond is not other_cond
         # The overlap sweep's clique rule needs closed finite bounds in
         # discrete columns.
         for sets in geometry.columns_of.values():
@@ -777,4 +834,4 @@ def test_cached_geometry_matches_per_rule_lowering():
                    and diag.columns[0] in input_names}
         assert flagged == cells
         empty_seen += len(cells)
-    assert empty_seen > 0 and shared_seen > 0
+    return empty_seen, shared_seen, twins_seen

@@ -2,6 +2,7 @@
 
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -11,7 +12,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import dmncheck
 from dmncheck import DecisionTableError, load_table
-from dmncheck.cli import _build_parser, main
+from dmncheck.cli import _build_parser, _dump_json, main
 
 from conftest import loan_doc
 
@@ -509,6 +510,80 @@ class TestGenerate:
         assert capsys.readouterr().out == first
         doc = json.loads(first)
         assert len(doc["rules"]) == 25
+
+
+_JSON_TEXTS = ("", "plain", "é ñ 中文 😀", 'say "hi"', "back\\slash",
+               "tab\tnew\nline\x00\x1f\x7f", "\u2028", "-", "[1..2)")
+_JSON_SCALARS = (True, False, None, 0, -0.0, 0.1, 1e16, -1e-300, 2 ** 70,
+                 -(10 ** 30), 17, 3.5, float("nan"), float("inf"),
+                 float("-inf"))
+
+
+def _random_json(rng: random.Random, depth: int = 0):
+    roll = rng.random()
+    if depth > 4 or roll < 0.45:
+        return rng.choice(_JSON_TEXTS + _JSON_SCALARS)
+    size = rng.choice((0, 1, 2, 5))
+    if roll < 0.7:
+        items = [_random_json(rng, depth + 1) for _ in range(size)]
+        return items if rng.random() < 0.8 else tuple(items)
+    return {rng.choice(_JSON_TEXTS) + str(i): _random_json(rng, depth + 1)
+            for i in range(size)}
+
+
+def _as_json_writes(text: str) -> str:
+    return json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
+
+
+class TestWriter:
+    def test_equals_json_dumps(self):
+        rng = random.Random(2024)
+        for _ in range(3000):
+            doc = _random_json(rng)
+            assert _dump_json(doc) == json.dumps(doc, indent=2,
+                                                 sort_keys=True)
+
+    @pytest.mark.parametrize("doc", [{"a": {2}}, [b"x"], ["a", object()],
+                                     {"a": ["b", 1j]}])
+    def test_other_values_raise_type_error(self, doc):
+        with pytest.raises(TypeError):
+            json.dumps(doc, indent=2, sort_keys=True)
+        with pytest.raises(TypeError):
+            _dump_json(doc)
+
+    def test_keys_must_be_text(self):
+        # json would write the key 1 as "1"; no report has such a key.
+        with pytest.raises(TypeError):
+            _dump_json({"a": {1: "b"}})
+
+    @pytest.mark.parametrize("only", ["all", "overlap", "missing"])
+    def test_check_reports(self, table1_path, tiny_path, only, capsys):
+        for paths in ([table1_path], [table1_path, tiny_path]):
+            main(["check", "--format", "structured", "--only", only,
+                  *paths])
+            out = capsys.readouterr().out
+            assert out == _as_json_writes(out)
+
+    def test_eval_generate_and_bench_reports(self, table1_path, tmp_path,
+                                             capsys):
+        runs = (
+            ["eval", table1_path, "--format", "structured", "--input",
+             "Annual Income=500,Loan Size=600"],
+            ["eval", table1_path, "--format", "structured", "--input",
+             "Annual Income=3000,Loan Size=600"],
+            ["generate", "--columns", "3", "--rules", "12", "--inject",
+             "both", "--seed", "5"],
+            ["bench", "--columns", "2", "--rules", "12", "--runs", "1",
+             "--format", "structured"],
+        )
+        for args in runs:
+            main(args)
+            out = capsys.readouterr().out
+            assert out == _as_json_writes(out)
+        written = tmp_path / "out.json"
+        main(["generate", "--rules", "8", "-o", str(written)])
+        text = written.read_text(encoding="utf-8")
+        assert text == _as_json_writes(text)
 
 
 class TestBench:

@@ -221,6 +221,83 @@ class TestParseOncePerText:
             assert str(err.value) == message
 
 
+# Edits to the loan document, each (rule index, key, input or output
+# column or None for the key itself, value), with the error a
+# cell-by-cell load in row order raises: a row's inputs before its
+# outputs, its cells before its priority, and a rule's shape before its
+# cells.
+_BAD_CELLS = {
+    "later-row-earlier-column": (
+        [(2, "in", 0, "[1.."), (1, "in", 1, "x>")], SFeelTypeError,
+        "rule 'B', column 'Loan Size': 'x' is not a real literal in 'x>'"),
+    "two-in-one-row": (
+        [(1, "in", 1, "[1.."), (1, "in", 0, "?")], SFeelSyntaxError,
+        "rule 'B', column 'Annual Income': unexpected character '?' in "
+        "'?'"),
+    "repeated-bad-text": (
+        [(3, "in", 0, "[1.."), (2, "in", 1, "[1.."), (1, "in", 0, "[1..")],
+        SFeelSyntaxError, "rule 'B', column 'Annual Income': unexpected "
+                          "end of condition in '[1..'"),
+    "unhashable-input": (
+        [(3, "in", 0, "[1.."), (1, "in", 1, ["[1..2]"])], SFeelSyntaxError,
+        "rule 'B', column 'Loan Size': condition must be text, got list"),
+    "unhashable-output": (
+        [(3, "in", 0, "[1.."), (1, "out", 0, {"G": 1})], SchemaError,
+        "rule 'B', output column 'Grade': output entry must be a literal "
+        "text"),
+    "non-text-input": (
+        [(2, "in", 0, "[1.."), (1, "in", 0, 5)], SFeelSyntaxError,
+        "rule 'B', column 'Annual Income': condition must be text, got "
+        "int"),
+    "output-before-input": (
+        [(2, "in", 0, "[1.."), (1, "out", 0, "[1..2]")], SFeelTypeError,
+        "rule 'B', output column 'Grade': comparisons and intervals are "
+        "not defined for string columns: '[1..2]'"),
+    "cell-before-later-schema-error": (
+        [(3, "id", None, ""), (2, "in", 1, "[1..")], SFeelSyntaxError,
+        "rule 'C', column 'Loan Size': unexpected end of condition in "
+        "'[1..'"),
+    "schema-error-before-later-cell": (
+        [(3, "in", 0, "[1.."), (1, "out", None, ["G", "G"])], SchemaError,
+        "rule 'B' needs 1 output entries"),
+    "cell-before-its-rows-priority": (
+        [(1, "priority", None, "high"), (1, "in", 1, "[1..")],
+        SFeelSyntaxError, "rule 'B', column 'Loan Size': unexpected end "
+                          "of condition in '[1..'"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_BAD_CELLS))
+def test_first_bad_cell_in_row_order(name):
+    edits, error, message = _BAD_CELLS[name]
+    doc = loan_doc()
+    for index, key, column, value in edits:
+        if column is None:
+            doc["rules"][index][key] = value
+        else:
+            doc["rules"][index][key][column] = value
+    with pytest.raises(error) as err:
+        load_table(doc)
+    assert str(err.value) == message
+
+
+def test_output_cells_equal_as_keys_are_told_apart():
+    # 1, 1.0 and True are equal dict keys, but only 1 is an integer.
+    doc = loan_doc()
+    doc["outputs"] = [{"name": "Points", "type": "integer"}]
+    for rule, value in zip(doc["rules"], [1, 1, True, 2]):
+        rule["out"] = [value]
+    with pytest.raises(SFeelTypeError) as err:
+        load_table(doc)
+    assert str(err.value) == ("rule 'C', output column 'Points': boolean "
+                              "literal in an integer column")
+    doc["rules"][2]["out"] = [1.0]
+    with pytest.raises(SFeelTypeError, match="^rule 'C', output column "
+                                             "'Points': real literal in an "
+                                             "integer column$"):
+        load_table(doc)
+
+
 def _one_output_doc(out_type: str, out, rule_id: str = "A",
                     column: str = "Points") -> dict:
     return {"name": "t", "inputs": [{"name": "x", "type": "integer"}],
