@@ -34,7 +34,7 @@ Both analyses are one N-dimensional line sweep in table column order.
 (set id, tail id), so rules whose sets agree from column d onward share
 one suffix id there.  A sub-sweep takes a set of suffix ids and a
 column, runs once and is memoised, and returns both halves: the gap
-boxes over that column and the deeper ones, and an antichain of masks
+boxes over that column and the deeper ones, and an antichain of sets
 of two or more of its ids that share a point there.  ``sweep_table``
 runs either half alone or both in one walk.  The ids of one set are
 active together, so a sub-sweep groups its ids by set id and sorts one
@@ -57,24 +57,27 @@ event is directly followed by an upper bound event (Gupta, Lee & Leung,
 1982); any other stretch's active ids are a subset of a clique's.  The
 tie ranks let a lower and an upper bound at one value meet only as
 ``[v..v]``, and discrete sets have closed finite bounds, so no clique is
-empty.  At the last column a clique of two or more ids is a mask.
-Deeper, one step descends into the clique: its ids are grouped by
-tail.  Ids with one tail share every point of it, and only non-empty
-rules are swept, so a group of two or more ids shares a point.  With
-two or more distinct tails the clique recurses over them, and each
-returned mask of tails maps back to its preimage, the union of its
-tails' groups.  The top level is the clique of all rules, whose tails
+empty.  At the last column a clique of two or more ids is a set of
+ids.  Deeper, one step descends into the clique: its ids are grouped
+by tail.  Ids with one tail share every point of it, and only
+non-empty rules are swept, so a group of two or more ids shares a
+point.  With two or more distinct tails the clique recurses over them,
+and each returned set of tails maps back to its preimage, the union of
+its tails' groups.  The top level is the clique of all rules, whose tails
 are their suffix ids at column 0, so identical rules form a group.  A
 clique is itself a stretch, whose tails are the ids the clique
 recurses over, so every overlap sub-sweep is also a gap sub-sweep and
-the two halves share memo entries.  Masks form an antichain: each
-sub-sweep collects its candidate masks and ``_maximal`` reduces them
-once, largest first, so a candidate is dropped when a kept mask holds
-it and no kept mask is ever purged.  A group's witness is a
-function of the group alone: the least corner of its region, per
-column the first member of the ``intersect_sets`` fold of the group's
-distinct column sets, picked by set id.  Each column folds each
-distinct set of set ids once per call.
+the two halves share memo entries.  A set of ids is a ``frozenset``:
+suffix ids inside a sub-sweep, rule positions at the top.  The sets
+form an antichain: each sub-sweep collects its candidate sets and
+``_maximal`` reduces them once, largest first, so a candidate is
+dropped when a kept set holds it and no kept set is ever purged.
+Frozensets of ints hash the same in every process, and the groups are
+sorted by their sorted ids at the end, so report bytes stay stable.
+A group's witness is a function of the group alone: the least corner
+of its region, per column the first member of the ``intersect_sets``
+fold of the group's distinct column sets, picked by set id.  Each
+column folds each distinct set of set ids once per call.
 
 Missing values: only the rules' union matters.  A stretch where no id
 is active lies inside the hull; it is cut to the column's universe only
@@ -297,37 +300,31 @@ def _nonempty_rules(geometry: TableGeometry) -> list[str]:
     return [rid for rid, sets in geometry.columns_of.items() if all(sets)]
 
 
-def _maximal(masks: list[int]) -> list[int]:
-    """The set-maximal masks among ``masks``.
+def _maximal(groups: list[frozenset[int]]) -> list[frozenset[int]]:
+    """The set-maximal sets of ids among ``groups``.
 
-    Largest first, a mask is kept unless a kept mask holds all of its
-    bits; two distinct masks of one size never hold each other, so no
-    kept mask is ever purged.  Bit k of ``holders[b]`` marks the k-th
-    kept mask as holding bit b, so the kept masks holding a candidate
-    are the AND of the holders of its bits.
+    Largest first, a set is kept unless a kept set holds all of its
+    ids; two distinct sets of one size never hold each other, so no
+    kept set is ever purged.  Bit k of ``holders[j]`` marks the k-th
+    kept set as holding id j, so the kept sets holding a candidate are
+    the AND of the holders of its ids.
     """
-    if len(masks) < 2:
-        return masks
-    kept: list[int] = []
+    if len(groups) < 2:
+        return groups
+    kept: list[frozenset[int]] = []
     holders: dict[int, int] = {}
-    for mask in sorted(set(masks), key=int.bit_count, reverse=True):
-        bits = []
-        rest = mask
-        while rest:
-            low = rest & -rest
-            bits.append(low.bit_length() - 1)
-            rest ^= low
+    for group in sorted(set(groups), key=len, reverse=True):
         common = -1
-        for bit in bits:
-            common &= holders.get(bit, 0)
+        for j in group:
+            common &= holders.get(j, 0)
             if not common:
                 break
         if common:
-            continue  # a kept mask holds every bit
+            continue  # a kept set holds every id
         flag = 1 << len(kept)
-        kept.append(mask)
-        for bit in bits:
-            holders[bit] = holders.get(bit, 0) | flag
+        kept.append(group)
+        for j in group:
+            holders[j] = holders.get(j, 0) | flag
     return kept
 
 
@@ -362,16 +359,17 @@ def sweep_table(table: "DecisionTable", only: str = "all"
     # such rules there as one suffix.
     set_of, tails, tops = _suffix_forest(rows, n_dims)
     bounds = [_bound_events(column_sets) for column_sets in geometry.sets]
-    memo: dict[tuple, tuple[tuple[int, ...], tuple[int, ...]]] = {}
+    memo: dict[tuple, tuple[tuple[int, ...],
+                            tuple[frozenset[int], ...]]] = {}
     # Gap boxes are hash-consed like suffixes: a box over columns d..
     # is the pair (its interval in column d, the id of its rest over
     # the deeper columns).  Id 0 is the empty box past the last column.
     box_ids: dict[tuple[Interval1D, int] | None, int] = {None: 0}
 
     def sweep(ids: frozenset[int], dim: int
-              ) -> tuple[tuple[int, ...], tuple[int, ...]]:
+              ) -> tuple[tuple[int, ...], tuple[frozenset[int], ...]]:
         # The ids of the gap boxes over columns dim.. and the antichain
-        # of the masks of two or more ids that share a point there.
+        # of the sets of two or more ids that share a point there.
         # Only a stretch where no suffix is active reaches past the last
         # column.
         if dim == n_dims:
@@ -402,7 +400,7 @@ def sweep_table(table: "DecisionTable", only: str = "all"
             ids_of[-1] = []
         # Each rest id to its fragments in column dim.
         frags_of: dict[int, list[Interval1D]] = {}
-        chain: list[int] = []
+        chain: list[frozenset[int]] = []
         active: set[int] = set()  # set ids
         n_active = 0  # ids of the active sets
         rising = False
@@ -413,8 +411,8 @@ def sweep_table(table: "DecisionTable", only: str = "all"
             # maximal clique of the column's sets.
             if overlaps and rising and not rank & 1 and n_active >= 2:
                 if dim == last:
-                    chain.append(sum(1 << j for t in active
-                                     for j in ids_of[t]))
+                    chain.append(frozenset([j for t in active
+                                            for j in ids_of[t]]))
                 else:
                     nexts = frozenset([tail[j] for t in active
                                        for j in ids_of[t]])
@@ -478,11 +476,11 @@ def sweep_table(table: "DecisionTable", only: str = "all"
         memo[key] = result
         return result
 
-    def descend(chain: list[int], nexts: frozenset[int], n_members: int,
-                members: Iterable[int], tail_of: Sequence[int], dim: int
-                ) -> tuple | None:
+    def descend(chain: list[frozenset[int]], nexts: frozenset[int],
+                n_members: int, members: Iterable[int],
+                tail_of: Sequence[int], dim: int) -> tuple | None:
         # Sweep the tails ``nexts`` of the ``n_members`` members at dim
-        # and add to the chain each returned mask of tails mapped back
+        # and add to the chain each returned set of tails mapped back
         # to the members above them.  Members with one tail share every
         # point of it, so each such group of two or more is realised on
         # its own.  Returns the sub-sweep over the tails, or None for
@@ -491,21 +489,21 @@ def sweep_table(table: "DecisionTable", only: str = "all"
         # Members with distinct tails and no deeper group share no
         # point: nothing to map back, and ``members`` is not read.
         if len(nexts) < n_members or sub and sub[1]:
-            group_of: dict[int, int] = {}
+            group_of: dict[int, list[int]] = {}
             for j in members:
-                group_of[tail_of[j]] = group_of.get(tail_of[j], 0) | 1 << j
-            for mask in () if sub is None else sub[1]:
-                union = 0
-                while mask:
-                    low = mask & -mask
-                    union |= group_of[low.bit_length() - 1]
-                    mask ^= low
-                chain.append(union)
-            chain.extend(group for group in group_of.values()
-                         if group & (group - 1))
+                t = tail_of[j]
+                if t in group_of:
+                    group_of[t].append(j)
+                else:
+                    group_of[t] = [j]
+            for tails_held in () if sub is None else sub[1]:
+                chain.append(frozenset([j for t in tails_held
+                                        for j in group_of[t]]))
+            chain.extend(frozenset(group) for group in group_of.values()
+                         if len(group) >= 2)
         return sub
 
-    chain: list[int] = []
+    chain: list[frozenset[int]] = []
     if overlaps:
         # The top level is the clique of all rules, whose tails are
         # their suffix ids at column 0, so identical rules form a group.
@@ -530,12 +528,7 @@ def sweep_table(table: "DecisionTable", only: str = "all"
     groups = []
     # Per column, the least corner of each distinct set of set ids.
     corners: list[dict[frozenset[int], Interval1D]] = [{} for _ in universe]
-    for mask in chain:
-        members = []
-        while mask:
-            low = mask & -mask
-            members.append(low.bit_length() - 1)
-            mask ^= low
+    for members in chain:
         # The least corner of the group's region.  Meeting canonical
         # sets gives one canonical set in any order, so each distinct
         # column set is folded once, and each distinct choice of sets

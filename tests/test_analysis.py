@@ -14,8 +14,8 @@ from dmncheck import (FACET_INCOMPAT, CapacityError, Interval1D,
                       find_overlapping_rules, load_table,
                       lower_to_intervals, oracle_missing, oracle_overlaps,
                       pairwise_overlap_fragments, validate_structure)
-from dmncheck.analysis import (_suffix_forest, build_grid, grid_cells_of_boxes,
-                               render_box, table_rects)
+from dmncheck.analysis import (_maximal, _suffix_forest, build_grid,
+                               grid_cells_of_boxes, render_box, table_rects)
 from dmncheck.intervals import canonical, intersect_sets
 from dmncheck.model import Rule
 from dmncheck.sfeel import (ANY, Alternative, Kind, Match, Not,
@@ -511,6 +511,30 @@ def _assert_overlaps_match_oracle(table):
     return groups
 
 
+def test_maximal_keeps_the_sets_no_other_strictly_contains():
+    # Random families with duplicates, nested sets, distinct sets of
+    # one size and fewer than two members, against a brute-force
+    # reference.
+    rng = random.Random(464646)
+    for _ in range(2000):
+        family = []
+        for _ in range(rng.randint(0, 10)):
+            draw = rng.random()
+            if family and draw < 0.25:
+                family.append(rng.choice(family))
+            elif family and draw < 0.5:
+                outer = sorted(rng.choice(family))
+                family.append(frozenset(
+                    rng.sample(outer, rng.randint(1, len(outer)))))
+            else:
+                family.append(frozenset(rng.sample(range(7),
+                                                   rng.randint(1, 4))))
+        kept = _maximal(list(family))
+        assert len(kept) == len(set(kept))
+        assert set(kept) == {g for g in family
+                             if not any(g < h for h in family)}
+
+
 def test_hostile_binary_table_groups_equal_the_oracle():
     # n binary columns and 2n rules, each fixing one column to 0 or 1:
     # every choice of one rule per column is a maximal group, 2^n in all.
@@ -564,18 +588,35 @@ def _assert_missing_matches_oracle(table, cell_cap: int = 10 ** 6):
                     canonical([a[d], b[d]], discrete[d])) == 1)
 
 
-def test_missing_regions_merged_on_noised_synth_tables():
-    # Missing noise leaves gaps that span many slabs of each sweep
-    # level, so every level's one merge in its own column has work.
+def _noised_synth_tables(mode):
+    # Generated tables of 60 to 150 rules with a fifth of their rules
+    # noised in ``mode``.
     for n_cols, n_rules, hi, seed in ((3, 60, 20, 1), (3, 150, 30, 2),
                                       (4, 100, 20, 3), (4, 150, 20, 4)):
         columns = tuple(ColumnSpec(f"n{i}", Kind.INTEGER, lo=0, hi=hi)
                         for i in range(n_cols - 1))
         columns += (ColumnSpec("k", Kind.STRING, categories=("a", "b", "c")),)
-        table = inject_noise(
+        yield inject_noise(
             generate_table(GenSpec(columns, n_rules, seed=seed)), columns,
-            "missing", 0.2, seed=seed)
+            mode, 0.2, seed=seed)
+
+
+def test_missing_regions_merged_on_noised_synth_tables():
+    # Missing noise leaves gaps that span many slabs of each sweep
+    # level, so every level's one merge in its own column has work.
+    for table in _noised_synth_tables("missing"):
         _assert_missing_matches_oracle(table, cell_cap=200_000)
+
+
+def test_overlap_groups_equal_the_oracle_on_noised_synth_tables():
+    # Overlap noise on tables of up to 150 rules, so the sweep's sets
+    # hold rule positions and suffix ids well past 64.
+    positions = []
+    for table in _noised_synth_tables("overlap"):
+        groups = _assert_overlaps_match_oracle(table)
+        position = {rule.id: i for i, rule in enumerate(table.rules)}
+        positions += [position[rid] for g in groups for rid in g.rule_ids]
+    assert max(positions) >= 64
 
 
 def test_column_permutation_permutes_the_reports():
