@@ -5,10 +5,10 @@ intersection, cover, contiguity, the canonical order and the sweep tie
 ranks.  ``Interval1D`` is a ``NamedTuple``, so the sweeps hash, sort and
 unpack intervals as plain tuples and no second representation exists:
 a comparison or interval condition parsed by :mod:`dmncheck.sfeel` is
-the ``Interval1D`` it was written as, and lowering normalises it here.
-A canonical set is a sorted, disjoint, non-contiguous tuple of
-``Interval1D``, built by :func:`canonical` and met by
-:func:`intersect_sets`.  :func:`interval` is the only normaliser;
+the ``Interval1D`` it was written as, and lowering normalises it here
+unless it is normal already.  A canonical set is a sorted, disjoint,
+non-contiguous tuple of ``Interval1D``, built by :func:`canonical` and
+met by :func:`intersect_sets`.  :func:`interval` is the only normaliser;
 :func:`canonical` normalises and sorts its parts, then joins them with
 :func:`join_ordered`, which callers whose parts are already normal and
 in order use directly.  A box is a tuple of ``Interval1D``, one per
@@ -180,7 +180,18 @@ def join_ordered(parts: Iterable[Interval1D],
 def intersect_sets(a: tuple[Interval1D, ...], b: tuple[Interval1D, ...]
                    ) -> tuple[Interval1D, ...]:
     """The intersection of two canonical sets, itself canonical: two of
-    its pieces that touched would lie inside one member of each set."""
+    its pieces that touched would lie inside one member of each set.
+
+    When ``b`` is one interval that covers every member of ``a``, as a
+    one-interval facet covers each cell inside it, the result is ``a``
+    itself: meeting each member with ``b`` would rebuild it unchanged.
+    """
+    if len(b) == 1 and a:
+        lo, lo_closed, hi, hi_closed = b[0]
+        first, last = a[0], a[-1]
+        if ((first.lo, not first.lo_closed) >= (lo, not lo_closed)
+                and (last.hi, last.hi_closed) <= (hi, hi_closed)):
+            return a
     out: list[Interval1D] = []
     i = j = 0
     while i < len(a) and j < len(b):

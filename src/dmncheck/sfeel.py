@@ -17,7 +17,8 @@ tree exists.  A comparison or an interval condition is the
 ``Interval1D`` it was written as, built by ``_written``: ``<5`` is
 (-inf, open, 5, open), ``(0..5]`` stays open at 0 under an integer
 column and ``[5..1]`` stays empty.  ``interval()`` normalises it only
-when it is lowered.  Every other node carries plain literal values.
+when it is lowered, and only if it is not normal already.  Every other
+node carries plain literal values.
 
 A numeric element that holds no arithmetic (an optionally signed
 literal, a comparison against one, or an interval between two) is
@@ -69,6 +70,11 @@ class Kind(str, Enum):
     def article(self) -> str:
         """The kind's name after its indefinite article: "an integer"."""
         return ("an " if self is Kind.INTEGER else "a ") + self.value
+
+
+# An enum member lookup such as ``Kind.INTEGER`` costs several global
+# lookups, so the per-cell parse and lowering paths test these.
+_INTEGER, _REAL = Kind.INTEGER, Kind.REAL
 
 
 def kind_of(value) -> Kind:
@@ -496,7 +502,7 @@ def parse_condition(text: str, kind: Kind) -> Condition:
 def _parse_element(text: str, kind: Kind) -> Condition:
     if text == "-":
         return ANY
-    if kind.is_categorical:
+    if kind is not _INTEGER and kind is not _REAL:
         return _parse_categorical_element(text, kind)
     cond = _parse_simple_numeric(text, kind)
     if cond is None:
@@ -512,32 +518,41 @@ def _parse_simple_numeric(text: str, kind: Kind) -> Optional[Condition]:
     m = _SIMPLE_NUMERIC_RE.fullmatch(text)
     if m is None:
         return None
-    if m["num"] is not None:
-        value = _simple_literal(m["sign"], m["num"], kind)
+    op, sign, num, opener, lo_sign, lo, hi_sign, hi, closer = m.groups()
+    integer = kind is _INTEGER
+    if num is not None:
+        value = _simple_literal(sign, num, integer)
         if value is None:
             return None
-        op = m["cmp"]
         return Match(value) if op is None else _written(op, value)
-    lo = _simple_literal(m["lo_sign"], m["lo"], kind)
-    hi = _simple_literal(m["hi_sign"], m["hi"], kind)
+    lo = _simple_literal(lo_sign, lo, integer)
+    hi = _simple_literal(hi_sign, hi, integer)
     if lo is None or hi is None:
         return None
-    return _written(m["open"], lo, hi, m["close"])
+    return _written(opener, lo, hi, closer)
 
 
-def _simple_literal(sign: Optional[str], digits: str, kind: Kind):
-    number = _number(digits)
-    if not is_finite_number(number):
-        return None
-    if isinstance(number, float):
-        if kind is Kind.INTEGER:
+def _simple_literal(sign: Optional[str], digits: str, integer: bool):
+    """The value of an optionally signed number token under an integer
+    or a real column, as the token parser folds it; None where that
+    parser raises: a real literal under an integer column, or a value
+    beyond the range of a finite float.  The digits carry no sign, so
+    only the upper end of that range is tested."""
+    if digits.isdigit():
+        try:
+            number = int(digits)
+        except ValueError:  # more digits than int() converts
             return None
-    elif kind is Kind.REAL:
-        number = float(number)
+    elif integer:
+        return None
+    else:
+        number = float(digits)
+    if number > _FLOAT_MAX:
+        return None
     if sign == "-":
         # 0 - x, as the parser folds a unary minus.
-        return (0 if kind is Kind.INTEGER else 0.0) - number
-    return number
+        return (0 if integer else 0.0) - number
+    return number if integer else float(number)
 
 
 # ---------------------------------------------------------------------------
@@ -667,26 +682,21 @@ def lower_to_intervals(cond: Condition, kind: Kind,
                        ) -> tuple[Interval1D, ...]:
     """Geometric image of a condition as a canonical interval set.
 
-    Numeric kinds map directly, each interval normalised by
-    ``interval()``.  Categorical kinds need the column's code table
-    (``category_codes``): the k-th category is the integer point
+    Numeric kinds map directly.  A closed interval between two finite
+    bounds of the column's exact type, and the point of a literal of
+    that type, are normal already, so they are taken as they are: the
+    interval itself, or its point built once.  Every other interval goes
+    through ``interval()``.  Categorical kinds need the column's code
+    table (``category_codes``): the k-th category is the integer point
     [k..k].  Integer and categorical sets use the closed-bound discrete
     form, so adjacent categories merge when both are present.
     """
-    if isinstance(cond, Interval1D) and kind.is_numeric:
-        # The infinite side of a comparison is not a literal, and a
-        # bound of exactly the column's type needs no kind test.
-        exact = int if kind is Kind.INTEGER else float
-        for bound in cond[::2]:
-            if type(bound) is not exact and bound not in (NEG_INF, POS_INF):
-                _numeric_literal(bound, kind)
-        return _one(*cond, kind is Kind.INTEGER)
     if isinstance(cond, Alternative):
         return canonical(
             [iv for part in cond.parts
              for iv in lower_to_intervals(part, kind, codes)],
-            kind is not Kind.REAL)
-    if kind.is_categorical:
+            kind is not _REAL)
+    if kind is not _INTEGER and kind is not _REAL:
         if not codes:
             raise CodecError(f"no categories known for {kind.value} column")
         k = len(codes)
@@ -702,12 +712,27 @@ def lower_to_intervals(cond: Condition, kind: Kind,
         raise SFeelTypeError(f"condition {cond!r} is not defined for "
                              f"{kind.value} columns")
 
-    discrete = kind is Kind.INTEGER
+    # A bound of exactly the column's type needs no kind test, and the
+    # infinite side of a comparison is not a literal.
+    discrete = kind is _INTEGER
+    exact = int if discrete else float
+    if isinstance(cond, Interval1D):
+        lo, lo_closed, hi, hi_closed = cond
+        if (lo_closed and hi_closed and type(lo) is exact
+                and type(hi) is exact and NEG_INF < lo <= hi < POS_INF):
+            return (cond,)  # interval() would rebuild an equal one
+        for bound in (lo, hi):
+            if type(bound) is not exact and bound not in (NEG_INF, POS_INF):
+                _numeric_literal(bound, kind)
+        return _one(lo, lo_closed, hi, hi_closed, discrete)
+    if isinstance(cond, Match):
+        v = cond.value
+        if type(v) is exact and NEG_INF < v < POS_INF:
+            return (_new(Interval1D, (v, True, v, True)),)
+        v = _numeric_literal(v, kind)
+        return _one(v, True, v, True, discrete)
     if isinstance(cond, AnyValue):
         return FULL
-    if isinstance(cond, Match):
-        v = _numeric_literal(cond.value, kind)
-        return _one(v, True, v, True, discrete)
     if isinstance(cond, Not):
         v = _numeric_literal(cond.value, kind)
         return canonical(

@@ -1,6 +1,8 @@
 """Interval primitives: bound ordering, the factory, contiguity, and
 set algebra."""
 
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -125,6 +127,43 @@ def test_union_and_intersection_pointwise(discrete, data):
     assert member(both, x) == (member(a, x) and member(b, x))
     # Intersecting canonical sets needs no canonical merge afterwards.
     assert both == canonical(both, discrete)
+
+
+def test_intersection_equals_the_pairwise_meet():
+    # A one-member b that covers a gives a back as it is; repr tells 1
+    # from 1.0 and 0.0 from -0.0, which == does not, so each result must
+    # keep the same bound objects as the meet of every pair of members.
+    rng = random.Random(20292)
+    ends = {True: (-9, -2, 0, 1, 3, 8, NEG_INF, POS_INF),
+            False: (-9, -2.5, -0.0, 0, 0.0, 1, 1.0, 3, 8.5, NEG_INF,
+                    POS_INF)}
+
+    def random_set(discrete, size):
+        parts = []
+        for _ in range(size):
+            a, b = sorted((rng.choice(ends[discrete]),
+                           rng.choice(ends[discrete])))
+            parts.append(interval(a, rng.random() < 0.5, b,
+                                  rng.random() < 0.5, discrete))
+        return canonical(parts, discrete)
+
+    covered = 0
+    for _ in range(5000):
+        discrete = rng.random() < 0.5
+        a = random_set(discrete, rng.randint(0, 4))
+        if a and rng.random() < 0.5:
+            # One member around a's hull: on it, past it or cut inside.
+            lo = rng.choice((a[0].lo, a[0].lo - 1, a[0].lo + 1, NEG_INF))
+            hi = rng.choice((a[-1].hi, a[-1].hi + 1, a[-1].hi - 1, POS_INF))
+            b = canonical([interval(lo, rng.random() < 0.7, hi,
+                                    rng.random() < 0.7, discrete)], discrete)
+        else:
+            b = random_set(discrete, rng.randint(0, 3))
+        reference = canonical([x.intersect(y) for x in a for y in b],
+                              discrete)
+        assert repr(intersect_sets(a, b)) == repr(reference), (a, b)
+        covered += len(b) == 1 and intersect_sets(a, b) is a
+    assert covered > 1000
 
 
 @given(s=interval_sets(discrete=False))

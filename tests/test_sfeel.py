@@ -319,6 +319,49 @@ def test_condition_is_the_interval_it_was_written_as(text, written, kind):
                 == any(m.contains(point) for m in lowered), point
 
 
+def test_lowering_a_written_interval_or_point_equals_canonical():
+    # Lowering takes a closed, finite, exactly typed interval or point as
+    # it is; repr tells 1 from 1.0 and 0.0 from -0.0, which == does not.
+    # A bound of the other literal type, or a boolean, is still refused.
+    rng = random.Random(20291)
+    bounds = {Kind.INTEGER: (-3, 0, 1, 2, 7, 2 ** 70, 10 ** 400),
+              Kind.REAL: (-3.0, -0.0, 0.0, 0.5, 1.0, 2.5, 1e300)}
+    taken = refused = 0
+    for _ in range(4000):
+        kind = rng.choice((Kind.INTEGER, Kind.REAL))
+        other = Kind.REAL if kind is Kind.INTEGER else Kind.INTEGER
+
+        def bound():
+            pick = rng.random()
+            if pick < 0.15:
+                return rng.choice((NEG_INF, POS_INF))
+            if pick < 0.25:
+                return rng.choice(bounds[other] + (True,))
+            return rng.choice(bounds[kind])
+
+        if rng.random() < 0.25:
+            v = bound()
+            cond, written = Match(v), Interval1D(v, True, v, True)
+        else:
+            written = cond = Interval1D(bound(), rng.random() < 0.7,
+                                        bound(), rng.random() < 0.7)
+        # A literal of the other type is refused; an interval's infinite
+        # side is not a literal.
+        exact = type(bounds[kind][0])
+        if any(type(x) is not exact and (isinstance(cond, Match)
+                                         or x not in (NEG_INF, POS_INF))
+               for x in written[::2]):
+            with pytest.raises(SFeelTypeError):
+                lower_to_intervals(cond, kind)
+            refused += 1
+            continue
+        lowered = lower_to_intervals(cond, kind)
+        discrete = kind is Kind.INTEGER
+        assert repr(lowered) == repr(canonical([written], discrete)), cond
+        taken += lowered == (written,)
+    assert taken > 500 and refused > 300
+
+
 # --- property tests --------------------------------------------------------
 
 numeric_conditions = st.one_of(
